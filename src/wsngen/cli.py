@@ -310,7 +310,7 @@ def _add_suite_args(p) -> None:
     p.add_argument("--alpha-circular", type=float, default=0.001,
                    help="circular correlation significance level (default 0.001)")
     p.add_argument("--classes", type=int, default=10,
-                   help="chi-square class count (default 10)")
+                   help="chi-square class count, 2..101 (default 10)")
 
 
 def build_parser() -> argparse.ArgumentParser:

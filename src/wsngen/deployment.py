@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .generator import DEFAULT_TABLE, GeneratorParams, derive_constants
+from .generator import DEFAULT_TABLE, GeneratorParams, derive_constants, finite_row, load_document
 
 __version_marker__ = None  # populated lazily to avoid a circular import
 
@@ -201,15 +201,15 @@ def deployment_to_json(dep: Deployment, path=None) -> str:
 
 
 def deployment_from_json(path) -> Deployment:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    meta = doc["meta"]
+    meta, rows = load_document(path, "points", ("seed", "a", "c", "area", "mode"))
     params = GeneratorParams(
         seed=meta["seed"], a=meta["a"], c=meta["c"],
         modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,
         degenerate_ok=True,
     )
-    points = tuple((float(x), float(y)) for x, y in doc["points"])
+    points = tuple(finite_row(p, path, i) for i, p in enumerate(rows, start=1))
+    if any(len(p) != 2 for p in points):
+        raise ValueError(f"{path}: every point must be an [x, y] pair")
     return Deployment(points=points, area=float(meta["area"]), mode=meta["mode"],
                       params=params, y_increment=meta.get("y_increment", "a"))
 
@@ -222,10 +222,10 @@ def points_from_csv(path) -> tuple[tuple[float, float], ...]:
         if header is None or [h.strip() for h in header[:3]] != ["node_id", "x", "y"]:
             raise ValueError("not a deployment CSV (expected header node_id,x,y)")
         pts = []
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
             if len(row) < 3:
                 raise ValueError(f"malformed deployment row: {row!r}")
-            pts.append((float(row[1]), float(row[2])))
+            pts.append(finite_row(row[1:3], path, i))
     if not pts:
         raise ValueError("deployment CSV holds no points")
     return tuple(pts)

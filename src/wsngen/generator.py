@@ -92,6 +92,34 @@ def load_table(path) -> tuple[float, ...]:
     return validate_table(data)
 
 
+def finite_row(values: Sequence, path, row: int) -> tuple[float, ...]:
+    """Parse one input row (1-based) to floats, refusing nan and inf."""
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{path}: row {row}: non-finite value in {list(values)!r}")
+    return out
+
+
+def load_document(path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, list]:
+    """Load a wsngen JSON file and return its meta object and data rows.
+
+    Every named meta field must be present and every float in meta finite;
+    the data rows are left for the caller to check with finite_row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    if not isinstance(meta, dict) or data_key not in doc:
+        raise ValueError(f"{path}: expected a JSON object with 'meta' and {data_key!r}")
+    missing = [k for k in meta_fields if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: meta lacks field {', '.join(map(repr, missing))}")
+    bad = [k for k, v in meta.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{path}: meta field {', '.join(map(repr, bad))} is not finite")
+    return meta, doc[data_key]
+
+
 def table_to_json(table: Sequence[float] = DEFAULT_TABLE) -> str:
     return json.dumps(list(table))
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .generator import DEFAULT_TABLE, GeneratorParams, validate_table
+from .generator import DEFAULT_TABLE, GeneratorParams, finite_row, load_document, validate_table
 
 DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
 
@@ -291,13 +291,11 @@ def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
 
 
 def traffic_from_json(path) -> TrafficMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    meta = doc["meta"]
+    meta, rows = load_document(path, "values", ("seed", "a", "c", "p_min", "p_max", "distribution"))
     span = meta["p_max"] - meta["p_min"]
     params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"],
                              modulus=span, degenerate_ok=True)
-    values = tuple(tuple(float(v) for v in row) for row in doc["values"])
+    values = tuple(finite_row(row, path, i) for i, row in enumerate(rows, start=1))
     return TrafficMatrix(values=values, p_min=float(meta["p_min"]),
                          p_max=float(meta["p_max"]), distribution=meta["distribution"],
                          params=params, rate=meta.get("rate"))
@@ -312,10 +310,10 @@ def matrix_from_csv(path) -> tuple[tuple[float, ...], ...]:
             raise ValueError("not a traffic CSV (expected header node_id,t1,...)")
         slots = len(header) - 1
         rows = []
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
             if len(row) != slots + 1:
                 raise ValueError(f"malformed traffic row: {row!r}")
-            rows.append(tuple(float(v) for v in row[1:]))
+            rows.append(finite_row(row[1:], path, i))
     if not rows:
         raise ValueError("traffic CSV holds no rows")
     return tuple(rows)

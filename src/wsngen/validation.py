@@ -3,7 +3,8 @@
 Verdict vocabulary is Satisfied/Rejected. A test is Satisfied when its
 statistic does not exceed the critical value at the chosen alpha. Alphas are
 restricted to {0.001, 0.01, 0.05} because critical values are table-backed;
-pass critical_value_fn to use any other level.
+the chi-square table covers nu = 1..100 degrees of freedom, i.e. 2..101
+classes. Pass critical_value_fn to use any other level or nu.
 
 The autocorrelation sigma has two published forms and they disagree wildly:
 
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
 
@@ -62,6 +62,93 @@ KS_CRITICAL = {
         0.4112222491, 0.4022274579, 0.3938001219, 0.3858829778, 0.3784265472,
         0.3713878071, 0.3647291470, 0.3584175316, 0.3524238110, 0.3467221509,
         0.3412895617, 0.3361055097, 0.3311515898, 0.3264112508, 0.3218695608,
+    ),
+}
+
+# Chi-square upper critical values chi2_{1-alpha}(nu) for nu = 1..100 (index
+# nu-1), frozen as the shortest round-trip repr of
+# scipy.stats.chi2.ppf(1 - alpha, nu), so a lookup returns that exact float.
+CHI2_CRITICAL = {
+    0.05: (
+        3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154,
+        11.070497693516351, 12.591587243743977, 14.067140449340169, 15.50731305586545,
+        16.918977604620448, 18.307038053275146, 19.67513757268249, 21.02606981748307,
+        22.362032494826934, 23.684791304840576, 24.995790139728616, 26.29622760486423,
+        27.58711163827534, 28.869299430392623, 30.14352720564616, 31.410432844230918,
+        32.670573340917315, 33.92443847144381, 35.17246162690806, 36.41502850180731,
+        37.65248413348277, 38.885138659830055, 40.113272069413625, 41.33713815142739,
+        42.55696780429269, 43.77297182574219, 44.98534328036513, 46.19425952027847,
+        47.39988391908093, 48.602367367294164, 49.80184956820181, 50.99846016571065,
+        52.192319730102895, 53.383540622969356, 54.572227758941736, 55.75847927888702,
+        56.94238714682408, 58.12403768086803, 59.30351202689981, 60.480886582336446,
+        61.65623337627955, 62.829620411408165, 64.00111197221803, 65.17076890356982,
+        66.3386488629688, 67.5048065495412, 68.66929391228578, 69.83216033984813,
+        70.99345283378227, 72.15321616702309, 73.31149302908324, 74.46832415930936,
+        75.62374846937608, 76.7778031560615, 77.93052380523042, 79.08194448784874,
+        80.23209784876272, 81.3810151888991, 82.5287265414718, 83.67526074272097,
+        84.82064549765667, 85.96490744123096, 87.10807219532191, 88.25016442187412,
+        89.39120787250796, 90.53122543488065, 91.67023917605484, 92.80827038310771,
+        93.94533960119225, 95.08146666924324, 96.21667075350383, 97.35097037903296,
+        98.48438345934042, 99.61692732428385, 100.74861874635032, 101.87947396543588,
+        103.00950871222618, 104.13873823027387, 105.26717729686034, 106.39484024272251,
+        107.52174097071946, 108.6478929735076, 109.77330935028795, 110.89800282268448,
+        112.02198574980785, 113.1452701425554, 114.26786767719355, 115.38978970826685,
+        116.51104728087356, 117.63165114234555, 118.75161175336736, 119.87093929856714,
+        120.98964369660958, 122.10773460981942, 123.2252214533618, 124.34211340400407,
+    ),
+    0.01: (
+        6.6348966010212145, 9.21034037197618, 11.344866730144373, 13.276704135987622,
+        15.08627246938899, 16.811893829770927, 18.475306906582357, 20.090235029663233,
+        21.665994333461924, 23.209251158954356, 24.724970311318277, 26.216967305535853,
+        27.68824961045705, 29.141237740672796, 30.57791416689249, 31.999926908815176,
+        33.40866360500461, 34.805305734705065, 36.19086912927004, 37.56623478662507,
+        38.93217268351607, 40.289360437593864, 41.638398118858476, 42.97982013935165,
+        44.31410489621915, 45.64168266628317, 46.962942124751436, 48.27823577031548,
+        49.58788447289881, 50.89218131151707, 52.19139483319193, 53.48577183623535,
+        54.77553976011035, 56.06090874778906, 57.3420734338592, 58.61921450168706,
+        59.89250004508689, 61.1620867636897, 62.4281210161849, 63.690739751564465,
+        64.9500713352112, 66.20623628399322, 67.45934792232582, 68.7095129693454,
+        69.95683206583814, 71.20140024831149, 72.44330737654823, 73.68263852010573,
+        74.91947430847816, 76.1538912490127, 77.38596201613736, 78.6157557150025,
+        79.84333812225145, 81.0687719062971, 82.29211682919967, 83.51342993198946,
+        84.73276570506393, 85.95017624510335, 87.16571139978757, 88.37941890144937,
+        89.59134449068712, 90.80153203083871, 92.01002361413214, 93.21685966023843,
+        94.42207900788506, 95.62571900011294, 96.82781556371239, 98.02840328331405,
+        99.22751547056947, 100.42518422881135, 101.62144051355205, 102.81631418914067,
+        104.00983408187484, 105.20202802983307, 106.3929229296718, 107.58254478061242,
+        108.77091872581823, 109.95806909135288, 111.14401942288376, 112.32879252029748,
+        113.51241047036046, 114.69489467756802, 115.87626589329334, 117.0565442433582,
+        118.23574925412316, 119.413899877195, 120.59101451284052, 121.76711103218736,
+        122.9422067982886, 124.11631868612129, 125.28946310158369, 126.46165599955252,
+        127.63291290105586, 128.80324890961418, 129.97267872679876, 131.141216667052,
+        132.30887667181258, 133.47567232298493, 134.64161685578915, 135.80672317102676,
+    ),
+    0.001: (
+        10.827566170662733, 13.815510557964274, 16.26623619623813, 18.46682695290317,
+        20.515005652432873, 22.457744484825323, 24.321886347856854, 26.12448155837614,
+        27.877164871256568, 29.58829844507442, 31.264133620239985, 32.90949040736021,
+        34.52817897487089, 36.12327368039813, 37.69729821835383, 39.252354790768464,
+        40.79021670690253, 42.31239633167996, 43.82019596451753, 45.31474661812586,
+        46.797038041561315, 48.26794229083518, 49.7282324664315, 51.17859777737739,
+        52.619655776172834, 54.05196238857664, 55.47602020574521, 56.892285393353625,
+        58.301173489794905, 59.70306430442994, 61.098306081058126, 62.487219057088474,
+        63.870098522344946, 65.24721746094244, 66.61882884370104, 67.98516762602424,
+        69.3464524962412, 70.70288741150503, 72.0546629519878, 73.40195751899103,
+        74.74493839842374, 76.08376270770002, 77.41857824131394, 78.74952422804303,
+        80.07673201081901, 81.40032565870999, 82.72042251912399, 84.03713371722348,
+        85.35056460859305, 86.66081519040317, 87.96798047562868, 89.27215083430448,
+        90.5734123052986, 91.8718468816601, 93.16753277222854, 94.46054464187807,
+        95.75095383248956, 97.03882856650883, 98.32423413474163, 99.60723306984946,
+        100.8878853068583, 102.16624833184879, 103.44237731987324, 104.71632526304057,
+        105.98814308961282, 107.25787977487072, 108.52558244443486, 109.79129647066172,
+        111.05506556267146, 112.31693185051572, 113.57693596394476, 114.83511710619328,
+        116.09151312316095, 117.34616056833929, 118.59909476379528, 119.85034985750531,
+        121.09995887729859, 122.34795378165676, 123.59436550758484, 124.83922401576478,
+        126.08255833316952, 127.32439659331791, 128.56476607432293, 129.80369323488026,
+        131.04120374833502, 132.27732253494605, 133.51207379246583, 134.7454810251423,
+        135.97756707124026, 137.20835412917324, 138.437863782331, 139.66611702268335,
+        140.8931342732306, 142.11893540936777, 143.34353977923126, 144.56696622308277,
+        145.7892330917839, 147.01035826441762, 148.23035916510173, 149.44925277903886,
     ),
 }
 
@@ -171,9 +258,15 @@ def _bin_counts(sample: Sequence[float], classes: int) -> list[int]:
 
 
 def chi2_critical_value(nu: int, alpha: float) -> float:
-    if alpha not in SUPPORTED_ALPHAS:
+    if alpha not in CHI2_CRITICAL:
         raise ValueError(f"no chi2 table for alpha={alpha}")
-    return float(_scipy_stats.chi2.ppf(1.0 - alpha, nu))
+    table = CHI2_CRITICAL[alpha]
+    if not 1 <= nu <= len(table):
+        raise ValueError(
+            f"no chi2 table for nu={nu}: degrees of freedom must be in 1..{len(table)} "
+            f"(--classes 2..{len(table) + 1}); supply critical_value_fn for larger nu"
+        )
+    return table[nu - 1]
 
 
 def chi2_test(

@@ -1,9 +1,14 @@
 """CLI behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wsngen
 from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
 
 
@@ -219,3 +224,99 @@ def test_unknown_subcommand_exits_one(capsys):
 def test_bad_flag_value_exits_one(capsys):
     assert main(["deploy", "--mode", "hex"]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def _single_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("wsngen: error: ")
+    return err
+
+
+def test_validate_classes_beyond_table_errors(capsys):
+    # 600 nodes satisfy the N >= 5 * classes rule, so only the table range refuses
+    assert main(["validate", "--nodes", "600", "--classes", "102"]) == EXIT_ERROR
+    err = _single_error_line(capsys.readouterr().err)
+    assert "2..101" in err
+
+
+def test_cli_import_and_validate_load_no_scipy():
+    # scipy costs most of a cold start; only the tests may import it
+    script = (
+        "import sys, wsngen, wsngen.cli\n"
+        "wsngen.cli.main(['validate', '--seed', '1', '--format', 'json'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)\n"
+    )
+    src = str(Path(wsngen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("batch.txt", ["report", "--kind", "batch"]),
+    ("agreement.txt", ["report", "--kind", "agreement"]),
+    ("agreement.json", ["report", "--kind", "agreement", "--format", "json"]),
+    ("packet_diff.txt", ["report", "--kind", "packet-diff"]),
+    ("packet_diff.json", ["report", "--kind", "packet-diff", "--format", "json"]),
+])
+def test_committed_reports_regenerate_byte_for_byte(name, argv, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    committed = Path(__file__).resolve().parents[1] / "reports" / name
+    assert out.read_bytes() == committed.read_bytes()
+
+
+def _poison_row(path, row: int, value: str) -> None:
+    """Overwrite the first coordinate or slot of 1-based data row `row`."""
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[1] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        doc = json.loads(path.read_text())
+        key = "points" if "points" in doc else "values"
+        doc[key][row - 1][0] = float(value)
+        path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command, fmt, value", [
+    ("deploy", "csv", "nan"),
+    ("deploy", "json", "inf"),
+    ("traffic", "csv", "-inf"),
+    ("traffic", "json", "nan"),
+])
+def test_validate_non_finite_input_errors(command, fmt, value, tmp_path, capsys):
+    data = tmp_path / f"data.{fmt}"
+    assert main([command, "--format", fmt, "--out", str(data)]) == EXIT_OK
+    _poison_row(data, 37, value)
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) == EXIT_ERROR
+    err = _single_error_line(capsys.readouterr().err)
+    assert f"{data}: row 37: non-finite" in err
+
+
+def test_analyze_non_finite_csv_errors(tmp_path, capsys):
+    data = tmp_path / "dep.csv"
+    assert main(["deploy", "--out", str(data)]) == EXIT_OK
+    _poison_row(data, 50, "nan")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(data)]) == EXIT_ERROR
+    assert "row 50" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["deploy", "traffic"])
+def test_validate_json_meta_missing_field_errors(command, tmp_path, capsys):
+    data = tmp_path / "data.json"
+    assert main([command, "--format", "json", "--out", str(data)]) == EXIT_OK
+    doc = json.loads(data.read_text())
+    del doc["meta"]["seed"]
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) == EXIT_ERROR
+    assert "meta lacks field 'seed'" in _single_error_line(capsys.readouterr().err)

@@ -11,6 +11,8 @@ import pytest
 from wsngen.deployment import deploy_nongrid
 from wsngen.traffic import traffic_uniform
 from wsngen.validation import (
+    CHI2_CRITICAL,
+    SUPPORTED_ALPHAS,
     SuiteConfig,
     Z_TWO_SIDED,
     aggregate_verdicts,
@@ -119,9 +121,19 @@ def test_chi2_uniform_counts_score_zero():
 
 
 def test_chi2_critical_values_from_distribution():
-    # spot values of the chi-square inverse CDF
-    assert abs(chi2_critical_value(9, 0.001) - 27.877164724) <= 1e-6
-    assert abs(chi2_critical_value(9, 0.05) - 16.918977605) <= 1e-6
+    # the frozen table must return scipy's float exactly, entry for entry
+    from scipy import stats as scipy_stats
+
+    for alpha in SUPPORTED_ALPHAS:
+        assert len(CHI2_CRITICAL[alpha]) == 100
+        for nu in range(1, 101):
+            assert chi2_critical_value(nu, alpha) == scipy_stats.chi2.ppf(1.0 - alpha, nu)
+
+
+@pytest.mark.parametrize("nu", [0, 101])
+def test_chi2_critical_value_outside_table_raises(nu):
+    with pytest.raises(ValueError, match=r"1\.\.100.*critical_value_fn"):
+        chi2_critical_value(nu, 0.05)
 
 
 # --- autocorrelation ----------------------------------------------------------
