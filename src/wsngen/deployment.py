@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .generator import DEFAULT_TABLE, GeneratorParams, derive_constants, finite_row, load_document
+from .generator import (
+    DEFAULT_TABLE,
+    GeneratorParams,
+    derive_constants,
+    load_document,
+    require_finite,
+)
 
 __version_marker__ = None  # populated lazily to avoid a circular import
 
@@ -207,9 +213,11 @@ def deployment_from_json(path) -> Deployment:
         modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,
         degenerate_ok=True,
     )
-    points = tuple(finite_row(p, path, i) for i, p in enumerate(rows, start=1))
-    if any(len(p) != 2 for p in points):
-        raise ValueError(f"{path}: every point must be an [x, y] pair")
+    try:
+        points = tuple((float(x), float(y)) for x, y in rows)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'points' must be a list of [x, y] number pairs") from None
+    require_finite(points, path)
     return Deployment(points=points, area=float(meta["area"]), mode=meta["mode"],
                       params=params, y_increment=meta.get("y_increment", "a"))
 
@@ -222,12 +230,13 @@ def points_from_csv(path) -> tuple[tuple[float, float], ...]:
         if header is None or [h.strip() for h in header[:3]] != ["node_id", "x", "y"]:
             raise ValueError("not a deployment CSV (expected header node_id,x,y)")
         pts = []
-        for i, row in enumerate(reader, start=1):
+        for row in reader:
             if len(row) < 3:
                 raise ValueError(f"malformed deployment row: {row!r}")
-            pts.append(finite_row(row[1:3], path, i))
+            pts.append((float(row[1]), float(row[2])))
     if not pts:
         raise ValueError("deployment CSV holds no points")
+    require_finite(pts, path)
     return tuple(pts)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 # Canonical constant table, fixed at 6-decimal precision. Order matters: the
@@ -92,19 +93,19 @@ def load_table(path) -> tuple[float, ...]:
     return validate_table(data)
 
 
-def finite_row(values: Sequence, path, row: int) -> tuple[float, ...]:
-    """Parse one input row (1-based) to floats, refusing nan and inf."""
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{path}: row {row}: non-finite value in {list(values)!r}")
-    return out
+def require_finite(rows: Sequence[Sequence[float]], path) -> None:
+    """Raise ValueError naming the first (1-based) row that holds nan or inf."""
+    if all(map(math.isfinite, chain.from_iterable(rows))):
+        return
+    row = next(i for i, r in enumerate(rows, start=1) if not all(map(math.isfinite, r)))
+    raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
 
 
 def load_document(path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, list]:
     """Load a wsngen JSON file and return its meta object and data rows.
 
     Every named meta field must be present and every float in meta finite;
-    the data rows are left for the caller to check with finite_row.
+    the data rows are left for the caller to check with require_finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .generator import DEFAULT_TABLE, GeneratorParams, finite_row, load_document, validate_table
+from .generator import (
+    DEFAULT_TABLE,
+    GeneratorParams,
+    load_document,
+    require_finite,
+    validate_table,
+)
 
 DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
 
@@ -291,11 +297,16 @@ def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
 
 
 def traffic_from_json(path) -> TrafficMatrix:
-    meta, rows = load_document(path, "values", ("seed", "a", "c", "p_min", "p_max", "distribution"))
+    meta, rows = load_document(path, "values",
+                               ("seed", "a", "c", "p_min", "p_max", "distribution"))
     span = meta["p_max"] - meta["p_min"]
     params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"],
                              modulus=span, degenerate_ok=True)
-    values = tuple(finite_row(row, path, i) for i, row in enumerate(rows, start=1))
+    try:
+        values = tuple(tuple(float(v) for v in row) for row in rows)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'values' must be a list of rows of numbers") from None
+    require_finite(values, path)
     return TrafficMatrix(values=values, p_min=float(meta["p_min"]),
                          p_max=float(meta["p_max"]), distribution=meta["distribution"],
                          params=params, rate=meta.get("rate"))
@@ -310,10 +321,11 @@ def matrix_from_csv(path) -> tuple[tuple[float, ...], ...]:
             raise ValueError("not a traffic CSV (expected header node_id,t1,...)")
         slots = len(header) - 1
         rows = []
-        for i, row in enumerate(reader, start=1):
+        for row in reader:
             if len(row) != slots + 1:
                 raise ValueError(f"malformed traffic row: {row!r}")
-            rows.append(finite_row(row[1:], path, i))
+            rows.append(tuple(float(v) for v in row[1:]))
     if not rows:
         raise ValueError("traffic CSV holds no rows")
+    require_finite(rows, path)
     return tuple(rows)

@@ -320,3 +320,15 @@ def test_validate_json_meta_missing_field_errors(command, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--in", str(data)]) == EXIT_ERROR
     assert "meta lacks field 'seed'" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("entry", [5, None, [1.0, None], [1.0, 2.0, 3.0]])
+def test_validate_malformed_json_point_errors(entry, tmp_path, capsys):
+    data = tmp_path / "dep.json"
+    assert main(["deploy", "--format", "json", "--out", str(data)]) == EXIT_OK
+    doc = json.loads(data.read_text())
+    doc["points"][9] = entry
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) == EXIT_ERROR
+    _single_error_line(capsys.readouterr().err)
