@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from wsngen.deployment import deploy_nongrid
 from wsngen.traffic import traffic_uniform
@@ -122,8 +123,6 @@ def test_chi2_uniform_counts_score_zero():
 
 def test_chi2_critical_values_from_distribution():
     # the frozen table must return scipy's float exactly, entry for entry
-    from scipy import stats as scipy_stats
-
     for alpha in SUPPORTED_ALPHAS:
         assert len(CHI2_CRITICAL[alpha]) == 100
         for nu in range(1, 101):
