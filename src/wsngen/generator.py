@@ -73,7 +73,10 @@ def validate_table(table: Sequence[float]) -> tuple[float, ...]:
     values. The canonical table has 14 entries; custom tables of any length
     >= 2 are accepted (the derivation offset becomes len(table)//2).
     """
-    values = tuple(float(v) for v in table)
+    # a list, not a generator: tuple() of a generator resizes a 10-slot
+    # tuple, which parks one 14-slot tuple per call on CPython's free list
+    # (up to 2000 of them, about 300 KB, in a long in-process sweep)
+    values = tuple([float(v) for v in table])
     if len(values) < 2:
         raise ValueError("constant table needs at least 2 entries")
     for v in values:

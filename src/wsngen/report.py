@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import _reference as ref
 from .deployment import deploy_grid, deploy_nongrid
 from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, validate_table
-from .topology import build_graph, isolated_count
+from .topology import isolated_by_range
 from .traffic import (
     traffic_exponential_recurrence,
     traffic_exponential_transform,
@@ -48,7 +48,8 @@ def batch_row(
     row: dict = {"seed": seed, "a": a, "c": c, "modes": {}}
     for mode in MODES:
         dep = _DEPLOYERS[mode](node_count, area, seed, table=table)
-        iso = tuple(isolated_count(build_graph(dep, tr, epsilon)) for tr in ranges)
+        counts = isolated_by_range(dep, ranges, epsilon)
+        iso = tuple([counts[float(tr)] for tr in ranges])
         verdicts = aggregate_verdicts(run_suite(dep, config))
         row["modes"][mode] = {
             "isolated": iso,

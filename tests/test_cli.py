@@ -310,6 +310,14 @@ def test_analyze_non_finite_csv_errors(tmp_path, capsys):
     assert "row 50" in _single_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--tr", "nan"],
+                                  ["report", "--seeds", "1", "--tr", "10,nan"]])
+def test_nan_range_errors(argv, capsys):
+    # a nan range used to pass the tr > 0 check and count every node isolated
+    assert main(argv) == EXIT_ERROR
+    assert "tr must be positive" in _single_error_line(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["deploy", "traffic"])
 def test_validate_json_meta_missing_field_errors(command, tmp_path, capsys):
     data = tmp_path / "data.json"

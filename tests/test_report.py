@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wsngen import _reference as ref
+from wsngen.deployment import deploy_grid, deploy_nongrid
 from wsngen.generator import derive_constants
 from wsngen.report import (
     batch_report,
@@ -17,6 +18,7 @@ from wsngen.report import (
     render_report_json,
     render_report_text,
 )
+from wsngen.topology import build_graph, isolated_count
 
 
 def test_batch_row_fields():
@@ -28,6 +30,17 @@ def test_batch_row_fields():
         assert len(m["isolated"]) == 3
         for key in ("ks", "chi2", "autocorrelation", "circular"):
             assert m[key] in ("Satisfied", "Rejected")
+
+
+def test_batch_row_isolated_per_listed_range():
+    # one count per listed range, repeats and epsilon included, each equal
+    # to the count of that range's own graph
+    ranges = (15.0, 10.0, 15.0, 7.5)
+    row = batch_row(4, ranges=ranges, epsilon=1.25)
+    for mode, deploy in (("non-grid", deploy_nongrid), ("grid", deploy_grid)):
+        dep = deploy(100, 100.0, 4)
+        expect = tuple(isolated_count(build_graph(dep, tr, 1.25)) for tr in ranges)
+        assert row["modes"][mode]["isolated"] == expect
 
 
 def test_batch_report_sorts_and_dedups():
