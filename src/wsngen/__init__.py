@@ -12,7 +12,6 @@ from .generator import (
     EXTENDED_TABLE,
     GeneratorParams,
     derive_constants,
-    lcg_step,
     load_table,
     stream,
     table_to_json,
@@ -22,7 +21,6 @@ from .deployment import (
     Deployment,
     deploy_grid,
     deploy_nongrid,
-    deploy_rectangular,
     deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
@@ -80,7 +78,6 @@ __all__ = [
     "EXTENDED_TABLE",
     "GeneratorParams",
     "derive_constants",
-    "lcg_step",
     "load_table",
     "stream",
     "table_to_json",
@@ -88,7 +85,6 @@ __all__ = [
     "Deployment",
     "deploy_grid",
     "deploy_nongrid",
-    "deploy_rectangular",
     "deployment_from_json",
     "deployment_to_csv",
     "deployment_to_json",

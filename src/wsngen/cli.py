@@ -22,12 +22,13 @@ from .deployment import (
     Deployment,
     deploy_grid,
     deploy_nongrid,
+    deployment_from_document,
     deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
     points_from_csv,
 )
-from .generator import DEFAULT_TABLE, GeneratorParams, load_table
+from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document
 from .report import (
     batch_report,
     packet_diff_report,
@@ -43,7 +44,7 @@ from .traffic import (
     matrix_from_csv,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
-    traffic_from_json,
+    traffic_from_document,
     traffic_to_csv,
     traffic_to_json,
     traffic_uniform,
@@ -139,13 +140,12 @@ def _load_validation_subject(args):
     if args.input is None:
         return _generate_deployment(args)
     if _looks_like_json(args.input):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        kind = doc.get("meta", {}).get("kind")
+        doc = read_document(args.input)
+        kind = doc["meta"].get("kind")
         if kind == "deployment":
-            return deployment_from_json(args.input)
+            return deployment_from_document(doc, args.input)
         if kind == "traffic":
-            return traffic_from_json(args.input)
+            return traffic_from_document(doc, args.input)
         raise ValueError(f"unrecognized JSON kind {kind!r} in {args.input}")
     # CSV: the header decides
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_deploy)
 
     p = sub.add_parser("traffic", help="generate a per-node traffic matrix")
-    p.add_argument("--seed", type=int, default=0,
-                   help="unused by the packet recurrences; kept for symmetry")
     p.add_argument("--nodes", type=int, default=80, help="node count (default 80)")
     p.add_argument("--slots", type=int, default=5,
                    help="time slots per node (default 5)")

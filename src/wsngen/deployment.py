@@ -21,17 +21,11 @@ from .generator import (
     DEFAULT_TABLE,
     GeneratorParams,
     derive_constants,
-    load_document,
+    document_parts,
+    read_document,
     require_finite,
+    stream,
 )
-
-__version_marker__ = None  # populated lazily to avoid a circular import
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -57,11 +51,13 @@ class Deployment:
         return tuple(p[1] for p in self.points)
 
 
-def _check_args(node_count: int, area: float) -> None:
+def _check_args(node_count: int, area: float, y_increment: str) -> None:
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not area > 0 or not math.isfinite(area):
+        raise ValueError(f"area must be positive and finite, got {area}")
+    if y_increment not in ("a", "c"):
+        raise ValueError("y_increment must be 'a' or 'c'")
 
 
 def _resolve_params(
@@ -81,15 +77,8 @@ def _coordinate_streams(params: GeneratorParams, count: int, y_increment: str):
     # Both streams start from the seed value. X uses increment c, Y uses a
     # or c depending on the variant flag.
     a, c, m = params.a, params.c, params.modulus
-    y_inc = a if y_increment == "a" else c
-    xs = []
-    ys = []
-    x = y = float(params.seed)
-    for _ in range(count):
-        x = (a * x + c) % m
-        y = (a * y + y_inc) % m
-        xs.append(x)
-        ys.append(y)
+    xs = stream(params.seed, a, c, m, count)
+    ys = stream(params.seed, a, a if y_increment == "a" else c, m, count)
     return xs, ys
 
 
@@ -103,9 +92,7 @@ def deploy_nongrid(
     constants: Optional[tuple[float, float]] = None,
 ) -> Deployment:
     """Generate node_count points over a square [0, area) x [0, area)."""
-    _check_args(node_count, area)
-    if y_increment not in ("a", "c"):
-        raise ValueError("y_increment must be 'a' or 'c'")
+    _check_args(node_count, area, y_increment)
     params = _resolve_params(seed, float(area), table, constants)
     xs, ys = _coordinate_streams(params, node_count, y_increment)
     points = tuple(zip(xs, ys))
@@ -129,16 +116,20 @@ def deploy_grid(
     node_count is not a multiple of 4, ceil(node_count/4) base points are
     generated and the concatenated output is truncated.
     """
-    _check_args(node_count, area)
-    if y_increment not in ("a", "c"):
-        raise ValueError("y_increment must be 'a' or 'c'")
+    _check_args(node_count, area, y_increment)
     m1 = float(area) / 2.0
     n1 = math.ceil(node_count / 4)
     params = _resolve_params(seed, m1, table, constants)
     xs, ys = _coordinate_streams(params, n1, y_increment)
-    base = list(zip(xs, ys))
+    # A base value just below m1 can round onto area when shifted by m1.
+    # Clamp the emitted value (the chain runs on unclamped) to the largest
+    # float whose shift stays below area; every other value is unchanged.
+    top = m1
+    while top + m1 >= area:
+        top = math.nextafter(top, 0.0)
+    base = [(min(x, top), min(y, top)) for x, y in zip(xs, ys)]
     blocks = [
-        [(x, y) for x, y in base],
+        base,
         [(x + m1, y + m1) for x, y in base],
         [(x + m1, y) for x, y in base],
         [(x, y + m1) for x, y in base],
@@ -146,30 +137,6 @@ def deploy_grid(
     points = tuple(p for block in blocks for p in block)[:node_count]
     return Deployment(points=points, area=float(area), mode="grid",
                       params=params, y_increment=y_increment)
-
-
-def deploy_rectangular(
-    node_count: int,
-    width: float,
-    height: float,
-    seed: int,
-    *,
-    mode: str = "non-grid",
-    **kwargs,
-) -> Deployment:
-    """Thin wrapper for width x height areas: generate square, scale Y.
-
-    The core recurrences use a single modulus, so rectangular support is a
-    post-hoc affine scale of the Y axis by height/width.
-    """
-    if height <= 0:
-        raise ValueError("height must be positive")
-    fn = deploy_grid if mode == "grid" else deploy_nongrid
-    dep = fn(node_count, width, seed, **kwargs)
-    scale = float(height) / float(width)
-    points = tuple((x, y * scale) for x, y in dep.points)
-    return Deployment(points=points, area=dep.area, mode=dep.mode,
-                      params=dep.params, y_increment=dep.y_increment)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +152,8 @@ def deployment_to_csv(dep: Deployment, path) -> None:
 
 
 def deployment_to_json(dep: Deployment, path=None) -> str:
+    from . import __version__
+
     doc = {
         "meta": {
             "kind": "deployment",
@@ -195,7 +164,7 @@ def deployment_to_json(dep: Deployment, path=None) -> str:
             "area": dep.area,
             "node_count": dep.node_count,
             "y_increment": dep.y_increment,
-            "tool_version": _tool_version(),
+            "tool_version": __version__,
         },
         "points": [[x, y] for x, y in dep.points],
     }
@@ -207,7 +176,12 @@ def deployment_to_json(dep: Deployment, path=None) -> str:
 
 
 def deployment_from_json(path) -> Deployment:
-    meta, rows = load_document(path, "points", ("seed", "a", "c", "area", "mode"))
+    return deployment_from_document(read_document(path), path)
+
+
+def deployment_from_document(doc: dict, path) -> Deployment:
+    """Build a Deployment from a document parsed by read_document from path."""
+    meta, rows = document_parts(doc, path, "points", ("seed", "a", "c", "area", "mode"))
     params = GeneratorParams(
         seed=meta["seed"], a=meta["a"], c=meta["c"],
         modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,

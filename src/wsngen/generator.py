@@ -7,7 +7,8 @@ Every dataset this package produces comes from the recurrence
 where a and c are drawn from a fixed table of mathematical constants and the
 modulus m is a real number (the deployment area side, or the packet-size
 range). The seed picks the constants: a = table[seed % 14] and
-c = table[(seed + 7) % 14].
+c = table[(seed + 7) % 14]. ``stream`` is the only loop that advances it;
+deployments and traffic matrices are its special cases.
 
 Results are reproducible on any IEEE-754 platform evaluating in double
 precision. The mod is x - floor(x/m)*m with the result in [0, m), which is
@@ -104,16 +105,23 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
     raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
 
 
-def load_document(path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, list]:
-    """Load a wsngen JSON file and return its meta object and data rows.
+def read_document(path) -> dict:
+    """Parse a wsngen JSON file: an object whose 'meta' is an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("meta"), dict):
+        raise ValueError(f"{path}: expected a JSON object whose 'meta' is an object")
+    return doc
+
+
+def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, list]:
+    """Return the meta object and data rows of a document from read_document.
 
     Every named meta field must be present and every float in meta finite;
     the data rows are left for the caller to check with require_finite.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    meta = doc.get("meta") if isinstance(doc, dict) else None
-    if not isinstance(meta, dict) or data_key not in doc:
+    meta = doc["meta"]
+    if data_key not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'meta' and {data_key!r}")
     missing = [k for k in meta_fields if k not in meta]
     if missing:
@@ -176,22 +184,21 @@ class GeneratorParams:
         return cls(seed=seed, a=a, c=c, modulus=modulus)
 
 
-def lcg_step(x: float, params: GeneratorParams) -> float:
-    """One recurrence step: (a*x + c) mod m, result in [0, m)."""
-    return (params.a * x + params.c) % params.modulus
+def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
+           scale: float = 1.0, offset: float = 0.0) -> list[float]:
+    """The `count` successors of x0 under x <- (scale*(a*x + c)) mod modulus + offset.
 
-
-def stream(params: GeneratorParams, count: int) -> list[float]:
-    """Iterate lcg_step `count` times from the seed.
-
-    The seed itself is not emitted; element k is the k-th successor. Same
-    params always give a bit-identical list.
+    x0 itself is not emitted. The defaults give the plain recurrence, and
+    leave its bytes as they are: 1.0*y == y exactly, and float % with a
+    positive modulus never returns -0.0, so r + 0.0 == r. A deployment's X
+    stream is (seed, a, c, side); the traffic driver is (x0, a, c, span,
+    scale=a, offset=p_min).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
-    x = float(params.seed)
+    x = float(x0)
     for _ in range(count):
-        x = lcg_step(x, params)
+        x = (scale * (a * x + c)) % modulus + offset
         out.append(x)
     return out

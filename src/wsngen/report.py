@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import _reference as ref
 from .deployment import deploy_grid, deploy_nongrid
-from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, validate_table
+from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream, validate_table
 from .topology import isolated_by_range
 from .traffic import (
     traffic_exponential_recurrence,
@@ -263,19 +263,12 @@ def reconstruct_reference_chain(
     run.  Returns (uniform_cells, exponential_cells), flattened row-major.
     """
     values = validate_table(table)
-    size = len(values)
     span = p_max - p_min
-    a = values[int(p_min) % size]
-    c = values[(int(p_min) + size // 2) % size]
-    x = values[int(p_max) % size]
-    chain = [x]
-    for _ in range(count + 2):
-        x = (a * x + c) % span + p_min
-        chain.append(x)
-    uniform = chain[2:count + 2]
-    exponential = [
-        (-math.log(1.0 - y / p_max)) % span + p_min for y in chain[1:count + 1]
-    ]
+    a, c = derive_constants(int(p_min), values)
+    x0 = values[int(p_max) % len(values)]
+    chain = stream(x0, a, c, span, count + 1, offset=p_min)
+    uniform = chain[1:count + 1]
+    exponential = [(-math.log(1.0 - y / p_max)) % span + p_min for y in chain[:count]]
     return uniform, exponential
 
 

@@ -4,7 +4,7 @@ Three generators, all bounded to [p_min, p_max):
 
 * uniform: a driver chain seeded from the constant table by floor(p_max),
   advanced once per matrix entry, row-major, with the state carried across
-  node rows (no per-node reseed unless asked).
+  node rows.
 * exponential-transform: the same driver chain pushed through the inverse
   exponential CDF, then wrapped back into range.
 * exponential-recurrence: a t x t working table filled by a diagonal
@@ -29,8 +29,11 @@ import numpy as np
 from .generator import (
     DEFAULT_TABLE,
     GeneratorParams,
-    load_document,
+    derive_constants,
+    document_parts,
+    read_document,
     require_finite,
+    stream,
     validate_table,
 )
 
@@ -61,25 +64,33 @@ class TrafficMatrix:
 def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
     if n < 1 or t < 1:
         raise ValueError("n and t must be >= 1")
-    if p_min < 0:
-        raise ValueError("p_min must be >= 0")
-    if p_max <= p_min:
-        raise ValueError("p_max must exceed p_min")
+    if not p_min >= 0:
+        raise ValueError(f"p_min must be finite and >= 0, got {p_min}")
+    if not p_max > p_min or not math.isfinite(p_max):
+        raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
 
 
-def _uniform_driver(p_min: float, p_max: float, table: Sequence[float]):
-    """Seed and constants for the uniform chain.
+def _check_rate(rate: float) -> None:
+    if not rate > 0 or not math.isfinite(rate):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
 
-    The seed is table[floor(p_max) % L]; the constants then derive from the
-    floored seed value itself.
+
+def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[float]):
+    """Provenance and the n*t row-major values of the driver chain.
+
+    The seed is x0 = table[floor(p_max) % L]; the constants then derive from
+    the floored seed value itself.
     """
+    span = p_max - p_min
     values = validate_table(table)
-    size = len(values)
-    offset = size // 2
-    x0 = values[int(math.floor(p_max)) % size]
-    a = values[int(math.floor(x0)) % size]
-    c = values[(int(math.floor(x0)) + offset) % size]
-    return x0, a, c
+    x0 = values[int(math.floor(p_max)) % len(values)]
+    a, c = derive_constants(int(math.floor(x0)), values)
+    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span, degenerate_ok=True)
+    return params, stream(x0, a, c, span, n * t, scale=a, offset=p_min)
+
+
+def _rows(flat: list, t: int) -> tuple[tuple[float, ...], ...]:
+    return tuple([tuple(flat[i:i + t]) for i in range(0, len(flat), t)])
 
 
 def traffic_uniform(
@@ -89,29 +100,15 @@ def traffic_uniform(
     p_max: float,
     *,
     table: Sequence[float] = DEFAULT_TABLE,
-    reseed_per_node: bool = False,
 ) -> TrafficMatrix:
     """n x t uniform matrix via x <- (a*(a*x + c)) mod span + p_min.
 
     One running scalar drives the whole matrix; entry (i, j) is the chain
-    value after its (i*t + j + 1)-th advance. reseed_per_node restarts the
-    chain from the seed at the start of every row, for experiments only.
+    value after its (i*t + j + 1)-th advance.
     """
     _check_traffic_args(n, t, p_min, p_max)
-    span = p_max - p_min
-    x0, a, c = _uniform_driver(p_min, p_max, table)
-    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span, degenerate_ok=True)
-    rows = []
-    x = x0
-    for _ in range(n):
-        if reseed_per_node:
-            x = x0
-        row = []
-        for _ in range(t):
-            x = (a * (a * x + c)) % span + p_min
-            row.append(x)
-        rows.append(tuple(row))
-    return TrafficMatrix(values=tuple(rows), p_min=float(p_min), p_max=float(p_max),
+    params, chain = _uniform_driver(n, t, p_min, p_max, table)
+    return TrafficMatrix(values=_rows(chain, t), p_min=float(p_min), p_max=float(p_max),
                          distribution="uniform", params=params)
 
 
@@ -121,8 +118,7 @@ def exp_inverse_transform(r, rate: float):
     Accepts scalars or numpy arrays. r must lie in [0, 1); monotone in r and
     0 at r = 0.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check_rate(rate)
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0) or np.any(arr >= 1):
         raise ValueError("r must lie in [0, 1)")
@@ -157,7 +153,6 @@ def traffic_exponential_transform(
     rate: float = 1.0,
     *,
     table: Sequence[float] = DEFAULT_TABLE,
-    reseed_per_node: bool = False,
 ) -> TrafficMatrix:
     """Exponential matrix: the uniform driver chain through the inverse CDF.
 
@@ -165,22 +160,10 @@ def traffic_exponential_transform(
     chain value, so the driver state is identical to traffic_uniform's.
     """
     _check_traffic_args(n, t, p_min, p_max)
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    span = p_max - p_min
-    x0, a, c = _uniform_driver(p_min, p_max, table)
-    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span, degenerate_ok=True)
-    rows = []
-    x = x0
-    for _ in range(n):
-        if reseed_per_node:
-            x = x0
-        row = []
-        for _ in range(t):
-            x = (a * (a * x + c)) % span + p_min
-            row.append(exp_entry_from_uniform(x, p_min, p_max, rate))
-        rows.append(tuple(row))
-    return TrafficMatrix(values=tuple(rows), p_min=float(p_min), p_max=float(p_max),
+    _check_rate(rate)
+    params, chain = _uniform_driver(n, t, p_min, p_max, table)
+    flat = [exp_entry_from_uniform(x, p_min, p_max, rate) for x in chain]
+    return TrafficMatrix(values=_rows(flat, t), p_min=float(p_min), p_max=float(p_max),
                          distribution="exponential-transform", params=params, rate=float(rate))
 
 
@@ -297,8 +280,13 @@ def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
 
 
 def traffic_from_json(path) -> TrafficMatrix:
-    meta, rows = load_document(path, "values",
-                               ("seed", "a", "c", "p_min", "p_max", "distribution"))
+    return traffic_from_document(read_document(path), path)
+
+
+def traffic_from_document(doc: dict, path) -> TrafficMatrix:
+    """Build a TrafficMatrix from a document parsed by read_document from path."""
+    meta, rows = document_parts(doc, path, "values",
+                                ("seed", "a", "c", "p_min", "p_max", "distribution"))
     span = meta["p_max"] - meta["p_min"]
     params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"],
                              modulus=span, degenerate_ok=True)

@@ -221,12 +221,11 @@ def ks_test(
     alpha: float = 0.01,
     *,
     critical_value_fn: Optional[Callable[[int, float], float]] = None,
-    relaxation: float = 0.0,
 ) -> TestReport:
     """Kolmogorov-Smirnov test against the uniform distribution on [0, 1).
 
     D+ = max_i(i/n - r_i), D- = max_i(r_i - (i-1)/n) over the ascending
-    sample, D = max(D+, D-). Satisfied when D <= critical + relaxation.
+    sample, D = max(D+, D-). Satisfied when D <= critical.
     """
     n = len(sample)
     if n < 5:
@@ -240,8 +239,8 @@ def ks_test(
     d = max(d_plus, d_minus)
     crit = critical_value_fn(n, alpha) if critical_value_fn else ks_critical_value(n, alpha)
     return TestReport(
-        test_name="ks", statistic=d, critical_value=crit + relaxation, alpha=alpha,
-        verdict=_verdict(d, crit + relaxation), sample_size=n,
+        test_name="ks", statistic=d, critical_value=crit, alpha=alpha,
+        verdict=_verdict(d, crit), sample_size=n,
         details={"D_plus": d_plus, "D_minus": d_minus},
     )
 
@@ -275,7 +274,6 @@ def chi2_test(
     alpha: float = 0.001,
     *,
     critical_value_fn: Optional[Callable[[int, float], float]] = None,
-    relaxation: float = 0.0,
 ) -> TestReport:
     """Chi-square goodness of fit over equal-width bins of [0, 1).
 
@@ -301,8 +299,8 @@ def chi2_test(
     nu = classes - 1
     crit = critical_value_fn(nu, alpha) if critical_value_fn else chi2_critical_value(nu, alpha)
     return TestReport(
-        test_name="chi2", statistic=statistic, critical_value=crit + relaxation,
-        alpha=alpha, verdict=_verdict(statistic, crit + relaxation), sample_size=n,
+        test_name="chi2", statistic=statistic, critical_value=crit,
+        alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
         details={"counts": counts, "expected": expected, "nu": nu},
     )
 
@@ -322,21 +320,16 @@ def autocorrelation_test(
     alpha: float = 0.01,
     *,
     sigma_form: str = "ratio",
-    subscript_variant: str = "standard",
     critical_value_fn: Optional[Callable[[float], float]] = None,
-    relaxation: float = 0.0,
 ) -> TestReport:
     """Lagged autocorrelation test. start is 1-based.
 
-    M is the largest integer with start + (M+1)*lag <= N. The standard
-    product pairs elements at positions start + k*lag and start + (k+1)*lag
-    for k = 0..M:
+    M is the largest integer with start + (M+1)*lag <= N. The product pairs
+    elements at positions start + k*lag and start + (k+1)*lag for k = 0..M:
 
         rho_hat = (1/(M+1)) * sum_k R[start+k*lag] * R[start+(k+1)*lag] - 0.25
 
-    Z0 = rho_hat / sigma; two-sided verdict on |Z0|. subscript_variant
-    "printed" reproduces a legacy indexing quirk where the first factor
-    strides by M instead of lag; pairs running past the sample are dropped.
+    Z0 = rho_hat / sigma; two-sided verdict on |Z0|.
     """
     n = len(sample)
     if start < 1 or lag < 1:
@@ -345,20 +338,7 @@ def autocorrelation_test(
     if m < 1:
         raise ValueError(f"sequence too short for start={start}, lag={lag}")
     vals = [float(v) for v in sample]
-    if subscript_variant == "standard":
-        prods = [vals[start - 1 + k * lag] * vals[start - 1 + (k + 1) * lag] for k in range(m + 1)]
-    elif subscript_variant == "printed":
-        prods = []
-        for k in range(m + 1):
-            i1 = start - 1 + k * m
-            i2 = start - 1 + (k + 1) * lag
-            if i1 >= n or i2 >= n:
-                break
-            prods.append(vals[i1] * vals[i2])
-        if not prods:
-            raise ValueError("printed-variant indices exhausted the sample")
-    else:
-        raise ValueError("subscript_variant must be 'standard' or 'printed'")
+    prods = [vals[start - 1 + k * lag] * vals[start - 1 + (k + 1) * lag] for k in range(m + 1)]
     rho = sum(prods) / len(prods) - 0.25
     sigma = _sigma_auto(m, sigma_form)
     z0 = rho / sigma
@@ -370,8 +350,8 @@ def autocorrelation_test(
     statistic = abs(z0)
     return TestReport(
         test_name="autocorrelation", statistic=statistic,
-        critical_value=crit + relaxation, alpha=alpha,
-        verdict=_verdict(statistic, crit + relaxation), sample_size=n,
+        critical_value=crit, alpha=alpha,
+        verdict=_verdict(statistic, crit), sample_size=n,
         details={"rho": rho, "sigma": sigma, "Z0": z0, "M": m,
                  "start": start, "lag": lag, "sigma_form": sigma_form},
     )
@@ -384,7 +364,6 @@ def circular_correlation_test(
     alpha: float = 0.001,
     *,
     critical_value_fn: Optional[Callable[[float], float]] = None,
-    relaxation: float = 0.0,
 ) -> TestReport:
     """Circular cross-correlation with indices wrapped modulo N.
 
@@ -413,8 +392,8 @@ def circular_correlation_test(
         crit = Z_TWO_SIDED[alpha]
     statistic = abs(z0)
     return TestReport(
-        test_name="circular", statistic=statistic, critical_value=crit + relaxation,
-        alpha=alpha, verdict=_verdict(statistic, crit + relaxation), sample_size=n,
+        test_name="circular", statistic=statistic, critical_value=crit,
+        alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
         details={"rho": rho, "sigma": sigma, "Z0": z0, "lag": lag},
     )
 

@@ -21,11 +21,10 @@ from scipy import stats as scipy_stats
 from wsngen import _reference as ref
 from wsngen.cli import main as cli_main
 from wsngen.deployment import deploy_grid, deploy_nongrid
-from wsngen.generator import DEFAULT_TABLE, derive_constants
+from wsngen.generator import derive_constants
 from wsngen.report import packet_diff_report, reference_agreement_report
 from wsngen.topology import build_graph, isolated_count
 from wsngen.traffic import (
-    _uniform_driver,
     exp_inverse_transform,
     min_exponentials_check,
     traffic_uniform,
@@ -151,7 +150,8 @@ def _traffic_chain_map(p_min, p_max):
     With u = (x - p_min) / span, the recurrence x <- (a*(a*x + c)) mod span
     + p_min is u -> a*a*u + (a*a*p_min + a*c) / span mod 1.
     """
-    _, a, c = _uniform_driver(p_min, p_max, DEFAULT_TABLE)
+    params = traffic_uniform(1, 1, p_min, p_max).params
+    a, c = params.a, params.c
     return a * a, ((a * a * p_min + a * c) / (p_max - p_min)) % 1.0
 
 

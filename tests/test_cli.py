@@ -223,6 +223,8 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_bad_flag_value_exits_one(capsys):
     assert main(["deploy", "--mode", "hex"]) == EXIT_ERROR
+    # the packet recurrences take no seed, so traffic has no --seed flag
+    assert main(["traffic", "--seed", "3"]) == EXIT_ERROR
     capsys.readouterr()
 
 
@@ -340,3 +342,29 @@ def test_validate_malformed_json_point_errors(entry, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--in", str(data)]) == EXIT_ERROR
     _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deploy", "--area", "nan"],
+    ["deploy", "--area", "inf"],
+    ["deploy", "--mode", "grid", "--area", "inf"],
+    ["traffic", "--pmin", "nan"],
+    ["traffic", "--pmax", "inf"],
+    ["traffic", "--dist", "exp-transform", "--lambda", "nan"],
+    ["traffic", "--dist", "exp-transform", "--lambda", "inf"],
+])
+def test_non_finite_generation_arguments_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert "finite" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ['{"meta": 5, "points": []}',
+                                  '{"meta": ["kind"], "values": []}',
+                                  '{"points": []}'])
+def test_validate_json_meta_not_an_object_errors(text, tmp_path, capsys):
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    assert main(["validate", "--in", str(data)]) == EXIT_ERROR
+    assert "'meta' is an object" in _single_error_line(capsys.readouterr().err)

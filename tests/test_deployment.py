@@ -3,11 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsngen.deployment import (
     deploy_grid,
     deploy_nongrid,
-    deploy_rectangular,
     deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
@@ -80,6 +81,8 @@ def test_constants_override_skips_derivation():
     {"node_count": -3, "area": 100.0, "seed": 0},
     {"node_count": 10, "area": 0.0, "seed": 0},
     {"node_count": 10, "area": -1.0, "seed": 0},
+    {"node_count": 10, "area": math.nan, "seed": 0},
+    {"node_count": 10, "area": math.inf, "seed": 0},
 ])
 def test_argument_validation(bad_kwargs):
     with pytest.raises(ValueError):
@@ -91,16 +94,6 @@ def test_argument_validation(bad_kwargs):
 def test_bad_y_increment_rejected():
     with pytest.raises(ValueError):
         deploy_nongrid(10, 100.0, 0, y_increment="b")
-
-
-def test_rectangular_scales_y():
-    square = deploy_nongrid(40, 100.0, 3)
-    rect = deploy_rectangular(40, 100.0, 50.0, 3)
-    for (xs, ys), (xr, yr) in zip(square.points, rect.points):
-        assert xr == xs
-        assert yr == ys * 0.5
-    with pytest.raises(ValueError):
-        deploy_rectangular(40, 100.0, 0.0, 3)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -157,3 +150,33 @@ def test_node_count_one():
     assert dep.node_count == 1
     x, y = dep.points[0]
     assert 0.0 <= x < 50.0 and 0.0 <= y < 50.0
+
+
+@pytest.mark.parametrize("area", [100.0, 3.0, 1e-300, 7.3e12])
+def test_grid_base_value_below_m1_stays_inside_area(area):
+    # x1 = c = nextafter(m1, 0) is a legal base value, but x1 + m1 rounds
+    # onto area; the emitted base value is clamped so all four quadrants fit
+    m1 = area / 2.0
+    dep = deploy_grid(8, area, 0, constants=(1.0, math.nextafter(m1, 0.0)))
+    for x, y in dep.points:
+        assert 0.0 <= x < area and 0.0 <= y < area
+    base = dep.points[:2]
+    assert dep.points[2:4] == tuple((x + m1, y + m1) for x, y in base)
+    assert dep.points[4:6] == tuple((x + m1, y) for x, y in base)
+    assert dep.points[6:8] == tuple((x, y + m1) for x, y in base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 60),
+       st.floats(min_value=1e-300, max_value=1e300), st.sampled_from(["a", "c"]))
+def test_deployments_contained_and_grid_congruent(seed, n, area, y_increment):
+    grid = deploy_grid(n, area, seed, y_increment=y_increment)
+    nongrid = deploy_nongrid(n, area, seed, y_increment=y_increment)
+    for x, y in grid.points + nongrid.points:
+        assert 0.0 <= x < area and 0.0 <= y < area
+    q, m1 = math.ceil(n / 4), area / 2.0
+    base = grid.points[:q]
+    for block, (dx, dy) in enumerate(((m1, m1), (m1, 0.0), (0.0, m1)), start=1):
+        for k, (x, y) in enumerate(base):
+            if block * q + k < n:
+                assert grid.points[block * q + k] == (x + dx, y + dy)

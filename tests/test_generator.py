@@ -10,7 +10,6 @@ from wsngen.generator import (
     EXTENDED_TABLE,
     GeneratorParams,
     derive_constants,
-    lcg_step,
     load_table,
     stream,
     table_to_json,
@@ -91,15 +90,10 @@ def test_from_seed_matches_derivation():
     assert p.modulus == 100.0
 
 
-def test_lcg_step_formula():
-    p = GeneratorParams(seed=0, a=3.0, c=1.0, modulus=7.0)
-    assert lcg_step(2.0, p) == (3.0 * 2.0 + 1.0) % 7.0
-
-
 def test_stream_frozen_values():
     # seed 5 with modulus area/2 = 50: a = 2.584982, c = 3.141593
     p = GeneratorParams.from_seed(5, 50.0)
-    s = stream(p, 3)
+    s = stream(p.seed, p.a, p.c, p.modulus, 3)
     assert s[0] == 16.066503
     assert abs(s[1] - 44.673214057946005) <= 1e-9
     assert abs(s[2] - 18.62104722193739) <= 1e-9
@@ -107,16 +101,23 @@ def test_stream_frozen_values():
 
 def test_stream_range_and_determinism():
     p = GeneratorParams.from_seed(7, 33.0)
-    s1 = stream(p, 500)
-    s2 = stream(p, 500)
+    s1 = stream(p.seed, p.a, p.c, p.modulus, 500)
+    s2 = stream(p.seed, p.a, p.c, p.modulus, 500)
     assert s1 == s2
     assert all(0.0 <= v < 33.0 for v in s1)
 
 
+def test_stream_scale_and_offset_follow_the_map():
+    x, expected = 0.5, []
+    for _ in range(50):
+        x = (2.5 * (2.5 * x + 1.25)) % 6.0 + 2.0
+        expected.append(x)
+    assert stream(0.5, 2.5, 1.25, 6.0, 50, scale=2.5, offset=2.0) == expected
+
+
 def test_stream_rejects_zero_count():
-    p = GeneratorParams.from_seed(0, 10.0)
     with pytest.raises(ValueError):
-        stream(p, 0)
+        stream(0, 2.0, 3.0, 10.0, 0)
 
 
 def test_load_table_round_trip(tmp_path):

@@ -40,13 +40,8 @@ def test_uniform_chain_carries_across_rows():
     wide = traffic_uniform(1, 20, 2.0, 10.0)
     tall = traffic_uniform(4, 5, 2.0, 10.0)
     assert wide.flatten() == tall.flatten()
-
-
-def test_reseed_per_node_repeats_rows():
-    m = traffic_uniform(6, 5, 2.0, 10.0, reseed_per_node=True)
-    assert len(set(m.values)) == 1
-    default = traffic_uniform(6, 5, 2.0, 10.0)
-    assert len(set(default.values)) == 6
+    # no row restarts the chain, so every row differs
+    assert len(set(traffic_uniform(6, 5, 2.0, 10.0).values)) == 6
 
 
 def test_exp_inverse_transform_scalar_and_array():
@@ -108,12 +103,24 @@ def test_exp_recurrence_range_and_determinism():
     (5, 5, -1.0, 10.0),
     (5, 5, 10.0, 2.0),
     (5, 5, 10.0, 10.0),
+    (5, 5, math.nan, 10.0),
+    (5, 5, 2.0, math.nan),
+    (5, 5, 2.0, math.inf),
+    (5, 5, math.inf, math.inf),
 ])
 def test_traffic_argument_validation(n, t, p_min, p_max):
     for fn in (traffic_uniform, traffic_exponential_transform,
                traffic_exponential_recurrence):
         with pytest.raises(ValueError):
             fn(n, t, p_min, p_max)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_exp_transform_rejects_bad_rate(rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        traffic_exponential_transform(5, 5, 2.0, 10.0, rate)
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        exp_inverse_transform(0.5, rate)
 
 
 def test_min_exponentials_check_validation():

@@ -184,18 +184,6 @@ def test_autocorrelation_too_short():
         autocorrelation_test([0.5] * 10, start=0, lag=1)
 
 
-def test_autocorrelation_printed_variant_runs():
-    rng = random.Random(5)
-    sample = [rng.random() for _ in range(20)]
-    std = autocorrelation_test(sample, alpha=0.05)
-    printed = autocorrelation_test(sample, alpha=0.05, subscript_variant="printed")
-    # the legacy indexing strides the first factor by M, so the two forms
-    # examine different pairs
-    assert printed.details["rho"] != std.details["rho"]
-    with pytest.raises(ValueError):
-        autocorrelation_test(sample, alpha=0.05, subscript_variant="other")
-
-
 def test_autocorrelation_bad_sigma_form():
     with pytest.raises(ValueError):
         autocorrelation_test([0.5] * 10, sigma_form="classic")
