@@ -65,6 +65,33 @@ def test_cli_output_bytes_are_pinned(name, argv, expected, tmp_path, capsys):
     assert _sha256(out.read_bytes()) == expected
 
 
+# validate reports carry raw statistics, so their bytes also pin the order of
+# every float reduction in the battery; the exit code is pinned alongside
+VALIDATE_SUBJECTS = {
+    "deployment": ["--seed", "3", "--nodes", "240", "--mode", "grid"],
+    "traffic": ["--in", "traffic.csv"],
+}
+VALIDATE_CASES = [
+    ("deployment", "json", 2, "3ecfef07923402ef5f0cb7e0bc5ccf74a53ea0087add5f10d6f114a9fe693f00"),
+    ("deployment", "text", 2, "6da248a05093f5d4db255f8b8eef177d64b7b8c98f3b41d03fecd7490f1191d6"),
+    ("traffic", "json", 0, "f904a23a912117abd31faa3a0c29342ec9d766daa10e1df64ee72b5b556861da"),
+    ("traffic", "text", 0, "fb7cedf384eae0aaf09bb49a0d883a2c8c8142028e1615255d22d135cd1abc8c"),
+]
+
+
+@pytest.mark.parametrize("subject, fmt, code, expected", VALIDATE_CASES,
+                         ids=[f"validate-{c[0]}-{c[1]}" for c in VALIDATE_CASES])
+def test_validate_report_bytes_are_pinned(subject, fmt, code, expected, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["traffic", "--out", "traffic.csv"]) == EXIT_OK
+    out = tmp_path / "report"
+    argv = ["validate", *VALIDATE_SUBJECTS[subject], "--format", fmt, "--out", str(out)]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == expected
+
+
 @pytest.mark.parametrize("args, kwargs, expected", [
     ((), {}, "addfe4a5c56a28bb1cb4a1dfed2528b00d8d01ce83c225ea6d012f6e95ed086e"),
     ((1.5, 9.75, 37), {"table": DEFAULT_TABLE},
