@@ -14,7 +14,6 @@ from .generator import (
     derive_constants,
     load_table,
     stream,
-    table_to_json,
     validate_table,
 )
 from .deployment import (
@@ -24,15 +23,12 @@ from .deployment import (
     deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
-    deployment_to_svg,
     points_from_csv,
 )
 from .traffic import (
     DISTRIBUTIONS,
     TrafficMatrix,
-    exp_inverse_transform,
     matrix_from_csv,
-    min_exponentials_check,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
     traffic_from_json,
@@ -47,7 +43,6 @@ from .validation import (
     autocorrelation_test,
     chi2_test,
     circular_correlation_test,
-    interval_uniformity,
     ks_test,
     normalize,
     reports_to_json,
@@ -80,7 +75,6 @@ __all__ = [
     "derive_constants",
     "load_table",
     "stream",
-    "table_to_json",
     "validate_table",
     "Deployment",
     "deploy_grid",
@@ -88,13 +82,10 @@ __all__ = [
     "deployment_from_json",
     "deployment_to_csv",
     "deployment_to_json",
-    "deployment_to_svg",
     "points_from_csv",
     "DISTRIBUTIONS",
     "TrafficMatrix",
-    "exp_inverse_transform",
     "matrix_from_csv",
-    "min_exponentials_check",
     "traffic_exponential_recurrence",
     "traffic_exponential_transform",
     "traffic_from_json",
@@ -107,7 +98,6 @@ __all__ = [
     "autocorrelation_test",
     "chi2_test",
     "circular_correlation_test",
-    "interval_uniformity",
     "ks_test",
     "normalize",
     "reports_to_json",

@@ -41,6 +41,7 @@ from .report import (
 from .topology import build_graph, graph_to_csv, graph_to_json, isolated_count
 from .traffic import (
     TrafficMatrix,
+    _check_traffic_args,
     matrix_from_csv,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
@@ -130,8 +131,7 @@ def _deployment_from_file(path: str, area: float, mode: str) -> Deployment:
         return deployment_from_json(path)
     points = points_from_csv(path)
     # CSV carries no provenance; wrap the points with placeholder constants
-    params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=float(area),
-                             degenerate_ok=True)
+    params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=float(area))
     return Deployment(points=points, area=float(area), mode=mode, params=params)
 
 
@@ -154,8 +154,8 @@ def _load_validation_subject(args):
         return _deployment_from_file(args.input, args.area, args.mode)
     if header.startswith("node_id,t"):
         values = matrix_from_csv(args.input)
-        params = GeneratorParams(seed=0, a=1.0, c=1.0,
-                                 modulus=args.pmax - args.pmin, degenerate_ok=True)
+        _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
+        params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=args.pmax - args.pmin)
         return TrafficMatrix(values=values, p_min=float(args.pmin),
                              p_max=float(args.pmax), distribution="uniform",
                              params=params)

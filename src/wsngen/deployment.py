@@ -66,10 +66,11 @@ def _resolve_params(
     table: Sequence[float],
     constants: Optional[tuple[float, float]],
 ) -> GeneratorParams:
-    if constants is not None:
-        a, c = constants
-        return GeneratorParams(seed=seed, a=a, c=c, modulus=modulus, degenerate_ok=True)
-    a, c = derive_constants(seed, table)
+    try:
+        float(seed)
+    except OverflowError:
+        raise ValueError("seed exceeds the float range, so it cannot start the recurrence") from None
+    a, c = constants or derive_constants(seed, table)
     return GeneratorParams(seed=seed, a=a, c=c, modulus=modulus)
 
 
@@ -185,7 +186,6 @@ def deployment_from_document(doc: dict, path) -> Deployment:
     params = GeneratorParams(
         seed=meta["seed"], a=meta["a"], c=meta["c"],
         modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,
-        degenerate_ok=True,
     )
     try:
         points = tuple((float(x), float(y)) for x, y in rows)
@@ -212,21 +212,3 @@ def points_from_csv(path) -> tuple[tuple[float, float], ...]:
         raise ValueError("deployment CSV holds no points")
     require_finite(pts, path)
     return tuple(pts)
-
-
-def deployment_to_svg(dep: Deployment, path, size: int = 480) -> None:
-    """Flat SVG scatter of the deployment, one circle per node."""
-    scale = size / dep.area
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>',
-    ]
-    for x, y in dep.points:
-        # SVG y axis points down; flip so the plot reads like a map
-        cx = x * scale
-        cy = size - y * scale
-        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="steelblue"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")

@@ -132,10 +132,6 @@ def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -
     return meta, doc[data_key]
 
 
-def table_to_json(table: Sequence[float] = DEFAULT_TABLE) -> str:
-    return json.dumps(list(table))
-
-
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:
     """Map a seed to its (a, c) constant pair.
 
@@ -155,33 +151,19 @@ def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Full state needed to regenerate a stream: seed, constants, modulus.
-
-    a == c is rejected unless degenerate_ok is set; the degenerate pair is
-    only useful for demonstrating collapsed (diagonal) deployments.
-    """
+    """Full state needed to regenerate a stream: seed, constants, modulus."""
 
     seed: float
     a: float
     c: float
     modulus: float
-    degenerate_ok: bool = False
 
     def __post_init__(self):
         if self.modulus <= 0:
             raise ValueError("modulus must be positive")
-        if self.a == self.c and not self.degenerate_ok:
-            raise ValueError("a == c requires degenerate_ok=True")
 
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        modulus: float,
-        table: Sequence[float] = DEFAULT_TABLE,
-    ) -> "GeneratorParams":
-        a, c = derive_constants(seed, table)
-        return cls(seed=seed, a=a, c=c, modulus=modulus)
+
+OVERFLOW_ERROR = "the recurrence overflows the float range; use a smaller area or packet range"
 
 
 def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
@@ -193,6 +175,10 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
     positive modulus never returns -0.0, so r + 0.0 == r. A deployment's X
     stream is (seed, a, c, side); the traffic driver is (x0, a, c, span,
     scale=a, offset=p_min).
+
+    Raises ValueError if a*x + c overflows: inf % modulus is nan, and nan
+    stays nan at every later step, so checking the final state catches an
+    overflow at any step.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -201,4 +187,6 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
     for _ in range(count):
         x = (scale * (a * x + c)) % modulus + offset
         out.append(x)
+    if not math.isfinite(x):
+        raise ValueError(OVERFLOW_ERROR)
     return out

@@ -31,6 +31,8 @@ from .validation import SuiteConfig, aggregate_verdicts, run_suite
 MODES = ("non-grid", "grid")
 VERDICT_TESTS = ("ks", "chi2", "autocorrelation")
 _DEPLOYERS = {"non-grid": deploy_nongrid, "grid": deploy_grid}
+# a packet cell agrees when it rounds to the recorded two-decimal value
+PACKET_TOLERANCE = 0.005
 
 
 def batch_row(
@@ -272,7 +274,7 @@ def reconstruct_reference_chain(
     return uniform, exponential
 
 
-def _diff_entry(name: str, flat: Sequence[float], reference, tol: float, p_min: float, p_max: float) -> dict:
+def _diff_entry(name: str, flat: Sequence[float], reference, p_min: float, p_max: float) -> dict:
     ref_flat = [x for row in reference for x in row]
     slots = len(reference[0])
     matched = 0
@@ -283,8 +285,7 @@ def _diff_entry(name: str, flat: Sequence[float], reference, tol: float, p_min: 
     for i, (got, expected) in enumerate(zip(flat, ref_flat)):
         diff = abs(got - expected)
         max_diff = max(max_diff, diff)
-        # a cell agrees when it rounds to the recorded two-decimal value
-        if diff <= tol + 1e-12:
+        if diff <= PACKET_TOLERANCE + 1e-12:
             matched += 1
             if prefix_open:
                 prefix += 1
@@ -309,7 +310,7 @@ def _diff_entry(name: str, flat: Sequence[float], reference, tol: float, p_min: 
     }
 
 
-def packet_diff_report(*, tol: float = 0.005, table_full: Sequence[float] = EXTENDED_TABLE) -> dict:
+def packet_diff_report() -> dict:
     """Diff every generator against the recorded 80 x 5 packet matrices."""
     n = ref.REFERENCE_TRAFFIC_NODES
     t = ref.REFERENCE_TRAFFIC_SLOTS
@@ -317,24 +318,20 @@ def packet_diff_report(*, tol: float = 0.005, table_full: Sequence[float] = EXTE
     uniform = traffic_uniform(n, t, p1, p2)
     exp_transform = traffic_exponential_transform(n, t, p1, p2)
     exp_recurrence = traffic_exponential_recurrence(n, t, p1, p2)
-    recon_uniform, recon_exp = reconstruct_reference_chain(p1, p2, n * t, table=table_full)
+    recon_uniform, recon_exp = reconstruct_reference_chain(p1, p2, n * t)
     entries = [
-        _diff_entry("uniform", uniform.flatten(), ref.REFERENCE_UNIFORM, tol, p1, p2),
-        _diff_entry(
-            "exponential-transform", exp_transform.flatten(), ref.REFERENCE_EXPONENTIAL, tol, p1, p2
-        ),
-        _diff_entry(
-            "exponential-recurrence", exp_recurrence.flatten(), ref.REFERENCE_EXPONENTIAL, tol, p1, p2
-        ),
-        _diff_entry("reconstructed/uniform", recon_uniform, ref.REFERENCE_UNIFORM, tol, p1, p2),
-        _diff_entry("reconstructed/exponential", recon_exp, ref.REFERENCE_EXPONENTIAL, tol, p1, p2),
+        _diff_entry("uniform", uniform.flatten(), ref.REFERENCE_UNIFORM, p1, p2),
+        _diff_entry("exponential-transform", exp_transform.flatten(), ref.REFERENCE_EXPONENTIAL, p1, p2),
+        _diff_entry("exponential-recurrence", exp_recurrence.flatten(), ref.REFERENCE_EXPONENTIAL, p1, p2),
+        _diff_entry("reconstructed/uniform", recon_uniform, ref.REFERENCE_UNIFORM, p1, p2),
+        _diff_entry("reconstructed/exponential", recon_exp, ref.REFERENCE_EXPONENTIAL, p1, p2),
     ]
     return {
         "p_min": p1,
         "p_max": p2,
         "nodes": n,
         "slots": t,
-        "tolerance": tol,
+        "tolerance": PACKET_TOLERANCE,
         "entries": entries,
         "note": (
             "Recorded matrices match none of the documented recurrences cell-for-cell; "

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .generator import (
     DEFAULT_TABLE,
+    OVERFLOW_ERROR,
     GeneratorParams,
     derive_constants,
     document_parts,
@@ -70,11 +69,6 @@ def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
         raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
 
 
-def _check_rate(rate: float) -> None:
-    if not rate > 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-
-
 def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[float]):
     """Provenance and the n*t row-major values of the driver chain.
 
@@ -85,7 +79,7 @@ def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[
     values = validate_table(table)
     x0 = values[int(math.floor(p_max)) % len(values)]
     a, c = derive_constants(int(math.floor(x0)), values)
-    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span, degenerate_ok=True)
+    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span)
     return params, stream(x0, a, c, span, n * t, scale=a, offset=p_min)
 
 
@@ -110,22 +104,6 @@ def traffic_uniform(
     params, chain = _uniform_driver(n, t, p_min, p_max, table)
     return TrafficMatrix(values=_rows(chain, t), p_min=float(p_min), p_max=float(p_max),
                          distribution="uniform", params=params)
-
-
-def exp_inverse_transform(r, rate: float):
-    """Inverse exponential CDF: -ln(1-r)/rate.
-
-    Accepts scalars or numpy arrays. r must lie in [0, 1); monotone in r and
-    0 at r = 0.
-    """
-    _check_rate(rate)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0) or np.any(arr >= 1):
-        raise ValueError("r must lie in [0, 1)")
-    out = -np.log1p(-arr) / rate
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 _LOG_ARG_FLOOR = 1e-12
@@ -160,9 +138,12 @@ def traffic_exponential_transform(
     chain value, so the driver state is identical to traffic_uniform's.
     """
     _check_traffic_args(n, t, p_min, p_max)
-    _check_rate(rate)
+    if not rate > 0 or not math.isfinite(rate):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     params, chain = _uniform_driver(n, t, p_min, p_max, table)
     flat = [exp_entry_from_uniform(x, p_min, p_max, rate) for x in chain]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError(f"rate {rate} is too small: -ln(1 - x/p_max)/rate overflows the float range")
     return TrafficMatrix(values=_rows(flat, t), p_min=float(p_min), p_max=float(p_max),
                          distribution="exponential-transform", params=params, rate=float(rate))
 
@@ -193,52 +174,21 @@ def traffic_exponential_recurrence(
     x00 = values[int(math.floor(p_max)) % size]
     a = values[int(math.floor(p_min)) % size]
     c = values[(int(math.floor(x00)) + offset) % size]
-    params = GeneratorParams(seed=x00, a=a, c=c, modulus=span, degenerate_ok=True)
+    params = GeneratorParams(seed=x00, a=a, c=c, modulus=span)
 
     work = [[0.0] * t for _ in range(t)]
     work[0][0] = x00
-    rows = []
+    flat = []
     for i in range(1, n + 1):
-        row = []
         for j in range(1, t + 1):
             v = (a * work[(i - 1) % t][(j - 1) % t] + c) % span + p_min
             work[i % t][j % t] = v
-            row.append(v)
-        rows.append(tuple(row))
-    return TrafficMatrix(values=tuple(rows), p_min=float(p_min), p_max=float(p_max),
+            flat.append(v)
+    # an overflowed cell need not be read again, so check every value
+    if not all(map(math.isfinite, flat)):
+        raise ValueError(OVERFLOW_ERROR)
+    return TrafficMatrix(values=_rows(flat, t), p_min=float(p_min), p_max=float(p_max),
                          distribution="exponential-recurrence", params=params)
-
-
-def min_exponentials_check(
-    rates: Sequence[float],
-    samples: int,
-    *,
-    rng_seed: int = 20240817,
-) -> tuple[float, tuple[float, ...]]:
-    """Monte-Carlo check of the minimum-of-exponentials law.
-
-    Draws `samples` tuples of independent Exp(rate_k) variates through
-    exp_inverse_transform over a true-uniform source, then returns the
-    fitted rate of the minimum (1 / sample mean) and the frequency with
-    which each index attains the minimum. For independent exponentials the
-    minimum is Exp(sum of rates) and index k wins with probability
-    rate_k / sum(rates).
-    """
-    rates = tuple(float(r) for r in rates)
-    if len(rates) < 2:
-        raise ValueError("need at least 2 rates")
-    if any(r <= 0 for r in rates):
-        raise ValueError("rates must be positive")
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
-    rng = np.random.default_rng(rng_seed)
-    u = rng.random((samples, len(rates)))
-    draws = exp_inverse_transform(u, 1.0) / np.asarray(rates)
-    mins = draws.min(axis=1)
-    winners = draws.argmin(axis=1)
-    empirical_rate = 1.0 / float(mins.mean())
-    freqs = np.bincount(winners, minlength=len(rates)) / samples
-    return empirical_rate, tuple(float(f) for f in freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +238,7 @@ def traffic_from_document(doc: dict, path) -> TrafficMatrix:
     meta, rows = document_parts(doc, path, "values",
                                 ("seed", "a", "c", "p_min", "p_max", "distribution"))
     span = meta["p_max"] - meta["p_min"]
-    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"],
-                             modulus=span, degenerate_ok=True)
+    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"], modulus=span)
     try:
         values = tuple(tuple(float(v) for v in row) for row in rows)
     except (TypeError, ValueError):

@@ -3,19 +3,18 @@
 Verdict vocabulary is Satisfied/Rejected. A test is Satisfied when its
 statistic does not exceed the critical value at the chosen alpha. Alphas are
 restricted to {0.001, 0.01, 0.05} because critical values are table-backed;
-the chi-square table covers nu = 1..100 degrees of freedom, i.e. 2..101
-classes. Pass critical_value_fn to use any other level or nu.
+the chi-square table covers nu = 1..100 degrees of freedom, so --classes is
+limited to 2..101.
 
-The autocorrelation sigma has two published forms and they disagree wildly:
+The autocorrelation sigma is the "ratio" form sqrt((13M+7) / (12(M+1))), with
+the whole fraction under the root. Since rho_hat is bounded in [-0.25, 0.75]
+and this sigma never drops below sqrt(20/24), |Z0| cannot exceed 0.822, so
+the test never rejects at the supported alphas. The bundled golden verdicts
+were produced with this form, which is why it is the one kept.
 
-* "ratio" (default): sigma = sqrt((13M+7) / (12(M+1))). The whole fraction
-  sits under the root. Since rho_hat is bounded in [-0.25, 0.75] and this
-  sigma never drops below sqrt(20/24), |Z0| cannot exceed 0.822 and the test
-  never rejects at the supported alphas. This is the form the bundled golden
-  verdicts were produced with, so it is the default.
-* "scaled": sigma = sqrt(13M+7) / (12(M+1)). Only the numerator is rooted.
-  This is the classical normalization under which patterned sequences
-  genuinely reject; use it when you want a discriminating test.
+Every float sum that reaches a statistic runs left to right in an explicit
+loop: Python 3.12 made the builtin sum() over floats compensated, which would
+change the reported statistics between interpreter versions.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -175,11 +173,17 @@ def _verdict(statistic: float, critical: float) -> str:
     return "Satisfied" if statistic <= critical else "Rejected"
 
 
-def _require_alpha(alpha: float, critical_value_fn) -> None:
-    if critical_value_fn is None and alpha not in SUPPORTED_ALPHAS:
-        raise ValueError(
-            f"alpha {alpha} is not table-backed; supply critical_value_fn or use one of {SUPPORTED_ALPHAS}"
-        )
+def _require_alpha(alpha: float) -> None:
+    if alpha not in SUPPORTED_ALPHAS:
+        raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
+
+
+def _left_sum(values) -> float:
+    """Sum floats strictly left to right, as sum() did before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
@@ -216,12 +220,7 @@ def ks_critical_value(n: int, alpha: float) -> float:
     return KS_ASYMPTOTIC[alpha] / math.sqrt(n)
 
 
-def ks_test(
-    sample: Sequence[float],
-    alpha: float = 0.01,
-    *,
-    critical_value_fn: Optional[Callable[[int, float], float]] = None,
-) -> TestReport:
+def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     """Kolmogorov-Smirnov test against the uniform distribution on [0, 1).
 
     D+ = max_i(i/n - r_i), D- = max_i(r_i - (i-1)/n) over the ascending
@@ -230,14 +229,14 @@ def ks_test(
     n = len(sample)
     if n < 5:
         raise ValueError("KS test needs at least 5 values")
-    _require_alpha(alpha, critical_value_fn)
+    _require_alpha(alpha)
     r = sorted(float(v) for v in sample)
     if r[0] < 0 or r[-1] >= 1:
         raise ValueError("sample values must lie in [0, 1)")
     d_plus = max((i + 1) / n - v for i, v in enumerate(r))
     d_minus = max(v - i / n for i, v in enumerate(r))
     d = max(d_plus, d_minus)
-    crit = critical_value_fn(n, alpha) if critical_value_fn else ks_critical_value(n, alpha)
+    crit = ks_critical_value(n, alpha)
     return TestReport(
         test_name="ks", statistic=d, critical_value=crit, alpha=alpha,
         verdict=_verdict(d, crit), sample_size=n,
@@ -263,18 +262,12 @@ def chi2_critical_value(nu: int, alpha: float) -> float:
     if not 1 <= nu <= len(table):
         raise ValueError(
             f"no chi2 table for nu={nu}: degrees of freedom must be in 1..{len(table)} "
-            f"(--classes 2..{len(table) + 1}); supply critical_value_fn for larger nu"
+            f"(--classes 2..{len(table) + 1})"
         )
     return table[nu - 1]
 
 
-def chi2_test(
-    sample: Sequence[float],
-    classes: int = 10,
-    alpha: float = 0.001,
-    *,
-    critical_value_fn: Optional[Callable[[int, float], float]] = None,
-) -> TestReport:
+def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) -> TestReport:
     """Chi-square goodness of fit over equal-width bins of [0, 1).
 
     Expected count per class is N/classes; nu = classes - 1. Satisfied when
@@ -286,18 +279,17 @@ def chi2_test(
         raise ValueError("classes must be >= 2")
     if n < 5 * classes:
         raise ValueError(f"chi2 needs at least {5 * classes} values for {classes} classes")
-    _require_alpha(alpha, critical_value_fn)
+    _require_alpha(alpha)
     vals = [float(v) for v in sample]
     if min(vals) < 0 or max(vals) >= 1:
         raise ValueError("sample values must lie in [0, 1)")
     counts = _bin_counts(vals, classes)
     expected = n / classes
-    # counts are integers, so the statistic is exactly rational; evaluate it
-    # that way and convert once, instead of accumulating float error
-    ae = Fraction(n, classes)
-    statistic = float(sum((Fraction(f) - ae) ** 2 / ae for f in counts))
+    # sum (f - n/k)^2 / (n/k) == sum (k*f - n)^2 / (n*k): a ratio of integers,
+    # which int/int division rounds correctly, on every Python version
+    statistic = sum((classes * f - n) ** 2 for f in counts) / (n * classes)
     nu = classes - 1
-    crit = critical_value_fn(nu, alpha) if critical_value_fn else chi2_critical_value(nu, alpha)
+    crit = chi2_critical_value(nu, alpha)
     return TestReport(
         test_name="chi2", statistic=statistic, critical_value=crit,
         alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
@@ -305,22 +297,8 @@ def chi2_test(
     )
 
 
-def _sigma_auto(m: int, form: str) -> float:
-    if form == "ratio":
-        return math.sqrt((13 * m + 7) / (12 * (m + 1)))
-    if form == "scaled":
-        return math.sqrt(13 * m + 7) / (12 * (m + 1))
-    raise ValueError("sigma_form must be 'ratio' or 'scaled'")
-
-
 def autocorrelation_test(
-    sample: Sequence[float],
-    start: int = 1,
-    lag: int = 1,
-    alpha: float = 0.01,
-    *,
-    sigma_form: str = "ratio",
-    critical_value_fn: Optional[Callable[[float], float]] = None,
+    sample: Sequence[float], start: int = 1, lag: int = 1, alpha: float = 0.01
 ) -> TestReport:
     """Lagged autocorrelation test. start is 1-based.
 
@@ -329,7 +307,8 @@ def autocorrelation_test(
 
         rho_hat = (1/(M+1)) * sum_k R[start+k*lag] * R[start+(k+1)*lag] - 0.25
 
-    Z0 = rho_hat / sigma; two-sided verdict on |Z0|.
+    Z0 = rho_hat / sigma with sigma = sqrt((13M+7) / (12(M+1))); two-sided
+    verdict on |Z0|.
     """
     n = len(sample)
     if start < 1 or lag < 1:
@@ -337,33 +316,26 @@ def autocorrelation_test(
     m = (n - start) // lag - 1
     if m < 1:
         raise ValueError(f"sequence too short for start={start}, lag={lag}")
+    _require_alpha(alpha)
     vals = [float(v) for v in sample]
     prods = [vals[start - 1 + k * lag] * vals[start - 1 + (k + 1) * lag] for k in range(m + 1)]
-    rho = sum(prods) / len(prods) - 0.25
-    sigma = _sigma_auto(m, sigma_form)
+    rho = _left_sum(prods) / len(prods) - 0.25
+    sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
-    if critical_value_fn:
-        crit = critical_value_fn(alpha)
-    else:
-        _require_alpha(alpha, None)
-        crit = Z_TWO_SIDED[alpha]
+    crit = Z_TWO_SIDED[alpha]
     statistic = abs(z0)
+    # "sigma_form" names the one form left, so the report JSON keeps its keys
     return TestReport(
         test_name="autocorrelation", statistic=statistic,
         critical_value=crit, alpha=alpha,
         verdict=_verdict(statistic, crit), sample_size=n,
         details={"rho": rho, "sigma": sigma, "Z0": z0, "M": m,
-                 "start": start, "lag": lag, "sigma_form": sigma_form},
+                 "start": start, "lag": lag, "sigma_form": "ratio"},
     )
 
 
 def circular_correlation_test(
-    x: Sequence[float],
-    y: Sequence[float],
-    lag: int = 0,
-    alpha: float = 0.001,
-    *,
-    critical_value_fn: Optional[Callable[[float], float]] = None,
+    x: Sequence[float], y: Sequence[float], lag: int = 0, alpha: float = 0.001
 ) -> TestReport:
     """Circular cross-correlation with indices wrapped modulo N.
 
@@ -380,16 +352,13 @@ def circular_correlation_test(
         raise ValueError("need at least 2 values")
     if not 0 <= lag < n:
         raise ValueError("lag must satisfy 0 <= lag < N")
+    _require_alpha(alpha)
     xv = [float(v) for v in x]
     yv = [float(v) for v in y]
-    rho = sum(xv[k] * yv[(k - lag) % n] for k in range(n)) / n - 0.25
+    rho = _left_sum(xv[k] * yv[(k - lag) % n] for k in range(n)) / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
-    if critical_value_fn:
-        crit = critical_value_fn(alpha)
-    else:
-        _require_alpha(alpha, None)
-        crit = Z_TWO_SIDED[alpha]
+    crit = Z_TWO_SIDED[alpha]
     statistic = abs(z0)
     return TestReport(
         test_name="circular", statistic=statistic, critical_value=crit,
@@ -405,14 +374,9 @@ class SuiteConfig:
     alpha_auto: float = 0.01
     alpha_circular: float = 0.001
     classes: int = 10
-    auto_start: int = 1
-    auto_lag: int = 1
-    circular_lag: int = 0
-    ks_quarters: bool = True
-    sigma_form: str = "ratio"
 
 
-def _suite_streams(data, config):
+def _suite_streams(data):
     """Resolve input data to named unit-interval streams plus a circular pair."""
     # imported here to avoid import cycles
     from .deployment import Deployment
@@ -444,12 +408,10 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     every run of it is.
     """
     cfg = config or SuiteConfig()
-    streams, circular_pair = _suite_streams(data, cfg)
+    streams, circular_pair = _suite_streams(data)
     reports: list[TestReport] = []
     for name, vals in streams.items():
-        parts: list[tuple[str, list[float]]] = []
-        if cfg.ks_quarters:
-            parts.extend((f"quarter-{i}", subsample(vals, i)) for i in range(4))
+        parts = [(f"quarter-{i}", subsample(vals, i)) for i in range(4)]
         parts.append(("full", list(vals)))
         for part_name, part in parts:
             rep = ks_test(part, cfg.alpha_ks)
@@ -458,12 +420,10 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
         rep = chi2_test(vals, cfg.classes, cfg.alpha_chi2)
         rep.details.update(stream=name, part="full")
         reports.append(rep)
-        rep = autocorrelation_test(vals, cfg.auto_start, cfg.auto_lag, cfg.alpha_auto,
-                                   sigma_form=cfg.sigma_form)
+        rep = autocorrelation_test(vals, alpha=cfg.alpha_auto)
         rep.details.update(stream=name, part="full")
         reports.append(rep)
-    rep = circular_correlation_test(circular_pair[0], circular_pair[1],
-                                    cfg.circular_lag, cfg.alpha_circular)
+    rep = circular_correlation_test(*circular_pair, alpha=cfg.alpha_circular)
     rep.details.update(stream="pair", part="full")
     reports.append(rep)
     return reports
@@ -494,7 +454,7 @@ def reports_to_json(reports: Sequence[TestReport]) -> str:
             "alpha": r.alpha,
             "verdict": r.verdict,
             "sample_size": r.sample_size,
-            "details": {k: v for k, v in r.details.items()},
+            "details": r.details,
         })
     return json.dumps(docs, indent=2)
 
@@ -516,34 +476,3 @@ def reports_to_text(reports: Sequence[TestReport]) -> str:
         f"{verdicts.get('autocorrelation', '-'):<22}{verdicts.get('circular', '-'):<10}"
     )
     return "\n".join(lines)
-
-
-def interval_uniformity(sample01: Sequence[float], windows: int = 10, alpha: float = 0.05) -> dict:
-    """Interval property check: equal-width window frequencies should not
-    depend on window position.
-
-    Counts the sample into `windows` equal-width bins of [0, 1) and compares
-    the largest pairwise count gap against the chi-square-calibrated bound
-    sqrt(2 * E * crit): if only two bins deviate, by +d/2 and -d/2, they
-    contribute d^2/(2E) to the statistic, so any sample passing the
-    chi-square test at `alpha` has all pairwise gaps below that bound.
-    """
-    vals = [float(v) for v in sample01]
-    if min(vals) < 0 or max(vals) >= 1:
-        raise ValueError("sample values must lie in [0, 1)")
-    counts = _bin_counts(vals, windows)
-    n = len(vals)
-    expected = n / windows
-    chi2_stat = sum((f - expected) ** 2 / expected for f in counts)
-    crit = chi2_critical_value(windows - 1, alpha)
-    bound = math.sqrt(2.0 * expected * crit)
-    max_pairwise = max(counts) - min(counts)
-    return {
-        "counts": counts,
-        "expected": expected,
-        "chi2": chi2_stat,
-        "critical": crit,
-        "bound": bound,
-        "max_pairwise": float(max_pairwise),
-        "passed": max_pairwise < bound,
-    }

@@ -18,18 +18,15 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
+from oracles import exp_inverse_transform, interval_uniformity, min_exponentials_check
 from wsngen import _reference as ref
 from wsngen.cli import main as cli_main
 from wsngen.deployment import deploy_grid, deploy_nongrid
 from wsngen.generator import derive_constants
 from wsngen.report import packet_diff_report, reference_agreement_report
 from wsngen.topology import build_graph, isolated_count
-from wsngen.traffic import (
-    exp_inverse_transform,
-    min_exponentials_check,
-    traffic_uniform,
-)
-from wsngen.validation import chi2_test, interval_uniformity, ks_test, normalize
+from wsngen.traffic import traffic_uniform
+from wsngen.validation import chi2_test, ks_test, normalize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -360,7 +360,35 @@ def test_non_finite_generation_arguments_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("text", ['{"meta": 5, "points": []}',
+@pytest.mark.parametrize("argv", [
+    ["deploy", "--area", "1e308", "--nodes", "2000"],
+    ["deploy", "--mode", "grid", "--area", "1e308", "--nodes", "2000"],
+    ["traffic", "--pmax", "1e308"],
+    ["traffic", "--dist", "exp-transform", "--pmax", "1e308"],
+    ["traffic", "--dist", "exp-recurrence", "--pmax", "1e308", "--nodes", "1000"],
+    ["traffic", "--dist", "exp-transform", "--lambda", "1e-320"],
+    ["deploy", "--seed", "1" + "0" * 400],
+])
+def test_overflowing_generation_errors(argv, tmp_path, capsys):
+    # each of these used to write nan rows, or die with an OverflowError traceback
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert "float range" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bounds", [["--pmin", "nan"], ["--pmax", "inf"], ["--pmin", "-1"]])
+def test_validate_traffic_csv_bad_bounds_error(bounds, tmp_path, capsys):
+    data = tmp_path / "traffic.csv"
+    assert main(["traffic", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "report.txt"
+    assert main(["validate", "--in", str(data), *bounds, "--out", str(report)]) == EXIT_ERROR
+    assert "must be finite" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("text",['{"meta": 5, "points": []}',
                                   '{"meta": ["kind"], "values": []}',
                                   '{"points": []}'])
 def test_validate_json_meta_not_an_object_errors(text, tmp_path, capsys):

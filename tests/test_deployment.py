@@ -12,7 +12,6 @@ from wsngen.deployment import (
     deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
-    deployment_to_svg,
     points_from_csv,
 )
 
@@ -126,15 +125,6 @@ def test_json_round_trip(tmp_path):
     assert back.area == 100.0
     text = deployment_to_json(dep)
     assert '"kind": "deployment"' in text
-
-
-def test_svg_has_one_circle_per_node(tmp_path):
-    dep = deploy_nongrid(25, 100.0, 2)
-    path = tmp_path / "dep.svg"
-    deployment_to_svg(dep, path)
-    body = path.read_text()
-    assert body.count("<circle") == 25
-    assert body.startswith("<svg")
 
 
 def test_base_quadrant_matches_nongrid_at_half_area():

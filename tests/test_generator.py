@@ -12,7 +12,6 @@ from wsngen.generator import (
     derive_constants,
     load_table,
     stream,
-    table_to_json,
     validate_table,
 )
 
@@ -69,13 +68,6 @@ def test_derive_constants_rejects_negative_seed():
         derive_constants(-1)
 
 
-def test_params_reject_equal_constants():
-    with pytest.raises(ValueError):
-        GeneratorParams(seed=0, a=2.5, c=2.5, modulus=10.0)
-    p = GeneratorParams(seed=0, a=2.5, c=2.5, modulus=10.0, degenerate_ok=True)
-    assert p.a == p.c
-
-
 def test_params_reject_bad_modulus():
     with pytest.raises(ValueError):
         GeneratorParams(seed=0, a=2.0, c=3.0, modulus=0.0)
@@ -83,26 +75,19 @@ def test_params_reject_bad_modulus():
         GeneratorParams(seed=0, a=2.0, c=3.0, modulus=-5.0)
 
 
-def test_from_seed_matches_derivation():
-    p = GeneratorParams.from_seed(12, 100.0)
-    a, c = derive_constants(12)
-    assert (p.a, p.c) == (a, c)
-    assert p.modulus == 100.0
-
-
 def test_stream_frozen_values():
     # seed 5 with modulus area/2 = 50: a = 2.584982, c = 3.141593
-    p = GeneratorParams.from_seed(5, 50.0)
-    s = stream(p.seed, p.a, p.c, p.modulus, 3)
+    a, c = derive_constants(5)
+    s = stream(5, a, c, 50.0, 3)
     assert s[0] == 16.066503
     assert abs(s[1] - 44.673214057946005) <= 1e-9
     assert abs(s[2] - 18.62104722193739) <= 1e-9
 
 
 def test_stream_range_and_determinism():
-    p = GeneratorParams.from_seed(7, 33.0)
-    s1 = stream(p.seed, p.a, p.c, p.modulus, 500)
-    s2 = stream(p.seed, p.a, p.c, p.modulus, 500)
+    a, c = derive_constants(7)
+    s1 = stream(7, a, c, 33.0, 500)
+    s2 = stream(7, a, c, 33.0, 500)
     assert s1 == s2
     assert all(0.0 <= v < 33.0 for v in s1)
 
@@ -122,7 +107,7 @@ def test_stream_rejects_zero_count():
 
 def test_load_table_round_trip(tmp_path):
     path = tmp_path / "constants.json"
-    path.write_text(table_to_json())
+    path.write_text(json.dumps(list(DEFAULT_TABLE)))
     assert load_table(path) == DEFAULT_TABLE
 
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import exp_inverse_transform, min_exponentials_check
 from wsngen.traffic import (
     TrafficMatrix,
     exp_entry_from_uniform,
-    exp_inverse_transform,
     matrix_from_csv,
-    min_exponentials_check,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
     traffic_from_json,

@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from oracles import interval_uniformity
 from wsngen.deployment import deploy_nongrid
 from wsngen.traffic import traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
     SUPPORTED_ALPHAS,
-    SuiteConfig,
     Z_TWO_SIDED,
     aggregate_verdicts,
     autocorrelation_test,
     chi2_critical_value,
     chi2_test,
     circular_correlation_test,
-    interval_uniformity,
     ks_critical_value,
     ks_test,
     normalize,
@@ -72,10 +71,8 @@ def test_ks_rejects_out_of_range():
 
 def test_ks_unsupported_alpha_needs_fn():
     sample = [0.1, 0.3, 0.5, 0.7, 0.9]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not table-backed"):
         ks_test(sample, 0.2)
-    rep = ks_test(sample, 0.2, critical_value_fn=lambda n, a: 0.5)
-    assert rep.critical_value == 0.5
 
 
 def test_ks_detects_clustered_sample():
@@ -131,7 +128,7 @@ def test_chi2_critical_values_from_distribution():
 
 @pytest.mark.parametrize("nu", [0, 101])
 def test_chi2_critical_value_outside_table_raises(nu):
-    with pytest.raises(ValueError, match=r"1\.\.100.*critical_value_fn"):
+    with pytest.raises(ValueError, match=r"1\.\.100 \(--classes 2\.\.101\)$"):
         chi2_critical_value(nu, 0.05)
 
 
@@ -161,14 +158,6 @@ def test_autocorrelation_ratio_form_never_rejects():
             assert rep.statistic <= 0.822
 
 
-def test_autocorrelation_scaled_form_discriminates():
-    # alternating high/low pattern: adjacent products stay near 0.09, so
-    # rho_hat sits near -0.16, far beyond the scaled sigma
-    pattern = [0.9, 0.1] * 50
-    rep = autocorrelation_test(pattern, alpha=0.01, sigma_form="scaled")
-    assert rep.verdict == "Rejected"
-
-
 def test_autocorrelation_lag_and_start():
     sample = [0.1 * (k % 10) for k in range(40)]
     rep = autocorrelation_test(sample, start=3, lag=5, alpha=0.05)
@@ -182,11 +171,6 @@ def test_autocorrelation_too_short():
         autocorrelation_test([0.5, 0.5], start=1, lag=1)
     with pytest.raises(ValueError):
         autocorrelation_test([0.5] * 10, start=0, lag=1)
-
-
-def test_autocorrelation_bad_sigma_form():
-    with pytest.raises(ValueError):
-        autocorrelation_test([0.5] * 10, sigma_form="classic")
 
 
 # --- circular -----------------------------------------------------------------
@@ -271,13 +255,6 @@ def test_run_suite_on_traffic_and_raw_stream():
         run_suite([])
     with pytest.raises(ValueError):
         run_suite([0.5, 1.5, 0.2, 0.8, 0.1])
-
-
-def test_run_suite_quarters_can_be_disabled():
-    rng = random.Random(2)
-    raw = [rng.random() for _ in range(200)]
-    reports = run_suite(raw, SuiteConfig(ks_quarters=False))
-    assert [r.test_name for r in reports].count("ks") == 1
 
 
 def test_aggregate_verdicts_all_runs_must_pass():
