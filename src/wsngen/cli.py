@@ -20,10 +20,10 @@ from . import __version__
 from . import _reference as ref
 from .deployment import (
     Deployment,
+    _check_args,
     deploy_grid,
     deploy_nongrid,
     deployment_from_document,
-    deployment_from_json,
     deployment_to_csv,
     deployment_to_json,
     points_from_csv,
@@ -96,12 +96,6 @@ def _table_from(args) -> Sequence[float]:
     return load_table(args.constants_file) if args.constants_file else DEFAULT_TABLE
 
 
-def _looks_like_json(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(64).lstrip()
-    return head.startswith("{")
-
-
 def _parse_floats(text: str) -> list[float]:
     vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
@@ -126,40 +120,41 @@ def _generate_deployment(args) -> Deployment:
               y_increment=args.y_increment, table=_table_from(args))
 
 
-def _deployment_from_file(path: str, area: float, mode: str) -> Deployment:
-    if _looks_like_json(path):
-        return deployment_from_json(path)
-    points = points_from_csv(path)
-    # CSV carries no provenance; wrap the points with placeholder constants
-    params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=float(area))
-    return Deployment(points=points, area=float(area), mode=mode, params=params)
+def _load_input(args, kinds: Sequence[str]):
+    """Resolve --in (or the generation flags) to a Deployment or TrafficMatrix.
 
-
-def _load_validation_subject(args):
-    """Resolve --in (or generation flags) to a Deployment or TrafficMatrix."""
-    if args.input is None:
+    A JSON file's meta.kind decides its kind, a CSV file's header does. A CSV
+    has no provenance, so the flags supply it, checked as for generation."""
+    path = args.input
+    if path is None:
         return _generate_deployment(args)
-    if _looks_like_json(args.input):
-        doc = read_document(args.input)
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.read(64)
+    doc = read_document(path) if head.lstrip().startswith("{") else None
+    if doc is not None:
         kind = doc["meta"].get("kind")
-        if kind == "deployment":
-            return deployment_from_document(doc, args.input)
-        if kind == "traffic":
-            return traffic_from_document(doc, args.input)
-        raise ValueError(f"unrecognized JSON kind {kind!r} in {args.input}")
-    # CSV: the header decides
-    with open(args.input, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if header.startswith("node_id,x,y"):
-        return _deployment_from_file(args.input, args.area, args.mode)
-    if header.startswith("node_id,t"):
-        values = matrix_from_csv(args.input)
-        _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
-        params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=args.pmax - args.pmin)
-        return TrafficMatrix(values=values, p_min=float(args.pmin),
-                             p_max=float(args.pmax), distribution="uniform",
-                             params=params)
-    raise ValueError(f"unrecognized CSV header in {args.input}: {header!r}")
+    elif head.startswith("node_id,x,y"):
+        kind = "deployment"
+    elif head.startswith("node_id,t"):
+        kind = "traffic"
+    else:
+        raise ValueError(f"unrecognized CSV header in {path}: {(head.splitlines() or [''])[0]!r}")
+    if kind not in kinds:
+        raise ValueError(f"{path}: unrecognized kind {kind!r}; {args.command} reads {' or '.join(kinds)} files")
+    if kind == "deployment":
+        if doc is not None:
+            return deployment_from_document(doc, path)
+        points = points_from_csv(path)
+        _check_args(len(points), args.area, args.y_increment)
+        params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=float(args.area))
+        return Deployment(points=points, area=float(args.area), mode=args.mode, params=params)
+    if doc is not None:
+        return traffic_from_document(doc, path)
+    values = matrix_from_csv(path)
+    _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
+    params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=args.pmax - args.pmin)
+    return TrafficMatrix(values=values, p_min=float(args.pmin), p_max=float(args.pmax),
+                         distribution="uniform", params=params)
 
 
 def _suite_config(args) -> SuiteConfig:
@@ -179,10 +174,8 @@ def _suite_config(args) -> SuiteConfig:
 def _cmd_deploy(args) -> int:
     dep = _generate_deployment(args)
     out = args.out or f"deployment.{args.format}"
-    if args.format == "csv":
-        _atomic_write_via(out, lambda tmp: deployment_to_csv(dep, tmp))
-    else:
-        _atomic_write_via(out, lambda tmp: deployment_to_json(dep, tmp))
+    write = deployment_to_csv if args.format == "csv" else deployment_to_json
+    _atomic_write_via(out, lambda tmp: write(dep, tmp))
     print(
         "deploy: seed=%d a=%.6f c=%.6f mode=%s n=%d area=%g -> %s"
         % (dep.params.seed, dep.params.a, dep.params.c, dep.mode,
@@ -204,10 +197,8 @@ _TRAFFIC_BUILDERS = {
 def _cmd_traffic(args) -> int:
     matrix = _TRAFFIC_BUILDERS[args.dist](args, _table_from(args))
     out = args.out or f"traffic.{args.format}"
-    if args.format == "csv":
-        _atomic_write_via(out, lambda tmp: traffic_to_csv(matrix, tmp))
-    else:
-        _atomic_write_via(out, lambda tmp: traffic_to_json(matrix, tmp))
+    write = traffic_to_csv if args.format == "csv" else traffic_to_json
+    _atomic_write_via(out, lambda tmp: write(matrix, tmp))
     print(
         "traffic: dist=%s n=%d slots=%d p=[%g, %g) -> %s"
         % (args.dist, matrix.node_count, matrix.slot_count,
@@ -217,16 +208,11 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.input is not None:
-        dep = _deployment_from_file(args.input, args.area, args.mode)
-    else:
-        dep = _generate_deployment(args)
+    dep = _load_input(args, ("deployment",))
     graph = build_graph(dep, args.tr, args.epsilon)
     if args.out:
-        if args.format == "csv":
-            _atomic_write_via(args.out, lambda tmp: graph_to_csv(graph, dep, tmp))
-        else:
-            _atomic_write_via(args.out, lambda tmp: graph_to_json(graph, dep, tmp))
+        write = graph_to_csv if args.format == "csv" else graph_to_json
+        _atomic_write_via(args.out, lambda tmp: write(graph, dep, tmp))
     print(
         "analyze: n=%d tr=%g epsilon=%g edges=%d isolated=%d%s"
         % (dep.node_count, args.tr, args.epsilon, len(graph.edges),
@@ -236,19 +222,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    subject = _load_validation_subject(args)
+    subject = _load_input(args, ("deployment", "traffic"))
     reports = run_suite(subject, _suite_config(args))
-    text = reports_to_text(reports)
-    if args.format == "json":
-        payload = reports_to_json(reports)
-        if args.out:
-            _atomic_write_text(args.out, payload + "\n")
-        else:
-            print(payload)
-    else:
-        if args.out:
-            _atomic_write_text(args.out, text)
-        print(text, end="")
+    body = reports_to_json(reports) + "\n" if args.format == "json" else reports_to_text(reports)
+    if args.out:
+        _atomic_write_text(args.out, body)
+    if args.format == "text" or not args.out:
+        print(body, end="")
     return EXIT_OK if suite_satisfied(reports) else EXIT_REJECTED
 
 
@@ -257,11 +237,11 @@ def _cmd_report(args) -> int:
     if args.kind == "agreement":
         result = reference_agreement_report(config=config)
         text = render_agreement_text(result)
-        payload = json.dumps(result, indent=2, default=list)
+        payload = json.dumps(result, indent=2)
     elif args.kind == "packet-diff":
         result = packet_diff_report()
         text = render_packet_diff_text(result)
-        payload = json.dumps(result, indent=2, default=list)
+        payload = json.dumps(result, indent=2)
     else:
         seeds = _parse_seeds(args.seeds) if args.seeds else list(ref.GOLDEN_SEEDS)
         ranges = _parse_floats(args.tr)

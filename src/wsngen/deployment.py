@@ -11,8 +11,6 @@ symmetric variant is available via y_increment="c".
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,9 +20,11 @@ from .generator import (
     GeneratorParams,
     derive_constants,
     document_parts,
+    read_csv,
     read_document,
-    require_finite,
     stream,
+    write_csv,
+    write_document,
 )
 
 
@@ -143,37 +143,29 @@ def deploy_grid(
 # ---------------------------------------------------------------------------
 # serialization
 
+_COLUMNS = ("node_id", "x", "y")
+
+
 def deployment_to_csv(dep: Deployment, path) -> None:
     """CSV with header node_id,x,y; coordinates as shortest round-trip reprs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "x", "y"])
-        for i, (x, y) in enumerate(dep.points, start=1):
-            writer.writerow([i, repr(x), repr(y)])
+    write_csv(path, _COLUMNS, ([i, repr(x), repr(y)] for i, (x, y) in enumerate(dep.points, start=1)))
 
 
 def deployment_to_json(dep: Deployment, path=None) -> str:
     from . import __version__
 
-    doc = {
-        "meta": {
-            "kind": "deployment",
-            "seed": dep.params.seed,
-            "a": dep.params.a,
-            "c": dep.params.c,
-            "mode": dep.mode,
-            "area": dep.area,
-            "node_count": dep.node_count,
-            "y_increment": dep.y_increment,
-            "tool_version": __version__,
-        },
-        "points": [[x, y] for x, y in dep.points],
+    meta = {
+        "kind": "deployment",
+        "seed": dep.params.seed,
+        "a": dep.params.a,
+        "c": dep.params.c,
+        "mode": dep.mode,
+        "area": dep.area,
+        "node_count": dep.node_count,
+        "y_increment": dep.y_increment,
+        "tool_version": __version__,
     }
-    text = json.dumps(doc, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+    return write_document(meta, {"points": dep.points}, path)
 
 
 def deployment_from_json(path) -> Deployment:
@@ -182,33 +174,17 @@ def deployment_from_json(path) -> Deployment:
 
 def deployment_from_document(doc: dict, path) -> Deployment:
     """Build a Deployment from a document parsed by read_document from path."""
-    meta, rows = document_parts(doc, path, "points", ("seed", "a", "c", "area", "mode"))
+    meta, points = document_parts(doc, path, "points", ("seed", "a", "c", "area", "mode"))
+    if len(points[0]) != 2:
+        raise ValueError(f"{path}: 'points' must be a list of [x, y] number pairs")
     params = GeneratorParams(
         seed=meta["seed"], a=meta["a"], c=meta["c"],
         modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,
     )
-    try:
-        points = tuple((float(x), float(y)) for x, y in rows)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'points' must be a list of [x, y] number pairs") from None
-    require_finite(points, path)
     return Deployment(points=points, area=float(meta["area"]), mode=meta["mode"],
                       params=params, y_increment=meta.get("y_increment", "a"))
 
 
 def points_from_csv(path) -> tuple[tuple[float, float], ...]:
     """Read back the node_id,x,y format. Returns the coordinate tuple only."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["node_id", "x", "y"]:
-            raise ValueError("not a deployment CSV (expected header node_id,x,y)")
-        pts = []
-        for row in reader:
-            if len(row) < 3:
-                raise ValueError(f"malformed deployment row: {row!r}")
-            pts.append((float(row[1]), float(row[2])))
-    if not pts:
-        raise ValueError("deployment CSV holds no points")
-    require_finite(pts, path)
-    return tuple(pts)
+    return read_csv(path, "deployment", lambda width: _COLUMNS)

@@ -17,10 +17,12 @@ exactly Python's float ``%``.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 # Canonical constant table, fixed at 6-decimal precision. Order matters: the
@@ -92,10 +94,18 @@ def load_table(path) -> tuple[float, ...]:
     """Load a constant table from a JSON file holding an array of numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError("constants file must contain a JSON array of numbers")
+    if not isinstance(data, list) or not all(map(_is_finite_number, data)):
+        raise ValueError("constants file must contain a JSON array of finite numbers")
     return validate_table(data)
 
+
+def _is_finite_number(value) -> bool:
+    """True for a JSON int or float (not a bool) that converts to a finite double."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# ---------------------------------------------------------------------------
+# file formats: the CSV and JSON files of deployments, traffic matrices and graphs
 
 def require_finite(rows: Sequence[Sequence[float]], path) -> None:
     """Raise ValueError naming the first (1-based) row that holds nan or inf."""
@@ -103,6 +113,49 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
         return
     row = next(i for i, r in enumerate(rows, start=1) if not all(map(math.isfinite, r)))
     raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header line and then each row of cells as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
+    """The float cells of each row of a `kind` CSV. The header must be exactly
+    columns(width), width >= 2 being its cell count, and at least one row of
+    width cells follow: a node id, which is not read, then finite floats."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            expected = list(columns(max(len(header), 2)))
+            if header == expected:
+                # rows of two floats (every deployment) build faster without the slice
+                values = tuple([(float(r[1]), float(r[2])) if len(r) == 3 else () for r in reader]
+                               if len(header) == 3 else [tuple(map(float, r[1:])) for r in reader])
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if header != expected:
+        raise ValueError(f"{path}: not a {kind} CSV (expected header {','.join(expected)})")
+    if not values:
+        raise ValueError(f"{path}: {kind} CSV holds no rows")
+    if set(map(len, values)) != {len(header) - 1}:
+        row = next(i for i, r in enumerate(values, start=1) if len(r) != len(header) - 1)
+        raise ValueError(f"{path}: row {row}: expected {len(header)} cells, as in the header")
+    require_finite(values, path)
+    return values
+
+
+def write_document(meta: dict, data: dict, path=None) -> str:
+    """JSON text of {"meta": meta, **data}, written with a final newline to path if given."""
+    text = json.dumps({"meta": meta, **data}, indent=2)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def read_document(path) -> dict:
@@ -114,11 +167,18 @@ def read_document(path) -> dict:
     return doc
 
 
-def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, list]:
-    """Return the meta object and data rows of a document from read_document.
+_META_STRINGS = {
+    "mode": (lambda v: v in ("grid", "non-grid"), "'grid' or 'non-grid'"),
+    "distribution": (lambda v: isinstance(v, str), "a string"),
+}
 
-    Every named meta field must be present and every float in meta finite;
-    the data rows are left for the caller to check with require_finite.
+
+def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, tuple]:
+    """The meta object and the float rows of a document from read_document.
+
+    Every named meta field must be present and typed (_META_STRINGS, else a
+    finite number, which a bool is not), as must any other float in meta.
+    The data must be a non-empty list of equal-width rows of finite numbers.
     """
     meta = doc["meta"]
     if data_key not in doc:
@@ -126,10 +186,23 @@ def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -
     missing = [k for k in meta_fields if k not in meta]
     if missing:
         raise ValueError(f"{path}: meta lacks field {', '.join(map(repr, missing))}")
-    bad = [k for k, v in meta.items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"{path}: meta field {', '.join(map(repr, bad))} is not finite")
-    return meta, doc[data_key]
+    for key, value in meta.items():
+        valid, wanted = _META_STRINGS.get(key, (_is_finite_number, "a finite number"))
+        if (key in meta_fields or isinstance(value, float)) and not valid(value):
+            raise ValueError(f"{path}: meta field {key!r} must be {wanted}, got {value!r}")
+    data = doc[data_key]
+    try:
+        types = set(map(type, chain.from_iterable(data)))
+        numbers = len(set(map(len, data))) == 1 and types and types <= {int, float}
+        # json.load gives floats already; only ints need converting
+        floats = data if types == {float} else map(map, repeat(float), data)
+        rows = tuple(map(tuple, floats)) if numbers else ()
+    except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
+        rows = ()
+    if not rows:
+        raise ValueError(f"{path}: {data_key!r} must be a non-empty list of equal-width rows of numbers")
+    require_finite(rows, path)
+    return meta, rows
 
 
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:

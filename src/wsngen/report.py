@@ -83,29 +83,7 @@ def batch_report(
 
 
 def render_report_json(rows: Sequence[dict], ranges: Sequence[float] = (10.0, 15.0, 20.0)) -> str:
-    payload = {
-        "kind": "batch-report",
-        "ranges": list(ranges),
-        "rows": [
-            {
-                "seed": r["seed"],
-                "a": r["a"],
-                "c": r["c"],
-                "modes": {
-                    mode: {
-                        "isolated": list(r["modes"][mode]["isolated"]),
-                        "ks": r["modes"][mode]["ks"],
-                        "chi2": r["modes"][mode]["chi2"],
-                        "autocorrelation": r["modes"][mode]["autocorrelation"],
-                        "circular": r["modes"][mode]["circular"],
-                    }
-                    for mode in MODES
-                },
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps({"kind": "batch-report", "ranges": list(ranges), "rows": rows}, indent=2)
 
 
 def render_report_text(rows: Sequence[dict], ranges: Sequence[float] = (10.0, 15.0, 20.0)) -> str:

@@ -20,15 +20,13 @@ does these steps about as fast.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .generator import require_finite
+from .generator import require_finite, write_csv, write_document
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -149,10 +147,8 @@ def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
 
     The distances are the ones stored in the graph; ``deployment`` is not read.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "distance"])
-        writer.writerows([u + 1, v + 1, repr(d)] for u, v, d in _weighted_edges(graph))
+    write_csv(path, ("u", "v", "distance"),
+              ([u + 1, v + 1, repr(d)] for u, v, d in _weighted_edges(graph)))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
@@ -160,23 +156,16 @@ def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
 
     The distances are the ones stored in the graph; ``deployment`` is not read.
     """
-    doc = {
-        "meta": {
-            "kind": "radius-graph",
-            "node_count": graph.node_count,
-            "transmission_range": graph.transmission_range,
-            "epsilon": graph.epsilon,
-            "edge_count": len(graph.edges),
-            "isolated": isolated_count(graph),
-        },
-        "degrees": list(graph.degrees),
-        "edges": [[u + 1, v + 1, d] for u, v, d in _weighted_edges(graph)],
+    meta = {
+        "kind": "radius-graph",
+        "node_count": graph.node_count,
+        "transmission_range": graph.transmission_range,
+        "epsilon": graph.epsilon,
+        "edge_count": len(graph.edges),
+        "isolated": isolated_count(graph),
     }
-    text = json.dumps(doc, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+    edges = [[u + 1, v + 1, d] for u, v, d in _weighted_edges(graph)]
+    return write_document(meta, {"degrees": graph.degrees, "edges": edges}, path)
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

@@ -18,8 +18,6 @@ not a bug.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,10 +28,12 @@ from .generator import (
     GeneratorParams,
     derive_constants,
     document_parts,
+    read_csv,
     read_document,
-    require_finite,
     stream,
     validate_table,
+    write_csv,
+    write_document,
 )
 
 DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
@@ -194,39 +194,33 @@ def traffic_exponential_recurrence(
 # ---------------------------------------------------------------------------
 # serialization
 
+def _columns(width: int) -> list[str]:
+    return ["node_id"] + [f"t{j}" for j in range(1, width)]
+
+
 def traffic_to_csv(matrix: TrafficMatrix, path) -> None:
     """CSV with header node_id,t1,...,tT; full-precision values."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id"] + [f"t{j}" for j in range(1, matrix.slot_count + 1)])
-        for i, row in enumerate(matrix.values, start=1):
-            writer.writerow([i] + [repr(v) for v in row])
+    write_csv(path, _columns(matrix.slot_count + 1),
+              ([i, *map(repr, row)] for i, row in enumerate(matrix.values, start=1)))
 
 
 def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
     from . import __version__
 
-    doc = {
-        "meta": {
-            "kind": "traffic",
-            "distribution": matrix.distribution,
-            "p_min": matrix.p_min,
-            "p_max": matrix.p_max,
-            "rate": matrix.rate,
-            "node_count": matrix.node_count,
-            "slot_count": matrix.slot_count,
-            "seed": matrix.params.seed,
-            "a": matrix.params.a,
-            "c": matrix.params.c,
-            "tool_version": __version__,
-        },
-        "values": [list(row) for row in matrix.values],
+    meta = {
+        "kind": "traffic",
+        "distribution": matrix.distribution,
+        "p_min": matrix.p_min,
+        "p_max": matrix.p_max,
+        "rate": matrix.rate,
+        "node_count": matrix.node_count,
+        "slot_count": matrix.slot_count,
+        "seed": matrix.params.seed,
+        "a": matrix.params.a,
+        "c": matrix.params.c,
+        "tool_version": __version__,
     }
-    text = json.dumps(doc, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+    return write_document(meta, {"values": matrix.values}, path)
 
 
 def traffic_from_json(path) -> TrafficMatrix:
@@ -235,15 +229,10 @@ def traffic_from_json(path) -> TrafficMatrix:
 
 def traffic_from_document(doc: dict, path) -> TrafficMatrix:
     """Build a TrafficMatrix from a document parsed by read_document from path."""
-    meta, rows = document_parts(doc, path, "values",
-                                ("seed", "a", "c", "p_min", "p_max", "distribution"))
+    meta, values = document_parts(doc, path, "values",
+                                  ("seed", "a", "c", "p_min", "p_max", "distribution"))
     span = meta["p_max"] - meta["p_min"]
     params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"], modulus=span)
-    try:
-        values = tuple(tuple(float(v) for v in row) for row in rows)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'values' must be a list of rows of numbers") from None
-    require_finite(values, path)
     return TrafficMatrix(values=values, p_min=float(meta["p_min"]),
                          p_max=float(meta["p_max"]), distribution=meta["distribution"],
                          params=params, rate=meta.get("rate"))
@@ -251,18 +240,4 @@ def traffic_from_document(doc: dict, path) -> TrafficMatrix:
 
 def matrix_from_csv(path) -> tuple[tuple[float, ...], ...]:
     """Read back the node_id,t1..tT format. Returns the value rows only."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "node_id" or len(header) < 2:
-            raise ValueError("not a traffic CSV (expected header node_id,t1,...)")
-        slots = len(header) - 1
-        rows = []
-        for row in reader:
-            if len(row) != slots + 1:
-                raise ValueError(f"malformed traffic row: {row!r}")
-            rows.append(tuple(float(v) for v in row[1:]))
-    if not rows:
-        raise ValueError("traffic CSV holds no rows")
-    require_finite(rows, path)
-    return tuple(rows)
+    return read_csv(path, "traffic", _columns)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -188,9 +188,9 @@ def _left_sum(values) -> float:
 
 def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
     """Affine map of [lower, upper) onto [0, 1)."""
-    if upper <= lower:
-        raise ValueError("upper must exceed lower")
     span = upper - lower
+    if not 0 < span < math.inf:
+        raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
     out = []
     for v in sample:
         if v < lower or v >= upper:
@@ -445,18 +445,7 @@ def suite_satisfied(reports: Sequence[TestReport]) -> bool:
 
 
 def reports_to_json(reports: Sequence[TestReport]) -> str:
-    docs = []
-    for r in reports:
-        docs.append({
-            "test_name": r.test_name,
-            "statistic": r.statistic,
-            "critical_value": r.critical_value,
-            "alpha": r.alpha,
-            "verdict": r.verdict,
-            "sample_size": r.sample_size,
-            "details": r.details,
-        })
-    return json.dumps(docs, indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2)
 
 
 def reports_to_text(reports: Sequence[TestReport]) -> str:

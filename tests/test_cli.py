@@ -199,6 +199,17 @@ def test_constants_file_override(tmp_path, capsys):
     assert "c=2.500000" in summary
 
 
+@pytest.mark.parametrize("text", ["[null, 2]", "[[1], 2]", "[true, 2]", '["1.5", 2]'])
+def test_constants_file_non_number_errors(text, tmp_path, capsys):
+    # null and [1] used to die with a TypeError; true and "1.5" were read as numbers
+    table = tmp_path / "constants.json"
+    table.write_text(text)
+    out = tmp_path / "dep.csv"
+    assert main(["deploy", "--constants-file", str(table), "--out", str(out)]) == EXIT_ERROR
+    assert "JSON array of finite numbers" in _single_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_constants_file_invalid(tmp_path, capsys):
     table = tmp_path / "constants.json"
     table.write_text('{"not": "a list"}')
@@ -332,7 +343,7 @@ def test_validate_json_meta_missing_field_errors(command, tmp_path, capsys):
     assert "meta lacks field 'seed'" in _single_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("entry", [5, None, [1.0, None], [1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("entry", [5, None, [1.0, None], [1.0, 2.0, 3.0], "12", [True, 2.0]])
 def test_validate_malformed_json_point_errors(entry, tmp_path, capsys):
     data = tmp_path / "dep.json"
     assert main(["deploy", "--format", "json", "--out", str(data)]) == EXIT_OK
@@ -396,3 +407,50 @@ def test_validate_json_meta_not_an_object_errors(text, tmp_path, capsys):
     data.write_text(text)
     assert main(["validate", "--in", str(data)]) == EXIT_ERROR
     assert "'meta' is an object" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("area", ["nan", "inf", "0", "-5"])
+def test_validate_deployment_csv_bad_area_error(area, tmp_path, capsys):
+    # nan was an IndexError traceback, inf normalized every point to 0
+    data = tmp_path / "dep.csv"
+    assert main(["deploy", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "report.txt"
+    assert main(["validate", "--in", str(data), "--area", area, "--out", str(report)]) == EXIT_ERROR
+    assert "area must be positive and finite" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("command, key, index, value, message", [
+    ("deploy", "meta", "area", "x", "meta field 'area' must be a finite number"),
+    ("traffic", "meta", "p_min", "2", "meta field 'p_min' must be a finite number"),
+    ("deploy", "meta", "seed", True, "meta field 'seed' must be a finite number"),
+    ("traffic", "meta", "a", None, "meta field 'a' must be a finite number"),
+    ("deploy", "meta", "mode", "bogus", "meta field 'mode' must be 'grid' or 'non-grid'"),
+    ("traffic", "values", 3, [2.5], "'values' must be a non-empty list of equal-width rows"),
+], ids=["area-string", "p_min-string", "seed-bool", "a-null", "mode-bogus", "ragged-values"])
+def test_validate_malformed_json_document_errors(command, key, index, value, message,
+                                                 tmp_path, capsys):
+    data = tmp_path / "data.json"
+    assert main([command, "--format", "json", "--out", str(data)]) == EXIT_OK
+    doc = json.loads(data.read_text())
+    doc[key][index] = value
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) == EXIT_ERROR
+    assert message in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, fmt", [("deploy", "json"), ("traffic", "csv"), ("traffic", "json")])
+def test_analyze_reads_deployment_files_only(command, fmt, tmp_path, capsys):
+    data = tmp_path / f"data.{fmt}"
+    assert main([command, "--format", fmt, "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    if command == "deploy":
+        assert main(["analyze", "--in", str(data)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert main(["analyze"]) == EXIT_OK
+        assert from_file == capsys.readouterr().out
+    else:
+        assert main(["analyze", "--in", str(data)]) == EXIT_ERROR
+        assert "analyze reads deployment files" in _single_error_line(capsys.readouterr().err)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wsngen.deployment import (
@@ -113,6 +113,13 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("node_id,x,y\n")
     with pytest.raises(ValueError):
         points_from_csv(path)
+    # extra columns, and a cell beyond the csv module's field limit
+    path.write_text("node_id,x,y,z\n1,2.0,3.0,4.0\n")
+    with pytest.raises(ValueError, match="expected header node_id,x,y"):
+        points_from_csv(path)
+    path.write_text("node_id,x,y\n1," + "1" * 200_000 + ",3.0\n")
+    with pytest.raises(ValueError, match="field limit"):
+        points_from_csv(path)
 
 
 def test_json_round_trip(tmp_path):
@@ -170,3 +177,16 @@ def test_deployments_contained_and_grid_congruent(seed, n, area, y_increment):
         for k, (x, y) in enumerate(base):
             if block * q + k < n:
                 assert grid.points[block * q + k] == (x + dx, y + dy)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10**6), st.integers(1, 200), st.floats(min_value=1e-300, max_value=1e300),
+       st.sampled_from(["grid", "non-grid"]), st.sampled_from(["a", "c"]))
+def test_files_round_trip_drawn_deployments(tmp_path, seed, n, area, mode, y_increment):
+    deploy = deploy_grid if mode == "grid" else deploy_nongrid
+    dep = deploy(n, area, seed, y_increment=y_increment)
+    deployment_to_csv(dep, tmp_path / "dep.csv")
+    deployment_to_json(dep, tmp_path / "dep.json")
+    assert points_from_csv(tmp_path / "dep.csv") == dep.points
+    # the dataclass compares points, area, mode, y_increment and (seed, a, c, modulus)
+    assert deployment_from_json(tmp_path / "dep.json") == dep

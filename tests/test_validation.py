@@ -216,6 +216,14 @@ def test_normalize_maps_and_validates():
         normalize([0.5], 1.0, 1.0)
 
 
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                          (-math.inf, 0.0), (-1e308, 1e308)])
+def test_normalize_rejects_non_finite_bounds(lower, upper):
+    # an infinite span used to map every value to 0.0
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        normalize([0.5], lower, upper)
+
+
 def test_subsample_partitions_sample():
     sample = list(range(10))
     pieces = [subsample(sample, i) for i in range(4)]
