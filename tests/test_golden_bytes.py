@@ -50,6 +50,19 @@ CLI_CASES = [
                                                "--pmin", "0.25", "--pmax", "13.5",
                                                "--lambda", "2.5", "--format", "json"],
      "a494422717c4f357495ff815d2e8e5dee39cecec623040c31ebf2b1c1b977de4"),
+    # graph exports: --out is the edge list, in either format
+    ("analyze-csv", ["analyze", "--seed", "5", "--nodes", "200", "--tr", "12"],
+     "279dfeee4741d723b0f79ab029dd618cad4a51193785b2aa9c3c57e96385380c"),
+    ("analyze-json", ["analyze", "--seed", "5", "--nodes", "200", "--tr", "12",
+                      "--format", "json"],
+     "94a7b22ea83b871afe3ab6127bf25544ae5c4e57cf6841b3f2d567e8897a8568"),
+    ("analyze-grid-epsilon-json", ["analyze", "--seed", "9", "--nodes", "40", "--mode", "grid",
+                                   "--tr", "20", "--epsilon", "0.5", "--format", "json"],
+     "6c25d344ffa66dde22313b5e1f29928b113a86a4188d462967f7bc7afa985acc"),
+    ("analyze-no-edges-csv", ["analyze", "--nodes", "3", "--tr", "0.001"],
+     "38128db733784d8171a252d1ffab6c3f9c5b48ce99462b75f80febc63df7f251"),
+    ("analyze-no-edges-json", ["analyze", "--nodes", "3", "--tr", "0.001", "--format", "json"],
+     "e48518885199f20122ef1f4b9fc9b2c5e54255b509acee31344de9a0606ab3d0"),
 ]
 
 
