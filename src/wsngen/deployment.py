@@ -148,7 +148,8 @@ _COLUMNS = ("node_id", "x", "y")
 
 def deployment_to_csv(dep: Deployment, path) -> None:
     """CSV with header node_id,x,y; coordinates as shortest round-trip reprs."""
-    write_csv(path, _COLUMNS, ([i, repr(x), repr(y)] for i, (x, y) in enumerate(dep.points, start=1)))
+    write_csv(path, _COLUMNS, dep.points,
+              (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(dep.points, start=1)))
 
 
 def deployment_to_json(dep: Deployment, path=None) -> str:

@@ -92,8 +92,7 @@ def validate_table(table: Sequence[float]) -> tuple[float, ...]:
 
 def load_table(path) -> tuple[float, ...]:
     """Load a constant table from a JSON file holding an array of numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, list) or not all(map(_is_finite_number, data)):
         raise ValueError("constants file must contain a JSON array of finite numbers")
     return validate_table(data)
@@ -102,6 +101,15 @@ def load_table(path) -> tuple[float, ...]:
 def _is_finite_number(value) -> bool:
     """True for a JSON int or float (not a bool) that converts to a finite double."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _load_json(path):
+    """The JSON value in the file at path. Nesting too deep to parse is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +123,22 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
     raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a header line and then each row of cells as CSV."""
+def _require_writable(rows: Sequence[Sequence[float]], what: str) -> None:
+    """Raise ValueError unless rows hold only finite Python ints and floats, whose
+    repr is the text csv.writer and json.dumps give (a numpy float's is not)."""
+    other = set(map(type, chain.from_iterable(rows))) - {int, float}
+    if other:
+        raise ValueError(f"cannot write {what}: expected ints and floats, got {min(t.__name__ for t in other)}")
+    require_finite(rows, f"cannot write {what}")
+
+
+def write_csv(path, header: Sequence[str], rows, lines) -> None:
+    """Write the header, then `lines`: the lines csv.writer would write for `rows`,
+    which are refused before the file is opened (see _require_writable)."""
+    _require_writable(rows, "CSV")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
@@ -150,35 +168,57 @@ def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
 
 
 def write_document(meta: dict, data: dict, path=None) -> str:
-    """JSON text of {"meta": meta, **data}, written with a final newline to path if given."""
-    text = json.dumps({"meta": meta, **data}, indent=2)
+    """json.dumps({"meta": meta, **data}, indent=2), written with a final newline to path
+    if given. Each data value lists ints and floats, or equal-width rows of them,
+    checked by _require_writable before anything is written."""
+    # meta is small, so json.dumps lays it out, less its closing "\n}". Each array is
+    # joined once into one piece, and the pieces are freed before the file write
+    # encodes the text: that halves the peak memory of a large document.
+    parts = [json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]]
+    for key, rows in data.items():
+        nested = bool(rows) and isinstance(rows[0], (list, tuple))
+        _require_writable(rows if nested else tuple(zip(rows)), repr(key))
+        parts.append(f",\n  {json.dumps(key)}: ")
+        if not rows:
+            parts.append("[]")
+        elif nested:
+            parts += ["[\n    [\n      ",
+                      "\n    ],\n    [\n      ".join([",\n      ".join(map(repr, r)) for r in rows]),
+                      "\n    ]\n  ]"]
+        else:
+            parts += ["[\n    ", ",\n    ".join(map(repr, rows)), "\n  ]"]
+    parts.append("\n}")
+    text = "".join(parts)
+    del parts
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines((text, "\n"))
     return text
 
 
 def read_document(path) -> dict:
     """Parse a wsngen JSON file: an object whose 'meta' is an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("meta"), dict):
         raise ValueError(f"{path}: expected a JSON object whose 'meta' is an object")
     return doc
 
 
-_META_STRINGS = {
+_META_TYPES = {
     "mode": (lambda v: v in ("grid", "non-grid"), "'grid' or 'non-grid'"),
     "distribution": (lambda v: isinstance(v, str), "a string"),
+    "y_increment": (lambda v: v in ("a", "c"), "'a' or 'c'"),
+    "rate": (lambda v: v is None or _is_finite_number(v), "null or a finite number"),
 }
 
 
 def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, tuple]:
     """The meta object and the float rows of a document from read_document.
 
-    Every named meta field must be present and typed (_META_STRINGS, else a
-    finite number, which a bool is not), as must any other float in meta.
-    The data must be a non-empty list of equal-width rows of finite numbers.
+    Every named meta field, any field in _META_TYPES and any other float in
+    meta must be typed (_META_TYPES, else a finite number, which a bool is not);
+    the named ones must be present. The data must be a non-empty list of
+    equal-width rows of finite numbers, node_count rows of slot_count if given.
     """
     meta = doc["meta"]
     if data_key not in doc:
@@ -187,8 +227,8 @@ def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -
     if missing:
         raise ValueError(f"{path}: meta lacks field {', '.join(map(repr, missing))}")
     for key, value in meta.items():
-        valid, wanted = _META_STRINGS.get(key, (_is_finite_number, "a finite number"))
-        if (key in meta_fields or isinstance(value, float)) and not valid(value):
+        valid, wanted = _META_TYPES.get(key, (_is_finite_number, "a finite number"))
+        if (key in meta_fields or key in _META_TYPES or isinstance(value, float)) and not valid(value):
             raise ValueError(f"{path}: meta field {key!r} must be {wanted}, got {value!r}")
     data = doc[data_key]
     try:
@@ -201,6 +241,9 @@ def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -
         rows = ()
     if not rows:
         raise ValueError(f"{path}: {data_key!r} must be a non-empty list of equal-width rows of numbers")
+    for key, count in (("node_count", len(rows)), ("slot_count", len(rows[0]))):
+        if meta.get(key, count) != count:
+            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {data_key!r} gives {count}")
     require_finite(rows, path)
     return meta, rows
 

@@ -138,8 +138,8 @@ def isolated_count(graph: RadiusGraph) -> int:
 
 
 def _weighted_edges(graph: RadiusGraph):
-    """(u, v, distance) per edge in (u, v) order, 0-based Python ints and floats."""
-    return [(u, v, d) for (u, v), d in zip(graph.edge_array.tolist(), graph.distances.tolist())]
+    """[u, v, distance] per edge in (u, v) order, 1-based Python ints and floats."""
+    return [[u + 1, v + 1, d] for (u, v), d in zip(graph.edge_array.tolist(), graph.distances.tolist())]
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
@@ -147,8 +147,9 @@ def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
 
     The distances are the ones stored in the graph; ``deployment`` is not read.
     """
-    write_csv(path, ("u", "v", "distance"),
-              ([u + 1, v + 1, repr(d)] for u, v, d in _weighted_edges(graph)))
+    edges = _weighted_edges(graph)
+    write_csv(path, ("u", "v", "distance"), edges,
+              (f"{u},{v},{d!r}\r\n" for u, v, d in edges))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
@@ -164,8 +165,7 @@ def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
         "edge_count": len(graph.edges),
         "isolated": isolated_count(graph),
     }
-    edges = [[u + 1, v + 1, d] for u, v, d in _weighted_edges(graph)]
-    return write_document(meta, {"degrees": graph.degrees, "edges": edges}, path)
+    return write_document(meta, {"degrees": graph.degrees, "edges": _weighted_edges(graph)}, path)
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

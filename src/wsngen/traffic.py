@@ -200,8 +200,8 @@ def _columns(width: int) -> list[str]:
 
 def traffic_to_csv(matrix: TrafficMatrix, path) -> None:
     """CSV with header node_id,t1,...,tT; full-precision values."""
-    write_csv(path, _columns(matrix.slot_count + 1),
-              ([i, *map(repr, row)] for i, row in enumerate(matrix.values, start=1)))
+    write_csv(path, _columns(matrix.slot_count + 1), matrix.values,
+              (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(matrix.values, start=1)))
 
 
 def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:

@@ -1,9 +1,12 @@
 """Reference checks the acceptance tests measure the package against.
 
 None of these is part of wsngen: the CLI never calls them. They draw from a
-true-uniform numpy source or count windows of an already generated sample.
+true-uniform numpy source, count windows of an already generated sample, or
+write a file through the standard library's csv and json encoders.
 """
 
+import csv
+import json
 import math
 from typing import Sequence
 
@@ -90,3 +93,20 @@ def interval_uniformity(sample01: Sequence[float], windows: int = 10, alpha: flo
         "max_pairwise": float(max_pairwise),
         "passed": max_pairwise < bound,
     }
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a header line and then each row of cells as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_document(meta: dict, data: dict, path=None) -> str:
+    """JSON text of {"meta": meta, **data}, written with a final newline to path if given."""
+    text = json.dumps({"meta": meta, **data}, indent=2)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text

@@ -428,7 +428,15 @@ def test_validate_deployment_csv_bad_area_error(area, tmp_path, capsys):
     ("traffic", "meta", "a", None, "meta field 'a' must be a finite number"),
     ("deploy", "meta", "mode", "bogus", "meta field 'mode' must be 'grid' or 'non-grid'"),
     ("traffic", "values", 3, [2.5], "'values' must be a non-empty list of equal-width rows"),
-], ids=["area-string", "p_min-string", "seed-bool", "a-null", "mode-bogus", "ragged-values"])
+    ("traffic", "meta", "rate", True, "meta field 'rate' must be null or a finite number"),
+    ("traffic", "meta", "rate", "x", "meta field 'rate' must be null or a finite number"),
+    ("deploy", "meta", "y_increment", "z", "meta field 'y_increment' must be 'a' or 'c'"),
+    ("deploy", "meta", "node_count", 99, "meta field 'node_count' is 99, but 'points' gives 100"),
+    ("traffic", "meta", "node_count", 81, "meta field 'node_count' is 81, but 'values' gives 80"),
+    ("traffic", "meta", "slot_count", 4, "meta field 'slot_count' is 4, but 'values' gives 5"),
+], ids=["area-string", "p_min-string", "seed-bool", "a-null", "mode-bogus", "ragged-values",
+        "rate-bool", "rate-string", "y_increment-bogus", "node_count-points", "node_count-values",
+        "slot_count-values"])
 def test_validate_malformed_json_document_errors(command, key, index, value, message,
                                                  tmp_path, capsys):
     data = tmp_path / "data.json"
@@ -454,3 +462,26 @@ def test_analyze_reads_deployment_files_only(command, fmt, tmp_path, capsys):
     else:
         assert main(["analyze", "--in", str(data)]) == EXIT_ERROR
         assert "analyze reads deployment files" in _single_error_line(capsys.readouterr().err)
+
+
+_DEEP = 200_000
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_deeply_nested_json_input_errors(command, tmp_path, capsys):
+    # json.load's RecursionError used to escape as a traceback
+    data = tmp_path / "dep.json"
+    data.write_text('{"meta": {"kind": "deployment"}, "points": ' + "[" * _DEEP + "]" * _DEEP + "}")
+    out = tmp_path / "out.csv"
+    assert main([command, "--in", str(data), "--out", str(out)]) == EXIT_ERROR
+    assert "nested too deeply" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_deeply_nested_constants_file_errors(tmp_path, capsys):
+    table = tmp_path / "constants.json"
+    table.write_text("[" * _DEEP + "]" * _DEEP)
+    out = tmp_path / "dep.csv"
+    assert main(["deploy", "--constants-file", str(table), "--out", str(out)]) == EXIT_ERROR
+    assert "nested too deeply" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [table]
