@@ -12,9 +12,9 @@ and this sigma never drops below sqrt(20/24), |Z0| cannot exceed 0.822, so
 the test never rejects at the supported alphas. The bundled golden verdicts
 were produced with this form, which is why it is the one kept.
 
-Every float sum that reaches a statistic runs left to right in an explicit
-loop: Python 3.12 made the builtin sum() over floats compensated, which would
-change the reported statistics between interpreter versions.
+Each stream is one float64 array. Every float sum that reaches a statistic
+is the last element of np.cumsum, which adds left to right: np.sum pairs
+terms, and Python 3.12 made the builtin sum() compensated.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,38 +179,37 @@ def _require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
 
 
-def _left_sum(values) -> float:
-    """Sum floats strictly left to right, as sum() did before Python 3.12."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = math.inf) -> np.ndarray:
+    """The sample as a float64 array, checked to be finite and to lie in [lower, upper)."""
+    arr = np.asarray(sample, dtype=float)
+    if arr.ndim != 1 or not arr.size:
+        raise ValueError(f"sample must be a non-empty flat sequence of numbers, got shape {arr.shape}")
+    # min and max both propagate nan, so one pair of reductions checks every value
+    lo, hi = arr.min(), arr.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("sample holds a non-finite value")
+    if lo < lower or hi >= upper:
+        raise ValueError(f"sample values span [{lo}, {hi}], outside [{lower}, {upper})")
+    return arr
 
 
-def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
-    """Affine map of [lower, upper) onto [0, 1)."""
+def normalize(sample: Sequence[float], lower: float, upper: float) -> np.ndarray:
+    """Affine map of [lower, upper) onto [0, 1), as a float64 array."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
-    out = []
-    for v in sample:
-        if v < lower or v >= upper:
-            raise ValueError(f"value {v} outside [{lower}, {upper})")
-        out.append((v - lower) / span)
-    return out
+    return (_finite(sample, lower, upper) - lower) / span
 
 
-def subsample(sample: Sequence, index: int) -> list:
-    """Contiguous quarter of the sample; the last quarter absorbs any remainder."""
+def subsample(sample: Sequence, index: int) -> Sequence:
+    """Contiguous quarter of the sample, as a slice; the last quarter absorbs any remainder."""
     n = len(sample)
     if n < 4:
         raise ValueError("sample must hold at least 4 elements")
     if not 0 <= index <= 3:
         raise ValueError("index must be in 0..3")
     q = n // 4
-    if index == 3:
-        return list(sample[3 * q:])
-    return list(sample[index * q:(index + 1) * q])
+    return sample[index * q:(index + 1) * q if index < 3 else n]
 
 
 def ks_critical_value(n: int, alpha: float) -> float:
@@ -230,11 +230,14 @@ def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     if n < 5:
         raise ValueError("KS test needs at least 5 values")
     _require_alpha(alpha)
-    r = sorted(float(v) for v in sample)
-    if r[0] < 0 or r[-1] >= 1:
-        raise ValueError("sample values must lie in [0, 1)")
-    d_plus = max((i + 1) / n - v for i, v in enumerate(r))
-    d_minus = max(v - i / n for i, v in enumerate(r))
+    # sorted() is stable and keeps np.sort's code out of the resident set
+    r = np.array(sorted(_finite(sample, 0, 1).tolist()))
+    # i/n for i = 0..n: exact ints over n, correctly rounded as Python's i/n is
+    grid = np.arange(n + 1, dtype=float) / n
+    d_plus = (grid[1:] - r).max().item()
+    below = r - grid[:-1]
+    # only a leading -0.0 gives a -0.0 term, and max() keeps the first of equal values
+    d_minus = max(below[0].item(), below[1:].max().item())
     d = max(d_plus, d_minus)
     crit = ks_critical_value(n, alpha)
     return TestReport(
@@ -244,15 +247,12 @@ def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     )
 
 
-def _bin_counts(sample: Sequence[float], classes: int) -> list[int]:
+def _bin_counts(sample: np.ndarray, classes: int) -> list[int]:
     # membership by boundary comparison: value v lands in bin i when
     # i/classes <= v < (i+1)/classes
     boundaries = [k / classes for k in range(classes + 1)]
-    counts = [0] * classes
-    idx = np.searchsorted(boundaries, np.asarray(sample, dtype=float), side="right") - 1
-    for i in idx:
-        counts[int(i)] += 1
-    return counts
+    idx = np.searchsorted(boundaries, sample, side="right") - 1
+    return np.bincount(idx, minlength=classes).tolist()
 
 
 def chi2_critical_value(nu: int, alpha: float) -> float:
@@ -280,10 +280,7 @@ def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) 
     if n < 5 * classes:
         raise ValueError(f"chi2 needs at least {5 * classes} values for {classes} classes")
     _require_alpha(alpha)
-    vals = [float(v) for v in sample]
-    if min(vals) < 0 or max(vals) >= 1:
-        raise ValueError("sample values must lie in [0, 1)")
-    counts = _bin_counts(vals, classes)
+    counts = _bin_counts(_finite(sample, 0, 1), classes)
     expected = n / classes
     # sum (f - n/k)^2 / (n/k) == sum (k*f - n)^2 / (n*k): a ratio of integers,
     # which int/int division rounds correctly, on every Python version
@@ -317,9 +314,9 @@ def autocorrelation_test(
     if m < 1:
         raise ValueError(f"sequence too short for start={start}, lag={lag}")
     _require_alpha(alpha)
-    vals = [float(v) for v in sample]
-    prods = [vals[start - 1 + k * lag] * vals[start - 1 + (k + 1) * lag] for k in range(m + 1)]
-    rho = _left_sum(prods) / len(prods) - 0.25
+    pairs = _finite(sample)[start - 1::lag][:m + 2]
+    # cumsum accumulates in index order, so the sum runs left to right
+    rho = np.cumsum(pairs[:-1] * pairs[1:])[-1].item() / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
@@ -353,9 +350,8 @@ def circular_correlation_test(
     if not 0 <= lag < n:
         raise ValueError("lag must satisfy 0 <= lag < N")
     _require_alpha(alpha)
-    xv = [float(v) for v in x]
-    yv = [float(v) for v in y]
-    rho = _left_sum(xv[k] * yv[(k - lag) % n] for k in range(n)) / n - 0.25
+    # np.roll(y, lag)[k] is y[(k - lag) mod N]; cumsum sums left to right
+    rho = np.cumsum(_finite(x) * np.roll(_finite(y), lag))[-1].item() / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
@@ -383,17 +379,14 @@ def _suite_streams(data):
     from .traffic import TrafficMatrix
 
     if isinstance(data, Deployment):
-        nx = normalize(data.xs, 0.0, data.area)
-        ny = normalize(data.ys, 0.0, data.area)
+        coords = np.fromiter(chain.from_iterable(data.points), float)
+        nx = normalize(coords[0::2], 0.0, data.area)
+        ny = normalize(coords[1::2], 0.0, data.area)
         return {"x": nx, "y": ny}, (nx, ny)
     if isinstance(data, TrafficMatrix):
-        flat = normalize(data.flatten(), data.p_min, data.p_max)
+        flat = normalize(np.fromiter(chain.from_iterable(data.values), float), data.p_min, data.p_max)
         return {"all": flat}, (flat, flat)
-    vals = [float(v) for v in data]
-    if not vals:
-        raise ValueError("empty data")
-    if min(vals) < 0 or max(vals) >= 1:
-        raise ValueError("raw sequences must already lie in [0, 1)")
+    vals = _finite(data, 0, 1)
     return {"all": vals}, (vals, vals)
 
 
@@ -411,8 +404,10 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     streams, circular_pair = _suite_streams(data)
     reports: list[TestReport] = []
     for name, vals in streams.items():
-        parts = [(f"quarter-{i}", subsample(vals, i)) for i in range(4)]
-        parts.append(("full", list(vals)))
+        # KS ignores order; with sorted quarters, the full sample's sort is a merge
+        quarters = [np.array(sorted(subsample(vals, i).tolist())) for i in range(4)]
+        parts = [(f"quarter-{i}", q) for i, q in enumerate(quarters)]
+        parts.append(("full", np.concatenate(quarters)))
         for part_name, part in parts:
             rep = ks_test(part, cfg.alpha_ks)
             rep.details.update(stream=name, part=part_name)

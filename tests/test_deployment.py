@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from strategies import deployments
 from wsngen.deployment import (
     deploy_grid,
     deploy_nongrid,
@@ -180,11 +181,8 @@ def test_deployments_contained_and_grid_congruent(seed, n, area, y_increment):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(0, 10**6), st.integers(1, 200), st.floats(min_value=1e-300, max_value=1e300),
-       st.sampled_from(["grid", "non-grid"]), st.sampled_from(["a", "c"]))
-def test_files_round_trip_drawn_deployments(tmp_path, seed, n, area, mode, y_increment):
-    deploy = deploy_grid if mode == "grid" else deploy_nongrid
-    dep = deploy(n, area, seed, y_increment=y_increment)
+@given(deployments())
+def test_files_round_trip_drawn_deployments(tmp_path, dep):
     deployment_to_csv(dep, tmp_path / "dep.csv")
     deployment_to_json(dep, tmp_path / "dep.json")
     assert points_from_csv(tmp_path / "dep.csv") == dep.points

@@ -223,6 +223,22 @@ def test_infinite_reach_joins_every_pair():
         assert build_graph(pts, math.inf).edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
+def test_exports_refuse_an_overflowed_distance(tmp_path):
+    # the pair is kept (inf <= inf) with a distance that overflowed to inf, so
+    # the writers' own finiteness check is what keeps "inf" out of the files
+    pts = ((0.0, 0.0), (1e200, 0.0))
+    with np.errstate(over="ignore"):
+        g = build_graph(pts, math.inf)
+    assert g.edges == frozenset({(0, 1)})
+    assert g.distances.tolist() == [math.inf]
+    with pytest.raises(ValueError, match=r"^cannot write CSV: row 1: non-finite value in \[1, 2, inf\]$"):
+        graph_to_csv(g, pts, tmp_path / "edges.csv")
+    # the infinite range in the meta is refused first
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        graph_to_json(g, pts, tmp_path / "graph.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hundred_thousand_nodes():
     # untimed; an all-pairs build would need an n x n x 2 temporary of 160 GB
     pts = np.random.default_rng(4).uniform(0.0, 3162.0, size=(100_000, 2))

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import exp_inverse_transform, min_exponentials_check
+from strategies import matrices
 from wsngen.traffic import (
     TrafficMatrix,
     exp_entry_from_uniform,
@@ -178,20 +179,9 @@ def test_json_round_trip(tmp_path):
     assert '"kind": "traffic"' in traffic_to_json(m)
 
 
-_GENERATORS = {
-    "uniform": traffic_uniform,
-    "exponential-transform": traffic_exponential_transform,
-    "exponential-recurrence": traffic_exponential_recurrence,
-}
-
-
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(sorted(_GENERATORS)), st.integers(1, 40), st.integers(1, 12),
-       st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-3, max_value=1e6))
-def test_files_round_trip_drawn_matrices(tmp_path, distribution, n, t, p_min, span):
-    p_max = p_min + span
-    assume(p_max > p_min)
-    m = _GENERATORS[distribution](n, t, p_min, p_max)
+@given(matrices())
+def test_files_round_trip_drawn_matrices(tmp_path, m):
     traffic_to_csv(m, tmp_path / "traffic.csv")
     traffic_to_json(m, tmp_path / "traffic.json")
     assert matrix_from_csv(tmp_path / "traffic.csv") == m.values

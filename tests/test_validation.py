@@ -7,14 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+import oracles
 from oracles import interval_uniformity
+from strategies import deployments, matrices
+from wsngen import validation
 from wsngen.deployment import deploy_nongrid
 from wsngen.traffic import traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
     SUPPORTED_ALPHAS,
+    SuiteConfig,
     Z_TWO_SIDED,
     aggregate_verdicts,
     autocorrelation_test,
@@ -207,7 +213,7 @@ def test_circular_argument_validation():
 # --- helpers ------------------------------------------------------------------
 
 def test_normalize_maps_and_validates():
-    assert normalize([2.0, 6.0, 9.9], 2.0, 10.0) == [0.0, 0.5, 0.9875]
+    assert normalize([2.0, 6.0, 9.9], 2.0, 10.0).tolist() == [0.0, 0.5, 0.9875]
     with pytest.raises(ValueError):
         normalize([10.0], 2.0, 10.0)
     with pytest.raises(ValueError):
@@ -288,6 +294,154 @@ def test_reports_serialize():
     assert "Chi2Test" in text
     assert "Autocorrelation Test" in text
     assert text.count("\n") >= len(reports)
+
+
+# --- non-finite samples -------------------------------------------------------
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+
+
+def _raises_one_line(fn, *args):
+    with pytest.raises(ValueError, match="non-finite") as info:
+        fn(*args)
+    assert "\n" not in str(info.value)
+
+
+@NON_FINITE
+def test_ks_rejects_non_finite(bad):
+    # a nan used to sort into the middle and pass as Satisfied with D = 0.6
+    _raises_one_line(ks_test, [0.1, 0.2, bad, 0.3, 0.4])
+    _raises_one_line(ks_test, [bad, 0.1, 0.2, 0.3, 0.4])
+
+
+@NON_FINITE
+def test_chi2_rejects_non_finite(bad):
+    _raises_one_line(chi2_test, [0.5] * 49 + [bad], 10)
+
+
+@NON_FINITE
+def test_autocorrelation_rejects_non_finite(bad):
+    _raises_one_line(autocorrelation_test, [bad] * 10)
+    # also a value that no product of the chosen start and lag reads
+    _raises_one_line(autocorrelation_test, [bad] + [0.5] * 9, 2, 2)
+
+
+@NON_FINITE
+def test_circular_rejects_non_finite(bad):
+    _raises_one_line(circular_correlation_test, [0.5, bad, 0.5], [0.5] * 3)
+    _raises_one_line(circular_correlation_test, [0.5] * 3, [0.5, 0.5, bad])
+
+
+@NON_FINITE
+def test_run_suite_rejects_non_finite_raw_stream(bad):
+    _raises_one_line(run_suite, [k / 100 for k in range(99)] + [bad])
+
+
+@pytest.mark.parametrize("test, args", [
+    (ks_test, ()), (chi2_test, (2,)), (autocorrelation_test, ()),
+    (circular_correlation_test, ([0.5] * 20,)), (run_suite, ()),
+])
+def test_nested_samples_rejected(test, args):
+    # the list loops failed on float(row); an array would broadcast the rows
+    with pytest.raises(ValueError, match=r"flat sequence of numbers, got shape \(20, 2\)$"):
+        test([[0.1, 0.2]] * 20, *args)
+
+
+# --- the array battery against the list oracle --------------------------------
+
+SPECIAL = (0.0, -0.0, math.nextafter(1.0, 0.0), 0)
+
+
+@st.composite
+def unit_samples(draw, min_size=5):
+    """min_size..2000 values in [0, 1), with repeats, signed zeros, the largest
+    float below 1 and the int 0 among them."""
+    value = st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0, exclude_max=True))
+    if draw(st.booleans()):
+        return draw(st.lists(value, min_size=min_size, max_size=300))
+    # long samples are seeded, with drawn values spliced in
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sample = [rng.random() for _ in range(draw(st.integers(min_size, 2000)))]
+    for i in draw(st.lists(st.integers(0, len(sample) - 1), max_size=40)):
+        sample[i] = draw(st.one_of(value, st.sampled_from(sample)))
+    return sample
+
+
+def _outcome(battery, name, *args, **kwargs):
+    """The reports and their JSON bytes, or the error raised, of one test of a battery."""
+    try:
+        out = getattr(battery, name)(*args, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+    reports = out if isinstance(out, list) else [out]
+    return reports, validation.reports_to_json(reports)
+
+
+def _same_as_oracle(name, *args, **kwargs):
+    assert _outcome(validation, name, *args, **kwargs) == _outcome(oracles, name, *args, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_samples(), st.integers(2, 12), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from(SUPPORTED_ALPHAS), st.data())
+def test_battery_matches_list_oracle_on_drawn_samples(sample, classes, start, lag, alpha, data):
+    other = data.draw(st.permutations(sample))
+    circular_lag = data.draw(st.integers(0, len(sample) - 1))
+    _same_as_oracle("ks_test", sample, alpha)
+    _same_as_oracle("chi2_test", sample, classes, alpha)
+    _same_as_oracle("autocorrelation_test", sample, start, lag, alpha)
+    _same_as_oracle("circular_correlation_test", sample, other, circular_lag, alpha)
+    _same_as_oracle("run_suite", sample, SuiteConfig(alpha, alpha, alpha, alpha, classes))
+
+
+@pytest.mark.parametrize("sample", [
+    [-0.0, 0.2, 0.4, 0.6, 0.8],
+    [-0.0, 0.0, 0.2, 0.4, 0.6],
+    [0.0, -0.0, 0.2, 0.4, 0.6],
+    [-0.0, 0.0, 0, 0.6, 0.8, 0.8],
+])
+def test_ks_signed_zeros_match_list_oracle(sample):
+    # D- is max(-0.0, 0.0, ...) here: the builtin max keeps the first of equal
+    # values, which numpy's max does not promise, and the JSON writes the sign
+    _same_as_oracle("ks_test", sample, 0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1000, 1000), st.floats(-1e150, 1e150)), min_size=2, max_size=300),
+       st.integers(1, 5), st.integers(1, 5), st.data())
+def test_correlation_tests_match_list_oracle_on_any_finite_values(sample, start, lag, data):
+    # neither test range-checks its sample; |x * y| <= 1e300 keeps every sum finite
+    _same_as_oracle("autocorrelation_test", sample, start, lag)
+    _same_as_oracle("circular_correlation_test", sample, sample[::-1], data.draw(st.integers(0, len(sample) - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(deployments(), matrices()), st.integers(2, 20), st.sampled_from(SUPPORTED_ALPHAS))
+def test_run_suite_matches_list_oracle_on_drawn_datasets(data, classes, alpha):
+    _same_as_oracle("run_suite", data, SuiteConfig(alpha, alpha, alpha, alpha, classes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-100.0, 0.0), st.floats(1e-3, 100.0), st.data())
+def test_normalize_matches_list_oracle(lower, upper, data):
+    inside = st.one_of(st.floats(lower, upper, exclude_max=True),
+                       st.integers(math.ceil(lower), math.ceil(upper) - 1))
+    sample = data.draw(st.lists(inside, min_size=1, max_size=50))
+    assert repr(normalize(sample, lower, upper).tolist()) == repr(oracles.normalize(sample, lower, upper))
+    finite = {"allow_nan": False, "allow_infinity": False}
+    sample.append(data.draw(st.one_of(st.floats(max_value=lower, exclude_max=True, **finite),
+                                      st.floats(min_value=upper, **finite))))
+    for battery in (oracles, validation):
+        with pytest.raises(ValueError, match="outside"):
+            battery.normalize(sample, lower, upper)
+
+
+def test_normalize_rejects_non_finite_sample():
+    # the list loop let a nan through, since nan < lower and nan >= upper are both false
+    assert oracles.normalize([0.5, math.nan], 0.0, 1.0)[0] == 0.5
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize([0.5, bad], 0.0, 1.0)
 
 
 # --- interval harness -----------------------------------------------------------
