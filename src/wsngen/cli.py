@@ -146,13 +146,13 @@ def _load_input(args, kinds: Sequence[str]):
             return deployment_from_document(doc, path)
         points = points_from_csv(path)
         _check_args(len(points), args.area, args.y_increment)
-        params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=float(args.area))
+        params = GeneratorParams(seed=0, a=1.0, c=1.0)
         return Deployment(points=points, area=float(args.area), mode=args.mode, params=params)
     if doc is not None:
         return traffic_from_document(doc, path)
     values = matrix_from_csv(path)
     _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
-    params = GeneratorParams(seed=0, a=1.0, c=1.0, modulus=args.pmax - args.pmin)
+    params = GeneratorParams(seed=0, a=1.0, c=1.0)
     return TrafficMatrix(values=values, p_min=float(args.pmin), p_max=float(args.pmax),
                          distribution="uniform", params=params)
 

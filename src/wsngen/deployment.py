@@ -62,7 +62,6 @@ def _check_args(node_count: int, area: float, y_increment: str) -> None:
 
 def _resolve_params(
     seed: int,
-    modulus: float,
     table: Sequence[float],
     constants: Optional[tuple[float, float]],
 ) -> GeneratorParams:
@@ -71,15 +70,15 @@ def _resolve_params(
     except OverflowError:
         raise ValueError("seed exceeds the float range, so it cannot start the recurrence") from None
     a, c = constants or derive_constants(seed, table)
-    return GeneratorParams(seed=seed, a=a, c=c, modulus=modulus)
+    return GeneratorParams(seed=seed, a=a, c=c)
 
 
-def _coordinate_streams(params: GeneratorParams, count: int, y_increment: str):
+def _coordinate_streams(params: GeneratorParams, modulus: float, count: int, y_increment: str):
     # Both streams start from the seed value. X uses increment c, Y uses a
     # or c depending on the variant flag.
-    a, c, m = params.a, params.c, params.modulus
-    xs = stream(params.seed, a, c, m, count)
-    ys = stream(params.seed, a, a if y_increment == "a" else c, m, count)
+    a, c = params.a, params.c
+    xs = stream(params.seed, a, c, modulus, count)
+    ys = stream(params.seed, a, a if y_increment == "a" else c, modulus, count)
     return xs, ys
 
 
@@ -94,8 +93,8 @@ def deploy_nongrid(
 ) -> Deployment:
     """Generate node_count points over a square [0, area) x [0, area)."""
     _check_args(node_count, area, y_increment)
-    params = _resolve_params(seed, float(area), table, constants)
-    xs, ys = _coordinate_streams(params, node_count, y_increment)
+    params = _resolve_params(seed, table, constants)
+    xs, ys = _coordinate_streams(params, float(area), node_count, y_increment)
     points = tuple(zip(xs, ys))
     return Deployment(points=points, area=float(area), mode="non-grid",
                       params=params, y_increment=y_increment)
@@ -120,8 +119,8 @@ def deploy_grid(
     _check_args(node_count, area, y_increment)
     m1 = float(area) / 2.0
     n1 = math.ceil(node_count / 4)
-    params = _resolve_params(seed, m1, table, constants)
-    xs, ys = _coordinate_streams(params, n1, y_increment)
+    params = _resolve_params(seed, table, constants)
+    xs, ys = _coordinate_streams(params, m1, n1, y_increment)
     # A base value just below m1 can round onto area when shifted by m1.
     # Clamp the emitted value (the chain runs on unclamped) to the largest
     # float whose shift stays below area; every other value is unchanged.
@@ -178,12 +177,14 @@ def deployment_from_document(doc: dict, path) -> Deployment:
     meta, points = document_parts(doc, path, "points", ("seed", "a", "c", "area", "mode"))
     if len(points[0]) != 2:
         raise ValueError(f"{path}: 'points' must be a list of [x, y] number pairs")
-    params = GeneratorParams(
-        seed=meta["seed"], a=meta["a"], c=meta["c"],
-        modulus=meta["area"] if meta["mode"] == "non-grid" else meta["area"] / 2.0,
-    )
+    y_increment = meta.get("y_increment", "a")
+    try:
+        _check_args(len(points), meta["area"], y_increment)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"])
     return Deployment(points=points, area=float(meta["area"]), mode=meta["mode"],
-                      params=params, y_increment=meta.get("y_increment", "a"))
+                      params=params, y_increment=y_increment)
 
 
 def points_from_csv(path) -> tuple[tuple[float, float], ...]:

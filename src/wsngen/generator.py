@@ -7,8 +7,9 @@ Every dataset this package produces comes from the recurrence
 where a and c are drawn from a fixed table of mathematical constants and the
 modulus m is a real number (the deployment area side, or the packet-size
 range). The seed picks the constants: a = table[seed % 14] and
-c = table[(seed + 7) % 14]. ``stream`` is the only loop that advances it;
-deployments and traffic matrices are its special cases.
+c = table[(seed + 7) % 14]. ``stream`` is the only loop that advances it,
+and ``derive_constants`` the only code that indexes the table; deployments
+and traffic matrices are their special cases.
 
 Results are reproducible on any IEEE-754 platform evaluating in double
 precision. The mod is x - floor(x/m)*m with the result in [0, m), which is
@@ -267,19 +268,11 @@ def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Full state needed to regenerate a stream: seed, constants, modulus."""
+    """The seed and constants of a stream; its modulus is the data's range."""
 
     seed: float
     a: float
     c: float
-    modulus: float
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-
-
-OVERFLOW_ERROR = "the recurrence overflows the float range; use a smaller area or packet range"
 
 
 def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
@@ -290,7 +283,8 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
     leave its bytes as they are: 1.0*y == y exactly, and float % with a
     positive modulus never returns -0.0, so r + 0.0 == r. A deployment's X
     stream is (seed, a, c, side); the traffic driver is (x0, a, c, span,
-    scale=a, offset=p_min).
+    scale=a, offset=p_min), and the two exponential-recurrence chains are
+    (x00, a, c, span, offset=p_min) and (0.0, a, c, span, offset=p_min).
 
     Raises ValueError if a*x + c overflows: inf % modulus is nan, and nan
     stays nan at every later step, so checking the final state catches an
@@ -304,5 +298,5 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
         x = (scale * (a * x + c)) % modulus + offset
         out.append(x)
     if not math.isfinite(x):
-        raise ValueError(OVERFLOW_ERROR)
+        raise ValueError("the recurrence overflows the float range; use a smaller area or packet range")
     return out

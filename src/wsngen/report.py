@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import _reference as ref
 from .deployment import deploy_grid, deploy_nongrid
-from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream, validate_table
+from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream
 from .topology import isolated_by_range
 from .traffic import (
     traffic_exponential_recurrence,
@@ -242,10 +242,9 @@ def reconstruct_reference_chain(
     beyond a short prefix would need the bit-exact constants of the original
     run.  Returns (uniform_cells, exponential_cells), flattened row-major.
     """
-    values = validate_table(table)
     span = p_max - p_min
-    a, c = derive_constants(int(p_min), values)
-    x0 = values[int(p_max) % len(values)]
+    a, c = derive_constants(int(p_min), table)
+    x0 = derive_constants(int(p_max), table)[0]
     chain = stream(x0, a, c, span, count + 1, offset=p_min)
     uniform = chain[1:count + 1]
     exponential = [(-math.log(1.0 - y / p_max)) % span + p_min for y in chain[:count]]

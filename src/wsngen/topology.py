@@ -108,7 +108,16 @@ def _candidates(pts: np.ndarray, reach: float):
     i = np.repeat(np.tile(later - 1, len(first)), size)
     j = np.repeat(np.concatenate(first) - np.cumsum(size) + size, size) + np.arange(len(i))
     u, v = order[i], order[j]
-    return u, v, np.sqrt(((pts[u] - pts[v]) ** 2).sum(axis=-1))
+    with np.errstate(over="ignore"):  # a square past the float range is inf: redone below
+        d = np.sqrt(((pts[u] - pts[v]) ** 2).sum(axis=-1))
+    big = np.isinf(d)
+    if big.any():
+        # the same expression on coordinates scaled by a power of two to below
+        # 2**509, which keeps every square finite, then the distance scaled back
+        scale = 2.0 ** (math.frexp(float(np.abs(pts).max()))[1] - 509)
+        with np.errstate(over="ignore"):  # a distance past the float range is inf, beyond any reach
+            d[big] = np.sqrt(((pts[u[big]] / scale - pts[v[big]] / scale) ** 2).sum(axis=-1)) * scale
+    return u, v, d
 
 
 def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:

@@ -7,13 +7,13 @@ Three generators, all bounded to [p_min, p_max):
   node rows.
 * exponential-transform: the same driver chain pushed through the inverse
   exponential CDF, then wrapped back into range.
-* exponential-recurrence: a t x t working table filled by a diagonal
-  recurrence whose constants derive from floor(p_min) and the seed cell.
+* exponential-recurrence: two chains of one map, whose constant a derives
+  from floor(p_min): row i holds the i-th successor of the seed value in
+  one cell and the i-th successor of 0 in the others.
 
-The working table for the recurrence starts zeroed except its seed cell;
-until the cyclic indices revisit a cell, reads of untouched cells see 0 and
-the produced value is (c mod span) + p_min. That is part of the contract,
-not a bug.
+Each value is p_min + r with r in [0, span), which can round up onto p_max;
+such a cell holds the float just below p_max instead, and the chain runs on
+unclamped.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from typing import Optional, Sequence
 
 from .generator import (
     DEFAULT_TABLE,
-    OVERFLOW_ERROR,
     GeneratorParams,
     derive_constants,
     document_parts,
     read_csv,
     read_document,
     stream,
-    validate_table,
     write_csv,
     write_document,
 )
@@ -75,15 +73,18 @@ def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[
     The seed is x0 = table[floor(p_max) % L]; the constants then derive from
     the floored seed value itself.
     """
-    span = p_max - p_min
-    values = validate_table(table)
-    x0 = values[int(math.floor(p_max)) % len(values)]
-    a, c = derive_constants(int(math.floor(x0)), values)
-    params = GeneratorParams(seed=x0, a=a, c=c, modulus=span)
-    return params, stream(x0, a, c, span, n * t, scale=a, offset=p_min)
+    x0 = derive_constants(int(math.floor(p_max)), table)[0]
+    a, c = derive_constants(int(math.floor(x0)), table)
+    params = GeneratorParams(seed=x0, a=a, c=c)
+    return params, stream(x0, a, c, p_max - p_min, n * t, scale=a, offset=p_min)
 
 
-def _rows(flat: list, t: int) -> tuple[tuple[float, ...], ...]:
+def _rows(flat: list, t: int, p_max: float) -> tuple[tuple[float, ...], ...]:
+    """The row-major values as rows of t, each value that rounded onto p_max
+    (or above) replaced by the float just below it."""
+    if max(flat) >= p_max:
+        top = math.nextafter(p_max, -math.inf)
+        flat = [min(v, top) for v in flat]
     return tuple([tuple(flat[i:i + t]) for i in range(0, len(flat), t)])
 
 
@@ -102,7 +103,7 @@ def traffic_uniform(
     """
     _check_traffic_args(n, t, p_min, p_max)
     params, chain = _uniform_driver(n, t, p_min, p_max, table)
-    return TrafficMatrix(values=_rows(chain, t), p_min=float(p_min), p_max=float(p_max),
+    return TrafficMatrix(values=_rows(chain, t, p_max), p_min=float(p_min), p_max=float(p_max),
                          distribution="uniform", params=params)
 
 
@@ -144,7 +145,7 @@ def traffic_exponential_transform(
     flat = [exp_entry_from_uniform(x, p_min, p_max, rate) for x in chain]
     if not all(map(math.isfinite, flat)):
         raise ValueError(f"rate {rate} is too small: -ln(1 - x/p_max)/rate overflows the float range")
-    return TrafficMatrix(values=_rows(flat, t), p_min=float(p_min), p_max=float(p_max),
+    return TrafficMatrix(values=_rows(flat, t, p_max), p_min=float(p_min), p_max=float(p_max),
                          distribution="exponential-transform", params=params, rate=float(rate))
 
 
@@ -156,38 +157,29 @@ def traffic_exponential_recurrence(
     *,
     table: Sequence[float] = DEFAULT_TABLE,
 ) -> TrafficMatrix:
-    """Exponential-regime matrix from the diagonal t x t recurrence.
+    """Exponential-regime matrix from two chains of f(x) = (a*x + c) mod span + p_min.
 
-    Seed cell W[0][0] = table[floor(p_max) % L]; a = table[floor(p_min) % L];
-    c = table[(floor(seed) + L//2) % L]. For i in 1..n, j in 1..t:
-
-        v = (a * W[(i-1) % t][(j-1) % t] + c) mod span + p_min
-        W[i % t][j % t] = v
-
-    and v is emitted in loop order. Cells never written read as 0.
+    Seed x00 = table[floor(p_max) % L]; a = table[floor(p_min) % L];
+    c = table[(floor(x00) + L//2) % L]. Cell (i, j), 1-based, is f^i(x00)
+    when j = i (mod t) and f^i(0) otherwise. This is the diagonal recurrence
+    over a t x t table W, zero but for W[0][0] = x00, that for i in 1..n and
+    j in 1..t emits v = f(W[(i-1) % t][(j-1) % t]) and stores it in
+    W[i % t][j % t]: row i is f of row i-1 rotated by one.
     """
     _check_traffic_args(n, t, p_min, p_max)
-    values = validate_table(table)
-    size = len(values)
-    offset = size // 2
     span = p_max - p_min
-    x00 = values[int(math.floor(p_max)) % size]
-    a = values[int(math.floor(p_min)) % size]
-    c = values[(int(math.floor(x00)) + offset) % size]
-    params = GeneratorParams(seed=x00, a=a, c=c, modulus=span)
-
-    work = [[0.0] * t for _ in range(t)]
-    work[0][0] = x00
+    x00 = derive_constants(int(math.floor(p_max)), table)[0]
+    a = derive_constants(int(math.floor(p_min)), table)[0]
+    c = derive_constants(int(math.floor(x00)), table)[1]
+    params = GeneratorParams(seed=x00, a=a, c=c)
+    diagonal = stream(x00, a, c, span, n, offset=p_min)
+    rest = stream(0.0, a, c, span, n, offset=p_min) if t > 1 else diagonal
     flat = []
-    for i in range(1, n + 1):
-        for j in range(1, t + 1):
-            v = (a * work[(i - 1) % t][(j - 1) % t] + c) % span + p_min
-            work[i % t][j % t] = v
-            flat.append(v)
-    # an overflowed cell need not be read again, so check every value
-    if not all(map(math.isfinite, flat)):
-        raise ValueError(OVERFLOW_ERROR)
-    return TrafficMatrix(values=_rows(flat, t), p_min=float(p_min), p_max=float(p_max),
+    for i, (on, off) in enumerate(zip(diagonal, rest)):
+        row = [off] * t
+        row[i % t] = on
+        flat += row
+    return TrafficMatrix(values=_rows(flat, t, p_max), p_min=float(p_min), p_max=float(p_max),
                          distribution="exponential-recurrence", params=params)
 
 
@@ -231,8 +223,11 @@ def traffic_from_document(doc: dict, path) -> TrafficMatrix:
     """Build a TrafficMatrix from a document parsed by read_document from path."""
     meta, values = document_parts(doc, path, "values",
                                   ("seed", "a", "c", "p_min", "p_max", "distribution"))
-    span = meta["p_max"] - meta["p_min"]
-    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"], modulus=span)
+    try:
+        _check_traffic_args(len(values), len(values[0]), meta["p_min"], meta["p_max"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"])
     return TrafficMatrix(values=values, p_min=float(meta["p_min"]),
                          p_max=float(meta["p_max"]), distribution=meta["distribution"],
                          params=params, rate=meta.get("rate"))

@@ -440,7 +440,7 @@ def suite_satisfied(reports: Sequence[TestReport]) -> bool:
 
 
 def reports_to_json(reports: Sequence[TestReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2, allow_nan=False)
 
 
 def reports_to_text(reports: Sequence[TestReport]) -> str:

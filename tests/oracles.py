@@ -3,8 +3,9 @@
 None of these is part of wsngen: the CLI never calls them. They draw from a
 true-uniform numpy source, count windows of an already generated sample,
 run the uniformity battery as the per-element list loops it was before it
-ran on float64 arrays, or write a file through the standard library's csv
-and json encoders.
+ran on float64 arrays, write a file through the standard library's csv
+and json encoders, or fill the exponential-recurrence matrix through the
+t x t working table it used before it became two chains.
 """
 
 import csv
@@ -15,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from wsngen.deployment import Deployment
-from wsngen.traffic import TrafficMatrix
+from wsngen.generator import DEFAULT_TABLE, GeneratorParams, validate_table
+from wsngen.traffic import TrafficMatrix, _check_traffic_args
 from wsngen.validation import (
     Z_TWO_SIDED,
     SuiteConfig,
@@ -343,3 +345,49 @@ def write_document(meta: dict, data: dict, path=None) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
+
+
+# --- the exponential recurrence over its working table, kept byte for byte ----
+
+def traffic_exponential_recurrence(
+    n: int,
+    t: int,
+    p_min: float,
+    p_max: float,
+    *,
+    table: Sequence[float] = DEFAULT_TABLE,
+) -> TrafficMatrix:
+    """Exponential-regime matrix from the diagonal t x t recurrence.
+
+    Seed cell W[0][0] = table[floor(p_max) % L]; a = table[floor(p_min) % L];
+    c = table[(floor(seed) + L//2) % L]. For i in 1..n, j in 1..t:
+
+        v = (a * W[(i-1) % t][(j-1) % t] + c) mod span + p_min
+        W[i % t][j % t] = v
+
+    and v is emitted in loop order, unclamped. Cells never written read as 0.
+    """
+    _check_traffic_args(n, t, p_min, p_max)
+    values = validate_table(table)
+    size = len(values)
+    offset = size // 2
+    span = p_max - p_min
+    x00 = values[int(math.floor(p_max)) % size]
+    a = values[int(math.floor(p_min)) % size]
+    c = values[(int(math.floor(x00)) + offset) % size]
+    params = GeneratorParams(seed=x00, a=a, c=c)
+
+    work = [[0.0] * t for _ in range(t)]
+    work[0][0] = x00
+    flat = []
+    for i in range(1, n + 1):
+        for j in range(1, t + 1):
+            v = (a * work[(i - 1) % t][(j - 1) % t] + c) % span + p_min
+            work[i % t][j % t] = v
+            flat.append(v)
+    # an overflowed cell need not be read again, so check every value
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("the recurrence overflows the float range; use a smaller area or packet range")
+    return TrafficMatrix(values=tuple(tuple(flat[i:i + t]) for i in range(0, len(flat), t)),
+                         p_min=float(p_min), p_max=float(p_max),
+                         distribution="exponential-recurrence", params=params)

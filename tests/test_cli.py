@@ -434,9 +434,13 @@ def test_validate_deployment_csv_bad_area_error(area, tmp_path, capsys):
     ("deploy", "meta", "node_count", 99, "meta field 'node_count' is 99, but 'points' gives 100"),
     ("traffic", "meta", "node_count", 81, "meta field 'node_count' is 81, but 'values' gives 80"),
     ("traffic", "meta", "slot_count", 4, "meta field 'slot_count' is 4, but 'values' gives 5"),
+    ("deploy", "meta", "area", -5, "area must be positive and finite, got -5"),
+    ("deploy", "meta", "area", 0, "area must be positive and finite, got 0"),
+    ("traffic", "meta", "p_max", 2.0, "p_max must be finite and exceed p_min, got 2.0"),
+    ("traffic", "meta", "p_min", -3.0, "p_min must be finite and >= 0, got -3.0"),
 ], ids=["area-string", "p_min-string", "seed-bool", "a-null", "mode-bogus", "ragged-values",
         "rate-bool", "rate-string", "y_increment-bogus", "node_count-points", "node_count-values",
-        "slot_count-values"])
+        "slot_count-values", "area-negative", "area-zero", "p_max-not-above-p_min", "p_min-negative"])
 def test_validate_malformed_json_document_errors(command, key, index, value, message,
                                                  tmp_path, capsys):
     data = tmp_path / "data.json"
@@ -446,7 +450,23 @@ def test_validate_malformed_json_document_errors(command, key, index, value, mes
     data.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["validate", "--in", str(data)]) == EXIT_ERROR
-    assert message in _single_error_line(capsys.readouterr().err)
+    err = _single_error_line(capsys.readouterr().err)
+    assert f"{data}: " in err and message in err
+
+
+@pytest.mark.parametrize("dist, pmin, pmax", [
+    ("uniform", "10000000000000.9", "10000000000000.902"),
+    ("exp-transform", "60000000000000.73", "60000000000000.734"),
+    ("exp-recurrence", "10000000000000.9", "10000000000000.902"),
+])
+def test_traffic_rounding_onto_pmax_validates(dist, pmin, pmax, tmp_path, capsys):
+    # p_min + r with r < span rounds onto p_max for some cells of each of these;
+    # the files used to hold p_max and fail validate's range check with exit 1
+    data = tmp_path / "t.json"
+    assert main(["traffic", "--dist", dist, "--pmin", pmin, "--pmax", pmax,
+                 "--format", "json", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) in (EXIT_OK, EXIT_REJECTED)
 
 
 @pytest.mark.parametrize("command, fmt", [("deploy", "json"), ("traffic", "csv"), ("traffic", "json")])

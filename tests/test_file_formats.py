@@ -18,7 +18,7 @@ from wsngen.generator import GeneratorParams, write_document
 from wsngen.topology import build_graph, graph_to_csv
 from wsngen.traffic import TrafficMatrix, traffic_to_csv, traffic_to_json
 
-PARAMS = GeneratorParams(seed=1, a=3.359886, c=1.902161, modulus=10.0)
+PARAMS = GeneratorParams(seed=1, a=3.359886, c=1.902161)
 EXTREMES = [5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0,
             2.2250738585072014e-308, 0.1, 1e16, 1e-7, 123456789.0]
 

@@ -8,7 +8,6 @@ import pytest
 from wsngen.generator import (
     DEFAULT_TABLE,
     EXTENDED_TABLE,
-    GeneratorParams,
     derive_constants,
     load_table,
     stream,
@@ -66,13 +65,6 @@ def test_derive_constants_default_table():
 def test_derive_constants_rejects_negative_seed():
     with pytest.raises(ValueError):
         derive_constants(-1)
-
-
-def test_params_reject_bad_modulus():
-    with pytest.raises(ValueError):
-        GeneratorParams(seed=0, a=2.0, c=3.0, modulus=0.0)
-    with pytest.raises(ValueError):
-        GeneratorParams(seed=0, a=2.0, c=3.0, modulus=-5.0)
 
 
 def test_stream_frozen_values():

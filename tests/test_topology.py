@@ -223,12 +223,64 @@ def test_infinite_reach_joins_every_pair():
         assert build_graph(pts, math.inf).edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
-def test_exports_refuse_an_overflowed_distance(tmp_path):
-    # the pair is kept (inf <= inf) with a distance that overflowed to inf, so
-    # the writers' own finiteness check is what keeps "inf" out of the files
-    pts = ((0.0, 0.0), (1e200, 0.0))
+@pytest.mark.filterwarnings("error")
+def test_distance_beyond_square_range():
+    # the squared difference of 1e200 overflows; the distance does not
+    g = build_graph(((0.0, 0.0), (1e200, 0.0)), 2e200)
+    assert g.edges == frozenset({(0, 1)})
+    assert g.distances.tolist() == [1e200]
+
+
+@pytest.mark.filterwarnings("error")
+def test_isolated_by_range_over_a_huge_area():
+    dep = deploy_nongrid(500, 1e200, 0)
+    trs = [1e198, 3e198, 1e199, 3e199]
+    assert isolated_by_range(dep, trs) == {tr: isolated_count(build_graph(dep, tr)) for tr in trs}
+    scaled = np.array(dep.points) / 2.0 ** 600
+    assert build_graph(dep, 1e199).edges == frozenset(_brute_force_edges(scaled, 1e199 / 2.0 ** 600))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts", [
+    ((0.0, 0.0), (1e-100, 0.0), (1e300, 0.0)),
+    ((0.0, 0.0), (1e-140, 0.0), (1e200, 0.0), (1e200, 1e-140), (-1e200, 3.0)),
+    ((-1e308, 0.0), (1e-170, 1e-170), (0.0, 0.0), (5e307, -5e307)),
+])
+def test_mixed_scales_keep_the_unscaled_distances(pts):
+    # only pairs whose square overflows are recomputed; every other distance,
+    # a tiny one whose square would underflow if scaled included, keeps the
+    # row-wise expression's bits
+    g = build_graph(pts, math.inf)
+    arr = np.array(pts)
     with np.errstate(over="ignore"):
-        g = build_graph(pts, math.inf)
+        plain = [float(np.sqrt(((arr[u] - arr[v]) ** 2).sum())) for u, v in sorted(g.edges)]
+    assert len(g.edges) == len(pts) * (len(pts) - 1) // 2
+    for got, want, (u, v) in zip(g.distances.tolist(), plain, sorted(g.edges)):
+        if want != math.inf:
+            assert got == want
+        else:  # the same expression on coordinates a power of two smaller
+            s = 2.0 ** 600
+            assert got == float(np.sqrt(((arr[u] / s - arr[v] / s) ** 2).sum())) * s
+    assert build_graph(pts, 1e-120).edges == {e for e, want in zip(sorted(g.edges), plain) if want <= 1e-120}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_adversarial_points())
+def test_huge_extent_scales_exactly(case):
+    # a distance whose square overflows comes from coordinates scaled by a
+    # power of two, which changes no bit of it
+    pts, tr, epsilon = case
+    g = build_graph(pts, tr, epsilon)
+    big = build_graph(np.array(pts) * 2.0 ** 600, tr * 2.0 ** 600, epsilon * 2.0 ** 600)
+    assert big.edges == g.edges
+    assert big.distances.tolist() == (g.distances * 2.0 ** 600).tolist()
+
+
+def test_exports_refuse_an_overflowed_distance(tmp_path):
+    # the pair is kept (inf <= inf) with a distance beyond the float range, so
+    # the writers' own finiteness check is what keeps "inf" out of the files
+    pts = ((-1e308, 0.0), (1e308, 0.0))
+    g = build_graph(pts, math.inf)
     assert g.edges == frozenset({(0, 1)})
     assert g.distances.tolist() == [math.inf]
     with pytest.raises(ValueError, match=r"^cannot write CSV: row 1: non-finite value in \[1, 2, inf\]$"):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import exp_inverse_transform, min_exponentials_check
 from strategies import matrices
+from wsngen.generator import DEFAULT_TABLE, EXTENDED_TABLE, stream
 from wsngen.traffic import (
     TrafficMatrix,
     exp_entry_from_uniform,
@@ -85,8 +87,8 @@ def test_exp_recurrence_frozen_first_row():
     m = traffic_exponential_recurrence(80, 5, 2.0, 10.0)
     row = m.values[0]
     assert abs(row[0] - 8.241702692914) <= 1e-9
-    # cells whose working-table source was never written read 0, so they
-    # all collapse to (c mod span) + p_min
+    # off the diagonal, row 1 holds the first successor of 0 in every
+    # cell: (c mod span) + p_min
     assert row[1] == row[2] == row[3] == row[4]
     assert abs(row[1] - 3.902161) <= 1e-9
 
@@ -97,6 +99,79 @@ def test_exp_recurrence_range_and_determinism():
     assert m1.values == m2.values
     for v in m1.flatten():
         assert 2.0 <= v < 10.0
+
+
+@st.composite
+def _recurrence_args(draw):
+    """n, t, p_min, p_max and a table: ranges up to 1e308, spans down to one ulp."""
+    n, t = draw(st.integers(1, 60)), draw(st.integers(1, 12))
+    p_min = draw(st.one_of(st.floats(min_value=-1.0, max_value=100.0),
+                           st.floats(min_value=0.0, max_value=1e308)))
+    p_max = draw(st.one_of(st.floats(min_value=0.0, max_value=1e308),
+                           st.floats(min_value=0.0, max_value=1e3).map(lambda s: p_min + s),
+                           st.integers(1, 64).map(lambda k: p_min + k * math.ulp(p_min))))
+    table = draw(st.one_of(st.just(DEFAULT_TABLE), st.just(EXTENDED_TABLE),
+                           st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                                    min_size=2, max_size=20, unique=True)))
+    return n, t, p_min, p_max, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_recurrence_args())
+@example((1, 5, 10000000000000.9, 10000000000000.902, DEFAULT_TABLE))
+@example((1000, 5, 2.0, 1e308, DEFAULT_TABLE))
+@example((30, 7, 0.0, 1e300, EXTENDED_TABLE))
+def test_exp_recurrence_is_the_working_table_recurrence(args):
+    # the two chains give the working table's values, less any cell on p_max
+    n, t, p_min, p_max, table = args
+    try:
+        expected = oracles.traffic_exponential_recurrence(n, t, p_min, p_max, table=table)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            traffic_exponential_recurrence(n, t, p_min, p_max, table=table)
+        assert str(got.value) == str(exc)
+        return
+    m = traffic_exponential_recurrence(n, t, p_min, p_max, table=table)
+    top = math.nextafter(p_max, -math.inf)
+    assert m.values == tuple(tuple(min(v, top) for v in row) for row in expected.values)
+    assert m.params == expected.params
+
+
+_ONTO_P_MAX = (10000000000000.9, 10000000000000.902)
+
+
+def _clamped(raw, p_max):
+    return tuple(min(v, math.nextafter(p_max, -math.inf)) for v in raw)
+
+
+def test_uniform_value_rounding_onto_p_max_is_clamped():
+    p_min, p_max = _ONTO_P_MAX
+    m = traffic_uniform(1, 5, p_min, p_max)
+    a, c = m.params.a, m.params.c
+    raw = stream(m.params.seed, a, c, p_max - p_min, 5, scale=a, offset=p_min)
+    assert raw[0] == p_max
+    assert m.flatten() == _clamped(raw, p_max)
+    assert all(p_min <= v < p_max for v in m.flatten())
+
+
+def test_exp_transform_value_rounding_onto_p_max_is_clamped():
+    p_min, p_max = 60000000000000.73, 60000000000000.734
+    m = traffic_exponential_transform(1, 5, p_min, p_max)
+    u = traffic_uniform(1, 5, p_min, p_max).params
+    chain = stream(u.seed, u.a, u.c, p_max - p_min, 5, scale=u.a, offset=p_min)
+    raw = [exp_entry_from_uniform(x, p_min, p_max, 1.0) for x in chain]
+    assert raw.count(p_max) == 5
+    assert m.flatten() == _clamped(raw, p_max)
+    assert all(p_min <= v < p_max for v in m.flatten())
+
+
+def test_exp_recurrence_value_rounding_onto_p_max_is_clamped():
+    p_min, p_max = _ONTO_P_MAX
+    m = traffic_exponential_recurrence(1, 5, p_min, p_max)
+    raw = oracles.traffic_exponential_recurrence(1, 5, p_min, p_max).flatten()
+    assert raw.count(p_max) == 4
+    assert m.flatten() == _clamped(raw, p_max)
+    assert all(p_min <= v < p_max for v in m.flatten())
 
 
 @pytest.mark.parametrize("n,t,p_min,p_max", [
@@ -185,5 +260,5 @@ def test_files_round_trip_drawn_matrices(tmp_path, m):
     traffic_to_csv(m, tmp_path / "traffic.csv")
     traffic_to_json(m, tmp_path / "traffic.json")
     assert matrix_from_csv(tmp_path / "traffic.csv") == m.values
-    # the dataclass compares values, bounds, distribution, rate and (seed, a, c, modulus)
+    # the dataclass compares values, bounds, distribution, rate and (seed, a, c)
     assert traffic_from_json(tmp_path / "traffic.json") == m

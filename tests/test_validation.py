@@ -296,6 +296,15 @@ def test_reports_serialize():
     assert text.count("\n") >= len(reports)
 
 
+def test_reports_to_json_refuses_an_infinite_statistic():
+    # the products of 1e200 overflow, so the statistic is inf; JSON has no token for it
+    with np.errstate(over="ignore"):
+        rep = autocorrelation_test([1e200] * 10)
+    assert rep.statistic == math.inf
+    with pytest.raises(ValueError, match=r"^[^\n]*not JSON compliant[^\n]*$"):
+        reports_to_json([rep])
+
+
 # --- non-finite samples -------------------------------------------------------
 
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
