@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .generator import (
     DEFAULT_TABLE,
@@ -42,14 +42,6 @@ class Deployment:
     def node_count(self) -> int:
         return len(self.points)
 
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
 
 def _check_args(node_count: int, area: float, y_increment: str) -> None:
     if node_count < 1:
@@ -60,17 +52,12 @@ def _check_args(node_count: int, area: float, y_increment: str) -> None:
         raise ValueError("y_increment must be 'a' or 'c'")
 
 
-def _resolve_params(
-    seed: int,
-    table: Sequence[float],
-    constants: Optional[tuple[float, float]],
-) -> GeneratorParams:
+def _resolve_params(seed: int, table: Sequence[float]) -> GeneratorParams:
     try:
         float(seed)
     except OverflowError:
         raise ValueError("seed exceeds the float range, so it cannot start the recurrence") from None
-    a, c = constants or derive_constants(seed, table)
-    return GeneratorParams(seed=seed, a=a, c=c)
+    return GeneratorParams(seed, *derive_constants(seed, table))
 
 
 def _coordinate_streams(params: GeneratorParams, modulus: float, count: int, y_increment: str):
@@ -89,11 +76,10 @@ def deploy_nongrid(
     *,
     y_increment: str = "a",
     table: Sequence[float] = DEFAULT_TABLE,
-    constants: Optional[tuple[float, float]] = None,
 ) -> Deployment:
     """Generate node_count points over a square [0, area) x [0, area)."""
     _check_args(node_count, area, y_increment)
-    params = _resolve_params(seed, table, constants)
+    params = _resolve_params(seed, table)
     xs, ys = _coordinate_streams(params, float(area), node_count, y_increment)
     points = tuple(zip(xs, ys))
     return Deployment(points=points, area=float(area), mode="non-grid",
@@ -107,7 +93,6 @@ def deploy_grid(
     *,
     y_increment: str = "a",
     table: Sequence[float] = DEFAULT_TABLE,
-    constants: Optional[tuple[float, float]] = None,
 ) -> Deployment:
     """Four-quadrant grid deployment.
 
@@ -119,7 +104,7 @@ def deploy_grid(
     _check_args(node_count, area, y_increment)
     m1 = float(area) / 2.0
     n1 = math.ceil(node_count / 4)
-    params = _resolve_params(seed, table, constants)
+    params = _resolve_params(seed, table)
     xs, ys = _coordinate_streams(params, m1, n1, y_increment)
     # A base value just below m1 can round onto area when shifted by m1.
     # Clamp the emitted value (the chain runs on unclamped) to the largest

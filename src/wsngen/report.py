@@ -14,7 +14,6 @@ Three report families:
 from __future__ import annotations
 
 import json
-import math
 from typing import Optional, Sequence
 
 from . import _reference as ref
@@ -22,6 +21,7 @@ from .deployment import deploy_grid, deploy_nongrid
 from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream
 from .topology import isolated_by_range
 from .traffic import (
+    exp_entry_from_uniform,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
     traffic_uniform,
@@ -247,7 +247,7 @@ def reconstruct_reference_chain(
     x0 = derive_constants(int(p_max), table)[0]
     chain = stream(x0, a, c, span, count + 1, offset=p_min)
     uniform = chain[1:count + 1]
-    exponential = [(-math.log(1.0 - y / p_max)) % span + p_min for y in chain[:count]]
+    exponential = [exp_entry_from_uniform(y, p_min, p_max, 1.0) for y in chain[:count]]
     return uniform, exponential
 
 

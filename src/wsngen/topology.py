@@ -21,7 +21,7 @@ does these steps about as fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,11 +45,9 @@ class RadiusGraph:
     node_count: int
     transmission_range: float
     epsilon: float
-    edges: frozenset  # unordered (u, v) pairs with u < v, 0-based ids
+    edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, 0-based ids, sorted
+    distances: tuple[float, ...]  # aligned with edges
     degrees: tuple[int, ...]
-    # the edges as an (E, 2) array sorted by (u, v), and their distances
-    edge_array: np.ndarray = field(repr=False, compare=False)
-    distances: np.ndarray = field(repr=False, compare=False)
 
 
 def _as_points(deployment) -> np.ndarray:
@@ -78,8 +76,8 @@ def _argsort(values: np.ndarray) -> np.ndarray:
 
 def _candidates(pts: np.ndarray, reach: float):
     """Candidate pairs (u, v) with their distances d, each pair once and in
-    no set order. Every pair within reach is among them; d is computed as a
-    row-wise all-pairs scan does, so ties at the boundary resolve identically."""
+    no set order. Every pair within reach is among them; d is a row-wise scan's
+    expression wherever its squares stay normal, so boundary ties agree."""
     xs, ys = pts.T.tolist()
     lo = [min(xs), min(ys)]
     span = [max(xs) - lo[0], max(ys) - lo[1]]
@@ -108,15 +106,18 @@ def _candidates(pts: np.ndarray, reach: float):
     i = np.repeat(np.tile(later - 1, len(first)), size)
     j = np.repeat(np.concatenate(first) - np.cumsum(size) + size, size) + np.arange(len(i))
     u, v = order[i], order[j]
-    with np.errstate(over="ignore"):  # a square past the float range is inf: redone below
-        d = np.sqrt(((pts[u] - pts[v]) ** 2).sum(axis=-1))
-    big = np.isinf(d)
-    if big.any():
-        # the same expression on coordinates scaled by a power of two to below
-        # 2**509, which keeps every square finite, then the distance scaled back
-        scale = 2.0 ** (math.frexp(float(np.abs(pts).max()))[1] - 509)
-        with np.errstate(over="ignore"):  # a distance past the float range is inf, beyond any reach
-            d[big] = np.sqrt(((pts[u[big]] / scale - pts[v[big]] / scale) ** 2).sum(axis=-1)) * scale
+    with np.errstate(over="ignore"):  # past the float range is inf: see below
+        diff = pts[u] - pts[v]
+        d = np.sqrt((diff ** 2).sum(axis=-1))
+    # a square outside the normal range loses the distance: redo such a pair on its
+    # differences scaled by a power of two to below 2**509, keeping a normal result's bits
+    redo = np.flatnonzero((d < 2.0 ** -510) | (d == math.inf))
+    if len(redo):
+        top = np.abs(diff[redo]).max(axis=-1)
+        keep = (top > 0) & (top < math.inf)  # equal points keep 0, an overflowed difference inf
+        redo, k = redo[keep], 509 - np.frexp(top[keep])[1]
+        with np.errstate(over="ignore"):
+            d[redo] = np.ldexp(np.sqrt((np.ldexp(diff[redo], k[:, None]) ** 2).sum(axis=-1)), -k)
     return u, v, d
 
 
@@ -130,25 +131,21 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     a, b, d = a[near], b[near], d[near]
     u, v = np.minimum(a, b), np.maximum(a, b)
     by_pair = _argsort(u * n + v)
-    edge_array = np.stack([u[by_pair], v[by_pair]], axis=1)
-    distances = d[by_pair]
-    edge_array.flags.writeable = False
-    distances.flags.writeable = False
     return RadiusGraph(node_count=n, transmission_range=float(tr),
                        epsilon=float(epsilon),
-                       edges=frozenset(map(tuple, edge_array.tolist())),
-                       degrees=tuple(np.bincount(edge_array.ravel(), minlength=n).tolist()),
-                       edge_array=edge_array, distances=distances)
+                       edges=tuple(zip(u[by_pair].tolist(), v[by_pair].tolist())),
+                       distances=tuple(d[by_pair].tolist()),
+                       degrees=tuple(np.bincount(np.concatenate([u, v]), minlength=n).tolist()))
 
 
 def isolated_count(graph: RadiusGraph) -> int:
     """Number of degree-zero nodes."""
-    return sum(1 for d in graph.degrees if d == 0)
+    return graph.degrees.count(0)
 
 
 def _weighted_edges(graph: RadiusGraph):
     """[u, v, distance] per edge in (u, v) order, 1-based Python ints and floats."""
-    return [[u + 1, v + 1, d] for (u, v), d in zip(graph.edge_array.tolist(), graph.distances.tolist())]
+    return [[u + 1, v + 1, d] for (u, v), d in zip(graph.edges, graph.distances)]
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:

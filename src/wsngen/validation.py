@@ -305,7 +305,7 @@ def autocorrelation_test(
         rho_hat = (1/(M+1)) * sum_k R[start+k*lag] * R[start+(k+1)*lag] - 0.25
 
     Z0 = rho_hat / sigma with sigma = sqrt((13M+7) / (12(M+1))); two-sided
-    verdict on |Z0|.
+    verdict on |Z0|. The -0.25 centering assumes a sample in [0, 1).
     """
     n = len(sample)
     if start < 1 or lag < 1:
@@ -314,7 +314,7 @@ def autocorrelation_test(
     if m < 1:
         raise ValueError(f"sequence too short for start={start}, lag={lag}")
     _require_alpha(alpha)
-    pairs = _finite(sample)[start - 1::lag][:m + 2]
+    pairs = _finite(sample, 0, 1)[start - 1::lag][:m + 2]
     # cumsum accumulates in index order, so the sum runs left to right
     rho = np.cumsum(pairs[:-1] * pairs[1:])[-1].item() / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
@@ -338,8 +338,8 @@ def circular_correlation_test(
 
     rho_hat = (1/N) * sum_k x[k] * y[(k-lag) mod N] - 0.25, with
     sigma = sqrt((13N+7)/(12(N+1))) and a two-sided verdict on |Z0|. The
-    -0.25 centering mirrors the linear test so a true-uniform pair scores
-    near zero. For deployments, pass the normalized X and Y coordinate
+    -0.25 centering mirrors the linear test, so a true-uniform pair in [0, 1)
+    scores near zero. For deployments, pass the normalized X and Y coordinate
     sequences.
     """
     n = len(x)
@@ -351,7 +351,7 @@ def circular_correlation_test(
         raise ValueError("lag must satisfy 0 <= lag < N")
     _require_alpha(alpha)
     # np.roll(y, lag)[k] is y[(k - lag) mod N]; cumsum sums left to right
-    rho = np.cumsum(_finite(x) * np.roll(_finite(y), lag))[-1].item() / n - 0.25
+    rho = np.cumsum(_finite(x, 0, 1) * np.roll(_finite(y, 0, 1), lag))[-1].item() / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]

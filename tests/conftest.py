@@ -5,7 +5,7 @@ import re
 CRITERIA = {
     1: "constant derivation reproduces all 20 recorded (a, c) pairs at 6 d.p.",
     2: "deploy/traffic output byte-identical across 10 repeated invocations",
-    3: "grid quadrant translations exact; a = c override degenerates to diagonals",
+    3: "grid quadrant translations exact; equal X and Y streams degenerate to diagonals",
     4: "KS and chi2 statistics match independent brute-force oracles",
     5: "inverse-transform Exp(1) law and min-of-exponentials frequencies",
     6: "isolated counts non-increasing in transmission range, all rows and modes",

@@ -4,13 +4,15 @@ None of these is part of wsngen: the CLI never calls them. They draw from a
 true-uniform numpy source, count windows of an already generated sample,
 run the uniformity battery as the per-element list loops it was before it
 ran on float64 arrays, write a file through the standard library's csv
-and json encoders, or fill the exponential-recurrence matrix through the
-t x t working table it used before it became two chains.
+and json encoders, fill the exponential-recurrence matrix through the
+t x t working table it used before it became two chains, or measure the
+distance between two points, as the radius graph once did and exactly.
 """
 
 import csv
 import json
 import math
+from decimal import Decimal, localcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -283,8 +285,9 @@ def circular_correlation_test(
 def _suite_streams(data):
     """Resolve input data to named unit-interval streams plus a circular pair."""
     if isinstance(data, Deployment):
-        nx = normalize(data.xs, 0.0, data.area)
-        ny = normalize(data.ys, 0.0, data.area)
+        xs, ys = zip(*data.points)
+        nx = normalize(xs, 0.0, data.area)
+        ny = normalize(ys, 0.0, data.area)
         return {"x": nx, "y": ny}, (nx, ny)
     if isinstance(data, TrafficMatrix):
         flat = normalize(data.flatten(), data.p_min, data.p_max)
@@ -345,6 +348,26 @@ def write_document(meta: dict, data: dict, path=None) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
+
+
+# --- the distance between two points ------------------------------------------
+
+def plain_distance(p, q) -> float:
+    """sqrt of the summed squared coordinate differences, row-wise, as the
+    radius graph computed every distance before it rescaled the pairs whose
+    squares leave the normal range."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(((np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) ** 2).sum()))
+
+
+def exact_distance(p, q) -> Decimal:
+    """The Euclidean distance to 60 significant digits: a float converts to
+    Decimal exactly, and each step rounds once at that precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dx = Decimal(p[0]) - Decimal(q[0])
+        dy = Decimal(p[1]) - Decimal(q[1])
+        return (dx * dx + dy * dy).sqrt()
 
 
 # --- the exponential recurrence over its working table, kept byte for byte ----

@@ -78,13 +78,13 @@ def test_criterion_3_grid_symmetry():
                 assert x1 == x0 + dx
                 assert y1 == y0 + dy
 
-        # a = c makes the X and Y recurrences identical: the non-grid cloud
-        # collapses onto y = x, and each grid block keeps its translation
+        # Y increment c makes the X and Y recurrences identical: the non-grid
+        # cloud collapses onto y = x, and each grid block keeps its translation
         # offset off that diagonal (block 2 is asserted as x == y + m1 so the
         # comparison reuses the exact float op the translation performed)
-        for x, y in deploy_nongrid(n, area, seed, constants=(2.5, 2.5)).points:
+        for x, y in deploy_nongrid(n, area, seed, y_increment="c").points:
             assert y == x
-        dpts = deploy_grid(n, area, seed, constants=(2.5, 2.5)).points
+        dpts = deploy_grid(n, area, seed, y_increment="c").points
         for k, (x, y) in enumerate(dpts):
             block = k // n1
             if block in (0, 1):

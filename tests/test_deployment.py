@@ -59,21 +59,16 @@ def test_grid_quadrants_live_in_their_halves():
 def test_y_increment_variants_differ():
     a = deploy_nongrid(50, 100.0, 5, y_increment="a")
     c = deploy_nongrid(50, 100.0, 5, y_increment="c")
-    assert a.xs == c.xs
-    assert a.ys != c.ys
+    (ax, ay), (cx, cy) = zip(*a.points), zip(*c.points)
+    assert ax == cx
+    assert ay != cy
     # with increment c the Y recurrence equals the X recurrence
-    assert c.xs == c.ys
+    assert cx == cy
 
 
 def test_determinism_across_calls():
     assert deploy_nongrid(100, 100.0, 43).points == deploy_nongrid(100, 100.0, 43).points
     assert deploy_grid(100, 100.0, 43).points == deploy_grid(100, 100.0, 43).points
-
-
-def test_constants_override_skips_derivation():
-    dep = deploy_nongrid(10, 50.0, 999, constants=(3.0, 1.5))
-    assert dep.params.a == 3.0
-    assert dep.params.c == 1.5
 
 
 @pytest.mark.parametrize("bad_kwargs", [
@@ -153,9 +148,10 @@ def test_node_count_one():
 @pytest.mark.parametrize("area", [100.0, 3.0, 1e-300, 7.3e12])
 def test_grid_base_value_below_m1_stays_inside_area(area):
     # x1 = c = nextafter(m1, 0) is a legal base value, but x1 + m1 rounds
-    # onto area; the emitted base value is clamped so all four quadrants fit
+    # onto area; the emitted base value is clamped so all four quadrants fit.
+    # Seed 0 of a two-entry table takes a = table[0] and c = table[1].
     m1 = area / 2.0
-    dep = deploy_grid(8, area, 0, constants=(1.0, math.nextafter(m1, 0.0)))
+    dep = deploy_grid(8, area, 0, table=(1.0, math.nextafter(m1, 0.0)))
     for x, y in dep.points:
         assert 0.0 <= x < area and 0.0 <= y < area
     base = dep.points[:2]

@@ -90,7 +90,7 @@ def test_deployment_csv_matches_csv_writer(tmp_path, points):
        tr=st.floats(0.01, 30))
 def test_graph_csv_matches_csv_writer(tmp_path, points, tr):
     graph = build_graph(points, tr)
-    edges = [(u + 1, v + 1, d) for (u, v), d in zip(graph.edge_array.tolist(), graph.distances.tolist())]
+    edges = [(u + 1, v + 1, d) for (u, v), d in zip(graph.edges, graph.distances)]
     _same_bytes(tmp_path, lambda p: graph_to_csv(graph, points, p),
                 lambda p: oracles.write_csv(p, ("u", "v", "distance"),
                                             ([u, v, repr(d)] for u, v, d in edges)))

@@ -4,12 +4,15 @@ import csv
 import json
 import math
 import random
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wsngen.deployment import deploy_grid, deploy_nongrid
 from wsngen.topology import (
     build_graph,
@@ -25,11 +28,11 @@ TRIANGLE = ((0.0, 0.0), (3.0, 0.0), (0.0, 4.0))
 def test_triangle_edges_and_isolation():
     # distances: 3 (01), 4 (02), 5 (12)
     g = build_graph(TRIANGLE, 3.0)
-    assert g.edges == frozenset({(0, 1)})
+    assert g.edges == ((0, 1),)
     assert g.degrees == (1, 1, 0)
     assert isolated_count(g) == 1
     g = build_graph(TRIANGLE, 4.0)
-    assert g.edges == frozenset({(0, 1), (0, 2)})
+    assert g.edges == ((0, 1), (0, 2))
     assert isolated_count(g) == 0
     g = build_graph(TRIANGLE, 5.0)
     assert len(g.edges) == 3
@@ -37,14 +40,14 @@ def test_triangle_edges_and_isolation():
 
 def test_boundary_is_inclusive():
     pts = ((0.0, 0.0), (10.0, 0.0))
-    assert build_graph(pts, 10.0).edges == frozenset({(0, 1)})
-    assert build_graph(pts, 9.999999).edges == frozenset()
+    assert build_graph(pts, 10.0).edges == ((0, 1),)
+    assert build_graph(pts, 9.999999).edges == ()
 
 
 def test_epsilon_extends_reach():
     pts = ((0.0, 0.0), (12.0, 0.0))
-    assert build_graph(pts, 10.0).edges == frozenset()
-    assert build_graph(pts, 10.0, epsilon=2.0).edges == frozenset({(0, 1)})
+    assert build_graph(pts, 10.0).edges == ()
+    assert build_graph(pts, 10.0, epsilon=2.0).edges == ((0, 1),)
     # tr + epsilon is interchangeable with a larger tr
     dep = deploy_nongrid(100, 100.0, 0)
     assert build_graph(dep, 10.0, epsilon=2.5).edges == build_graph(dep, 12.5).edges
@@ -62,8 +65,8 @@ def test_randomized_brute_force_edge_sets():
             for v in range(u + 1, n):
                 if math.dist(pts[u], pts[v]) <= tr:
                     brute.add((u, v))
-        assert g.edges == frozenset(brute)
-        for (u, v), d in zip(g.edge_array.tolist(), g.distances.tolist()):
+        assert g.edges == tuple(sorted(brute))
+        for (u, v), d in zip(g.edges, g.distances):
             assert abs(d - math.dist(pts[u], pts[v])) <= 1e-12
         assert isolated_count(g) == sum(
             1 for u in range(n)
@@ -167,13 +170,16 @@ def test_cell_list_matches_row_wise_brute_force(case):
     pts, tr, epsilon = case
     brute = _brute_force_edges(pts, tr + epsilon)
     g = build_graph(pts, tr, epsilon)
-    assert g.edges == frozenset(brute)
+    # one stored form: edges strictly increasing, distances aligned with them,
+    # degrees the per-node edge counts
+    assert all(e < f for e, f in zip(g.edges, g.edges[1:]))
+    assert set(g.edges) == set(brute)
+    assert g.distances == tuple(brute[e] for e in g.edges)
     degrees = [0] * len(pts)
     for u, v in brute:
         degrees[u] += 1
         degrees[v] += 1
     assert g.degrees == tuple(degrees)
-    assert g.distances.tolist() == [brute[e] for e in sorted(brute)]
     doc = json.loads(graph_to_json(g, pts))
     assert doc["edges"] == [[u + 1, v + 1, brute[(u, v)]] for u, v in sorted(brute)]
 
@@ -194,7 +200,7 @@ def test_isolated_by_range_matches_per_range_graphs(case, factors):
     (((-2.0 ** -13, 0.0), (2.0 ** 40, 0.0), (2.0 ** 40 + 2.0 ** -12, 0.0)), 2.0 ** -12),
 ])
 def test_exact_reach_pair_survives_cell_rounding(pts, reach):
-    assert build_graph(pts, reach).edges == frozenset(_brute_force_edges(pts, reach)) == {(1, 2)}
+    assert build_graph(pts, reach).edges == tuple(_brute_force_edges(pts, reach)) == ((1, 2),)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -211,24 +217,24 @@ def test_tiny_reach_over_huge_extent():
     # without the cap on cells per axis, a cell index of 1e300 / 1e-300
     # would overflow int64
     pts = ((0.0, 0.0), (1e300, 1.0), (1.0, 0.0))
-    assert build_graph(pts, 1e-300).edges == frozenset()
+    assert build_graph(pts, 1e-300).edges == ()
     assert isolated_by_range(pts, (1e-300,)) == {1e-300: 3}
-    assert build_graph(((0.0, 0.0), (1e300, 0.0), (1e300, 1e-300)), 1e-300).edges == frozenset({(1, 2)})
+    assert build_graph(((0.0, 0.0), (1e300, 0.0), (1e300, 1e-300)), 1e-300).edges == ((1, 2),)
 
 
 def test_infinite_reach_joins_every_pair():
     # the extent overflows to inf: every pair is a candidate
     pts = ((-1e308, 0.0), (1e308, 1.0), (1.0, 0.0))
     with np.errstate(over="ignore"):
-        assert build_graph(pts, math.inf).edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert build_graph(pts, math.inf).edges == ((0, 1), (0, 2), (1, 2))
 
 
 @pytest.mark.filterwarnings("error")
 def test_distance_beyond_square_range():
     # the squared difference of 1e200 overflows; the distance does not
     g = build_graph(((0.0, 0.0), (1e200, 0.0)), 2e200)
-    assert g.edges == frozenset({(0, 1)})
-    assert g.distances.tolist() == [1e200]
+    assert g.edges == ((0, 1),)
+    assert g.distances == (1e200,)
 
 
 @pytest.mark.filterwarnings("error")
@@ -237,7 +243,23 @@ def test_isolated_by_range_over_a_huge_area():
     trs = [1e198, 3e198, 1e199, 3e199]
     assert isolated_by_range(dep, trs) == {tr: isolated_count(build_graph(dep, tr)) for tr in trs}
     scaled = np.array(dep.points) / 2.0 ** 600
-    assert build_graph(dep, 1e199).edges == frozenset(_brute_force_edges(scaled, 1e199 / 2.0 ** 600))
+    assert build_graph(dep, 1e199).edges == tuple(sorted(_brute_force_edges(scaled, 1e199 / 2.0 ** 600)))
+
+
+def _assert_distance(p, q, got):
+    """got keeps the row-wise expression's bits where each coordinate
+    difference is zero or has a normal square and the squares sum to a
+    finite value. Everywhere it lies within 2**-51 relative, plus half the
+    smallest subnormal, of the exact distance, and it is inf only past the
+    float range."""
+    diffs = (p[0] - q[0], p[1] - q[1])
+    if all(d == 0 or sys.float_info.min <= d * d for d in diffs) and math.isfinite(sum(d * d for d in diffs)):
+        assert got == oracles.plain_distance(p, q)
+    exact = oracles.exact_distance(p, q)
+    if got == math.inf:
+        assert exact > Decimal(sys.float_info.max) * (1 - Decimal(2) ** -51)
+    else:
+        assert abs(Decimal(got) - exact) <= exact * Decimal(2) ** -51 + Decimal(2) ** -1075
 
 
 @pytest.mark.filterwarnings("error")
@@ -245,23 +267,45 @@ def test_isolated_by_range_over_a_huge_area():
     ((0.0, 0.0), (1e-100, 0.0), (1e300, 0.0)),
     ((0.0, 0.0), (1e-140, 0.0), (1e200, 0.0), (1e200, 1e-140), (-1e200, 3.0)),
     ((-1e308, 0.0), (1e-170, 1e-170), (0.0, 0.0), (5e307, -5e307)),
+    # a tiny difference on one axis next to a huge shared coordinate on the other
+    ((1e300, 0.0), (1e300, 1e-300), (1.0, 5e-324), (1.0, 0.0)),
 ])
 def test_mixed_scales_keep_the_unscaled_distances(pts):
-    # only pairs whose square overflows are recomputed; every other distance,
-    # a tiny one whose square would underflow if scaled included, keeps the
-    # row-wise expression's bits
+    # only the pairs whose squares leave the normal range are rescaled, each
+    # by its own power of two; every other distance keeps its bits
     g = build_graph(pts, math.inf)
-    arr = np.array(pts)
-    with np.errstate(over="ignore"):
-        plain = [float(np.sqrt(((arr[u] - arr[v]) ** 2).sum())) for u, v in sorted(g.edges)]
     assert len(g.edges) == len(pts) * (len(pts) - 1) // 2
-    for got, want, (u, v) in zip(g.distances.tolist(), plain, sorted(g.edges)):
-        if want != math.inf:
-            assert got == want
-        else:  # the same expression on coordinates a power of two smaller
-            s = 2.0 ** 600
-            assert got == float(np.sqrt(((arr[u] / s - arr[v] / s) ** 2).sum())) * s
-    assert build_graph(pts, 1e-120).edges == {e for e, want in zip(sorted(g.edges), plain) if want <= 1e-120}
+    for (u, v), got in zip(g.edges, g.distances):
+        _assert_distance(pts[u], pts[v], got)
+    assert build_graph(pts, 1e-120).edges == tuple(e for e, d in zip(g.edges, g.distances) if d <= 1e-120)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _point_pairs(draw):
+    """Two points anywhere in the float range, subnormals included. Half the
+    time the second shares the first's x, or lies a few ulps from it on both
+    axes, so that huge coordinates meet tiny differences."""
+    p = draw(st.tuples(_FLOATS, _FLOATS))
+    kind = draw(st.sampled_from(["free", "free", "shared x", "ulps"]))
+    if kind == "free":
+        q = draw(st.tuples(_FLOATS, _FLOATS))
+    elif kind == "shared x":
+        q = (p[0], draw(_FLOATS))
+    else:
+        q = tuple(c + draw(st.integers(-3, 3)) * math.ulp(c) for c in p)
+        assume(all(map(math.isfinite, q)))
+    return p, q
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=1000, deadline=None)
+@given(_point_pairs())
+def test_distance_over_the_full_exponent_range(pair):
+    (got,) = build_graph(pair, math.inf).distances
+    _assert_distance(*pair, got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,7 +317,7 @@ def test_huge_extent_scales_exactly(case):
     g = build_graph(pts, tr, epsilon)
     big = build_graph(np.array(pts) * 2.0 ** 600, tr * 2.0 ** 600, epsilon * 2.0 ** 600)
     assert big.edges == g.edges
-    assert big.distances.tolist() == (g.distances * 2.0 ** 600).tolist()
+    assert big.distances == tuple(d * 2.0 ** 600 for d in g.distances)
 
 
 def test_exports_refuse_an_overflowed_distance(tmp_path):
@@ -281,8 +325,8 @@ def test_exports_refuse_an_overflowed_distance(tmp_path):
     # the writers' own finiteness check is what keeps "inf" out of the files
     pts = ((-1e308, 0.0), (1e308, 0.0))
     g = build_graph(pts, math.inf)
-    assert g.edges == frozenset({(0, 1)})
-    assert g.distances.tolist() == [math.inf]
+    assert g.edges == ((0, 1),)
+    assert g.distances == (math.inf,)
     with pytest.raises(ValueError, match=r"^cannot write CSV: row 1: non-finite value in \[1, 2, inf\]$"):
         graph_to_csv(g, pts, tmp_path / "edges.csv")
     # the infinite range in the meta is refused first

@@ -297,10 +297,9 @@ def test_reports_serialize():
 
 
 def test_reports_to_json_refuses_an_infinite_statistic():
-    # the products of 1e200 overflow, so the statistic is inf; JSON has no token for it
-    with np.errstate(over="ignore"):
-        rep = autocorrelation_test([1e200] * 10)
-    assert rep.statistic == math.inf
+    # JSON has no token for inf
+    rep = validation.TestReport(test_name="autocorrelation", statistic=math.inf,
+                                critical_value=1.96, alpha=0.05, verdict="Rejected", sample_size=10)
     with pytest.raises(ValueError, match=r"^[^\n]*not JSON compliant[^\n]*$"):
         reports_to_json([rep])
 
@@ -415,13 +414,27 @@ def test_ks_signed_zeros_match_list_oracle(sample):
     _same_as_oracle("ks_test", sample, 0.05)
 
 
+# finite values outside [0, 1); -0.0 is inside it
+OUT_OF_RANGE = st.one_of(st.integers(-1000, -1), st.integers(1, 1000),
+                         st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False),
+                         st.floats(min_value=1.0, allow_nan=False, allow_infinity=False))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.integers(-1000, 1000), st.floats(-1e150, 1e150)), min_size=2, max_size=300),
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=15, max_size=300),
        st.integers(1, 5), st.integers(1, 5), st.data())
-def test_correlation_tests_match_list_oracle_on_any_finite_values(sample, start, lag, data):
-    # neither test range-checks its sample; |x * y| <= 1e300 keeps every sum finite
-    _same_as_oracle("autocorrelation_test", sample, start, lag)
-    _same_as_oracle("circular_correlation_test", sample, sample[::-1], data.draw(st.integers(0, len(sample) - 1)))
+def test_correlation_tests_refuse_out_of_range_values(sample, start, lag, data):
+    # the -0.25 centering assumes [0, 1): one value outside it, even one no
+    # product reads, is refused in one line
+    sample.insert(data.draw(st.integers(0, len(sample))), data.draw(OUT_OF_RANGE))
+    other = data.draw(st.permutations(sample))
+    refusal = r"^sample values span \[[^\n]*\], outside \[0, 1\)$"
+    with pytest.raises(ValueError, match=refusal):
+        autocorrelation_test(sample, start, lag)
+    with pytest.raises(ValueError, match=refusal):
+        circular_correlation_test(sample, other)
+    with pytest.raises(ValueError, match=refusal):
+        circular_correlation_test(sorted(other), sample, lag)
 
 
 @settings(max_examples=100, deadline=None)
