@@ -2,18 +2,16 @@
 
 Exit codes follow the CI gating contract: 0 when everything requested
 succeeded (and, for validate, every test is Satisfied), 2 when validation ran
-but at least one test is Rejected, 1 on any error. Output files are written
-via a temp file and atomic rename, so a crash never leaves a partial file.
+but at least one test is Rejected, 1 on any error. Every output file, the
+--out text of validate and report included, goes through generator.write_text:
+an error leaves no partial file and an existing one as it was.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 from . import __version__
@@ -28,7 +26,7 @@ from .deployment import (
     deployment_to_json,
     points_from_csv,
 )
-from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document
+from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document, write_text
 from .report import (
     batch_report,
     packet_diff_report,
@@ -71,42 +69,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write_via(path: str, writer) -> None:
-    """Run writer(tmp_path) next to path, then atomically rename over it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wsngen-")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    _atomic_write_via(path, writer)
-
-
 def _table_from(args) -> Sequence[float]:
     return load_table(args.constants_file) if args.constants_file else DEFAULT_TABLE
 
 
-def _parse_floats(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, convert, what: str) -> list:
+    vals = [convert(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
-        raise ValueError("expected a comma-separated list of numbers")
-    return vals
-
-
-def _parse_seeds(text: str) -> list[int]:
-    vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("expected a comma-separated list of seeds")
+        raise ValueError(f"expected a comma-separated list of {what}")
     return vals
 
 
@@ -175,7 +145,7 @@ def _cmd_deploy(args) -> int:
     dep = _generate_deployment(args)
     out = args.out or f"deployment.{args.format}"
     write = deployment_to_csv if args.format == "csv" else deployment_to_json
-    _atomic_write_via(out, lambda tmp: write(dep, tmp))
+    write(dep, out)
     print(
         "deploy: seed=%d a=%.6f c=%.6f mode=%s n=%d area=%g -> %s"
         % (dep.params.seed, dep.params.a, dep.params.c, dep.mode,
@@ -198,7 +168,7 @@ def _cmd_traffic(args) -> int:
     matrix = _TRAFFIC_BUILDERS[args.dist](args, _table_from(args))
     out = args.out or f"traffic.{args.format}"
     write = traffic_to_csv if args.format == "csv" else traffic_to_json
-    _atomic_write_via(out, lambda tmp: write(matrix, tmp))
+    write(matrix, out)
     print(
         "traffic: dist=%s n=%d slots=%d p=[%g, %g) -> %s"
         % (args.dist, matrix.node_count, matrix.slot_count,
@@ -212,7 +182,7 @@ def _cmd_analyze(args) -> int:
     graph = build_graph(dep, args.tr, args.epsilon)
     if args.out:
         write = graph_to_csv if args.format == "csv" else graph_to_json
-        _atomic_write_via(args.out, lambda tmp: write(graph, dep, tmp))
+        write(graph, dep, args.out)
     print(
         "analyze: n=%d tr=%g epsilon=%g edges=%d isolated=%d%s"
         % (dep.node_count, args.tr, args.epsilon, len(graph.edges),
@@ -226,7 +196,7 @@ def _cmd_validate(args) -> int:
     reports = run_suite(subject, _suite_config(args))
     body = reports_to_json(reports) + "\n" if args.format == "json" else reports_to_text(reports)
     if args.out:
-        _atomic_write_text(args.out, body)
+        write_text(args.out, [body])
     if args.format == "text" or not args.out:
         print(body, end="")
     return EXIT_OK if suite_satisfied(reports) else EXIT_REJECTED
@@ -243,8 +213,8 @@ def _cmd_report(args) -> int:
         text = render_packet_diff_text(result)
         payload = json.dumps(result, indent=2)
     else:
-        seeds = _parse_seeds(args.seeds) if args.seeds else list(ref.GOLDEN_SEEDS)
-        ranges = _parse_floats(args.tr)
+        seeds = list(ref.GOLDEN_SEEDS) if args.seeds is None else _parse_list(args.seeds, int, "seeds")
+        ranges = _parse_list(args.tr, float, "numbers")
         rows = batch_report(seeds, args.nodes, args.area, ranges,
                             config=config, table=_table_from(args),
                             epsilon=args.epsilon)
@@ -252,7 +222,7 @@ def _cmd_report(args) -> int:
         payload = render_report_json(rows, ranges)
     body = payload + "\n" if args.format == "json" else text
     if args.out:
-        _atomic_write_text(args.out, body)
+        write_text(args.out, [body])
         print(f"report: kind={args.kind} -> {args.out}")
     else:
         print(body, end="")

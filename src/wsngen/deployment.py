@@ -136,7 +136,7 @@ def deployment_to_csv(dep: Deployment, path) -> None:
               (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(dep.points, start=1)))
 
 
-def deployment_to_json(dep: Deployment, path=None) -> str:
+def deployment_to_json(dep: Deployment, path) -> None:
     from . import __version__
 
     meta = {
@@ -150,7 +150,7 @@ def deployment_to_json(dep: Deployment, path=None) -> str:
         "y_increment": dep.y_increment,
         "tool_version": __version__,
     }
-    return write_document(meta, {"points": dep.points}, path)
+    write_document(meta, {"points": dep.points}, path)
 
 
 def deployment_from_json(path) -> Deployment:

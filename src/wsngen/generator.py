@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -133,13 +134,27 @@ def _require_writable(rows: Sequence[Sequence[float]], what: str) -> None:
     require_finite(rows, f"cannot write {what}")
 
 
+def write_text(path, chunks) -> None:
+    """Write the str chunks to path as UTF-8 with no newline translation: into a
+    new temp file beside path, renamed over it once every chunk is written. The
+    temp file gets the mode open() would give; on any error it is removed, so
+    path keeps its old bytes or does not appear."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".wsngen-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(path, header: Sequence[str], rows, lines) -> None:
     """Write the header, then `lines`: the lines csv.writer would write for `rows`,
     which are refused before the file is opened (see _require_writable)."""
     _require_writable(rows, "CSV")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(lines)
+    write_text(path, chain((",".join(header) + "\r\n",), lines))
 
 
 def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
@@ -168,33 +183,40 @@ def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
     return values
 
 
-def write_document(meta: dict, data: dict, path=None) -> str:
-    """json.dumps({"meta": meta, **data}, indent=2), written with a final newline to path
-    if given. Each data value lists ints and floats, or equal-width rows of them,
-    checked by _require_writable before anything is written."""
-    # meta is small, so json.dumps lays it out, less its closing "\n}". Each array is
-    # joined once into one piece, and the pieces are freed before the file write
-    # encodes the text: that halves the peak memory of a large document.
-    parts = [json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]]
+# rows per joined piece of a JSON array: one piece per row costs more time,
+# one piece per array keeps the whole array's text in memory
+_BLOCK = 256
+# the opening, separator and closing of a JSON array of numbers, and of rows
+_LAYOUTS = (("[\n    ", ",\n    ", "\n  ]"), ("[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"))
+
+
+def write_document(meta: dict, data: dict, path) -> None:
+    """Write json.dumps({"meta": meta, **data}, indent=2) and a final newline to path.
+    Each data value lists ints and floats, or equal-width rows of them, checked by
+    _require_writable before the file is opened."""
+    # meta is small, so json.dumps lays it out, less its closing "\n}"
+    head = json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
     for key, rows in data.items():
-        nested = bool(rows) and isinstance(rows[0], (list, tuple))
-        _require_writable(rows if nested else tuple(zip(rows)), repr(key))
-        parts.append(f",\n  {json.dumps(key)}: ")
-        if not rows:
-            parts.append("[]")
-        elif nested:
-            parts += ["[\n    [\n      ",
-                      "\n    ],\n    [\n      ".join([",\n      ".join(map(repr, r)) for r in rows]),
-                      "\n    ]\n  ]"]
-        else:
-            parts += ["[\n    ", ",\n    ".join(map(repr, rows)), "\n  ]"]
-    parts.append("\n}")
-    text = "".join(parts)
-    del parts
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines((text, "\n"))
-    return text
+        _require_writable(rows if _nested(rows) else tuple(zip(rows)), repr(key))
+    write_text(path, _document_pieces(head, data))
+
+
+def _nested(rows) -> bool:
+    return bool(rows) and isinstance(rows[0], (list, tuple))
+
+
+def _document_pieces(head: str, data: dict):
+    """The text of a document: its meta head, then each array _BLOCK rows at a time."""
+    yield head
+    for key, rows in data.items():
+        nested = _nested(rows)
+        start, sep, end = _LAYOUTS[nested] if rows else ("[]", "", "")
+        yield f",\n  {json.dumps(key)}: {start}"
+        for i in range(0, len(rows), _BLOCK):
+            block = rows[i:i + _BLOCK]
+            yield sep.join([",\n      ".join(map(repr, r)) for r in block] if nested else map(repr, block))
+            yield sep if i + _BLOCK < len(rows) else end
+    yield "\n}\n"
 
 
 def read_document(path) -> dict:

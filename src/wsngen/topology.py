@@ -158,7 +158,7 @@ def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
               (f"{u},{v},{d!r}\r\n" for u, v, d in edges))
 
 
-def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
+def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
     """Graph document: meta, degree list and [u, v, distance] triples (1-based ids).
 
     The distances are the ones stored in the graph; ``deployment`` is not read.
@@ -171,7 +171,7 @@ def graph_to_json(graph: RadiusGraph, deployment, path=None) -> str:
         "edge_count": len(graph.edges),
         "isolated": isolated_count(graph),
     }
-    return write_document(meta, {"degrees": graph.degrees, "edges": _weighted_edges(graph)}, path)
+    write_document(meta, {"degrees": graph.degrees, "edges": _weighted_edges(graph)}, path)
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

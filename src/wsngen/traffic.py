@@ -196,7 +196,7 @@ def traffic_to_csv(matrix: TrafficMatrix, path) -> None:
               (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(matrix.values, start=1)))
 
 
-def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
+def traffic_to_json(matrix: TrafficMatrix, path) -> None:
     from . import __version__
 
     meta = {
@@ -212,7 +212,7 @@ def traffic_to_json(matrix: TrafficMatrix, path=None) -> str:
         "c": matrix.params.c,
         "tool_version": __version__,
     }
-    return write_document(meta, {"values": matrix.values}, path)
+    write_document(meta, {"values": matrix.values}, path)
 
 
 def traffic_from_json(path) -> TrafficMatrix:

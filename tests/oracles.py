@@ -341,13 +341,10 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_document(meta: dict, data: dict, path=None) -> str:
-    """JSON text of {"meta": meta, **data}, written with a final newline to path if given."""
-    text = json.dumps({"meta": meta, **data}, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def write_document(meta: dict, data: dict, path) -> None:
+    """Write the JSON text of {"meta": meta, **data} and a final newline to path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(json.dumps({"meta": meta, **data}, indent=2) + "\n")
 
 
 # --- the distance between two points ------------------------------------------

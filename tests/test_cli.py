@@ -505,3 +505,37 @@ def test_deeply_nested_constants_file_errors(tmp_path, capsys):
     assert main(["deploy", "--constants-file", str(table), "--out", str(out)]) == EXIT_ERROR
     assert "nested too deeply" in _single_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [table]
+
+
+def test_output_files_get_the_mode_open_gives(tmp_path, capsys):
+    # the temp file used to come from mkstemp, whose 0600 mode the rename kept
+    with open(tmp_path / "plain", "w"):
+        pass
+    plain = os.stat(tmp_path / "plain").st_mode
+    runs = [("dep.csv", ["deploy"]), ("dep.json", ["deploy", "--format", "json"]),
+            ("edges.csv", ["analyze"]), ("report.txt", ["validate"]),
+            ("batch.txt", ["report", "--seeds", "0", "--tr", "10"])]
+    for name, argv in runs:
+        assert main(argv + ["--out", str(tmp_path / name)]) in (EXIT_OK, EXIT_REJECTED)
+    capsys.readouterr()
+    wsngen.traffic_to_csv(wsngen.traffic_uniform(4, 2, 2.0, 10.0), tmp_path / "lib.csv")
+    for name in [name for name, _ in runs] + ["lib.csv"]:
+        assert os.stat(tmp_path / name).st_mode == plain, name
+
+
+@pytest.mark.parametrize("command", [["deploy"], ["traffic", "--format", "json"], ["validate"],
+                                     ["report", "--seeds", "0", "--tr", "10"]])
+def test_output_onto_a_directory_errors(command, tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(command + ["--out", str(target)]) == EXIT_ERROR
+    _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--seeds", ""], ["--seeds", " , "], ["--tr", ""]])
+def test_report_empty_list_errors(argv, capsys):
+    # --seeds "" used to report the 20 recorded seeds
+    assert main(["report"] + argv) == EXIT_ERROR
+    assert "expected a comma-separated list" in _single_error_line(capsys.readouterr().err)

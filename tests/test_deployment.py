@@ -126,8 +126,7 @@ def test_json_round_trip(tmp_path):
     assert back.points == dep.points
     assert back.mode == "grid"
     assert back.area == 100.0
-    text = deployment_to_json(dep)
-    assert '"kind": "deployment"' in text
+    assert '"kind": "deployment"' in path.read_text()
 
 
 def test_base_quadrant_matches_nongrid_at_half_area():

@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -115,13 +115,13 @@ def test_csv_export_one_based(tmp_path):
 def test_json_export(tmp_path):
     g = build_graph(TRIANGLE, 3.0)
     path = tmp_path / "graph.json"
-    text = graph_to_json(g, TRIANGLE, path)
-    doc = json.loads(text)
+    assert graph_to_json(g, TRIANGLE, path) is None
+    doc = json.loads(path.read_text())
     assert doc["meta"]["kind"] == "radius-graph"
     assert doc["meta"]["edge_count"] == 1
     assert doc["meta"]["isolated"] == 1
     assert doc["edges"] == [[1, 2, 3.0]]
-    assert json.loads(path.read_text()) == doc
+    assert path.read_bytes().endswith(b"\n  ]\n}\n")
 
 
 def test_frozen_seed_0_analysis():
@@ -164,9 +164,9 @@ def _adversarial_points(draw):
     return tuple(map(tuple, pts.tolist())), tr, epsilon
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_adversarial_points())
-def test_cell_list_matches_row_wise_brute_force(case):
+def test_cell_list_matches_row_wise_brute_force(tmp_path, case):
     pts, tr, epsilon = case
     brute = _brute_force_edges(pts, tr + epsilon)
     g = build_graph(pts, tr, epsilon)
@@ -180,7 +180,8 @@ def test_cell_list_matches_row_wise_brute_force(case):
         degrees[u] += 1
         degrees[v] += 1
     assert g.degrees == tuple(degrees)
-    doc = json.loads(graph_to_json(g, pts))
+    graph_to_json(g, pts, tmp_path / "graph.json")
+    doc = json.loads((tmp_path / "graph.json").read_text())
     assert doc["edges"] == [[u + 1, v + 1, brute[(u, v)]] for u, v in sorted(brute)]
 
 
