@@ -5,7 +5,15 @@ lay out nodes on a square field (grid or non-grid), fill per-node traffic
 matrices (uniform or exponential), run the uniformity test battery, and
 analyze connectivity of the induced radius graph.  Every artifact is a
 pure function of its seed and parameters.
+
+Only the battery, the radius graph and the reports need numpy. Their names,
+and the modules ``validation``, ``topology`` and ``report``, are loaded on
+first access, so generating and writing a dataset never imports it.
 """
+
+import importlib
+
+__version__ = "0.1.0"
 
 from .generator import (
     DEFAULT_TABLE,
@@ -36,37 +44,39 @@ from .traffic import (
     traffic_to_json,
     traffic_uniform,
 )
-from .validation import (
-    SuiteConfig,
-    TestReport,
-    aggregate_verdicts,
-    autocorrelation_test,
-    chi2_test,
-    circular_correlation_test,
-    ks_test,
-    normalize,
-    reports_to_json,
-    reports_to_text,
-    run_suite,
-    suite_satisfied,
-)
-from .topology import (
-    RadiusGraph,
-    build_graph,
-    graph_to_csv,
-    graph_to_json,
-    isolated_by_range,
-    isolated_count,
-)
-from .report import (
-    batch_report,
-    batch_row,
-    packet_diff_report,
-    reconstruct_reference_chain,
-    reference_agreement_report,
-)
 
-__version__ = "0.1.0"
+_LAZY = {
+    "validation": (
+        "SuiteConfig",
+        "TestReport",
+        "aggregate_verdicts",
+        "autocorrelation_test",
+        "chi2_test",
+        "circular_correlation_test",
+        "ks_test",
+        "normalize",
+        "reports_to_json",
+        "reports_to_text",
+        "run_suite",
+        "suite_satisfied",
+    ),
+    "topology": (
+        "RadiusGraph",
+        "build_graph",
+        "graph_to_csv",
+        "graph_to_json",
+        "isolated_by_range",
+        "isolated_count",
+    ),
+    "report": (
+        "batch_report",
+        "batch_row",
+        "packet_diff_report",
+        "reconstruct_reference_chain",
+        "reference_agreement_report",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "DEFAULT_TABLE",
@@ -92,28 +102,23 @@ __all__ = [
     "traffic_to_csv",
     "traffic_to_json",
     "traffic_uniform",
-    "SuiteConfig",
-    "TestReport",
-    "aggregate_verdicts",
-    "autocorrelation_test",
-    "chi2_test",
-    "circular_correlation_test",
-    "ks_test",
-    "normalize",
-    "reports_to_json",
-    "reports_to_text",
-    "run_suite",
-    "suite_satisfied",
-    "RadiusGraph",
-    "build_graph",
-    "graph_to_csv",
-    "graph_to_json",
-    "isolated_by_range",
-    "isolated_count",
-    "batch_report",
-    "batch_row",
-    "packet_diff_report",
-    "reconstruct_reference_chain",
-    "reference_agreement_report",
+    *_OWNER,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import a lazy module, or the module defining a lazy name, and keep the
+    result in the package globals so later lookups skip this function."""
+    module = name if name in _LAZY else _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

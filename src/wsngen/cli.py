@@ -5,6 +5,9 @@ succeeded (and, for validate, every test is Satisfied), 2 when validation ran
 but at least one test is Rejected, 1 on any error. Every output file, the
 --out text of validate and report included, goes through generator.write_text:
 an error leaves no partial file and an existing one as it was.
+
+Only analyze, validate and report need numpy: each imports the modules it
+runs inside its own function, so deploy and traffic start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from . import _reference as ref
 from .deployment import (
     Deployment,
     _check_args,
@@ -27,16 +29,6 @@ from .deployment import (
     points_from_csv,
 )
 from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document, write_text
-from .report import (
-    batch_report,
-    packet_diff_report,
-    reference_agreement_report,
-    render_agreement_text,
-    render_packet_diff_text,
-    render_report_json,
-    render_report_text,
-)
-from .topology import build_graph, graph_to_csv, graph_to_json, isolated_count
 from .traffic import (
     TrafficMatrix,
     _check_traffic_args,
@@ -47,13 +39,6 @@ from .traffic import (
     traffic_to_csv,
     traffic_to_json,
     traffic_uniform,
-)
-from .validation import (
-    SuiteConfig,
-    reports_to_json,
-    reports_to_text,
-    run_suite,
-    suite_satisfied,
 )
 
 EXIT_OK = 0
@@ -127,7 +112,9 @@ def _load_input(args, kinds: Sequence[str]):
                          distribution="uniform", params=params)
 
 
-def _suite_config(args) -> SuiteConfig:
+def _suite_config(args):
+    from .validation import SuiteConfig
+
     return SuiteConfig(
         alpha_ks=args.alpha_ks,
         alpha_chi2=args.alpha_chi2,
@@ -178,6 +165,8 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .topology import build_graph, graph_to_csv, graph_to_json, isolated_count
+
     dep = _load_input(args, ("deployment",))
     graph = build_graph(dep, args.tr, args.epsilon)
     if args.out:
@@ -192,6 +181,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import reports_to_json, reports_to_text, run_suite, suite_satisfied
+
     subject = _load_input(args, ("deployment", "traffic"))
     reports = run_suite(subject, _suite_config(args))
     body = reports_to_json(reports) + "\n" if args.format == "json" else reports_to_text(reports)
@@ -203,6 +194,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import _reference as ref
+    from .report import (
+        batch_report,
+        packet_diff_report,
+        reference_agreement_report,
+        render_agreement_text,
+        render_packet_diff_text,
+        render_report_json,
+        render_report_text,
+    )
+
     config = _suite_config(args)
     if args.kind == "agreement":
         result = reference_agreement_report(config=config)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import __version__
 from .generator import (
     DEFAULT_TABLE,
     GeneratorParams,
@@ -137,8 +138,6 @@ def deployment_to_csv(dep: Deployment, path) -> None:
 
 
 def deployment_to_json(dep: Deployment, path) -> None:
-    from . import __version__
-
     meta = {
         "kind": "deployment",
         "seed": dep.params.seed,

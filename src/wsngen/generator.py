@@ -138,16 +138,22 @@ def write_text(path, chunks) -> None:
     """Write the str chunks to path as UTF-8 with no newline translation: into a
     new temp file beside path, renamed over it once every chunk is written. The
     temp file gets the mode open() would give; on any error it is removed, so
-    path keeps its old bytes or does not appear."""
+    path keeps its old bytes or does not appear. An OSError on the temp file is
+    raised again naming path, the file the caller knows."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".wsngen-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline="", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def write_csv(path, header: Sequence[str], rows, lines) -> None:

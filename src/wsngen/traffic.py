@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import __version__
 from .generator import (
     DEFAULT_TABLE,
     GeneratorParams,
@@ -197,8 +198,6 @@ def traffic_to_csv(matrix: TrafficMatrix, path) -> None:
 
 
 def traffic_to_json(matrix: TrafficMatrix, path) -> None:
-    from . import __version__
-
     meta = {
         "kind": "traffic",
         "distribution": matrix.distribution,

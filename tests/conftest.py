@@ -1,6 +1,13 @@
-"""Terminal summary: one line per acceptance criterion after the run."""
+"""Terminal summary: one line per acceptance criterion after the run, and
+the fresh_python fixture for checks that need a new interpreter."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 CRITERIA = {
     1: "constant derivation reproduces all 20 recorded (a, c) pairs at 6 d.p.",
@@ -33,3 +40,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             "criterion %d: %s - %s" % (num, results[num], CRITERIA.get(num, ""))
         )
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter that imports this wsngen; return its
+    stripped stderr, the script having exited 0."""
+    import wsngen
+
+    src = str(Path(wsngen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(script: str, cwd=None) -> str:
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.strip()
+
+    return run

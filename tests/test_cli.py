@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -252,20 +250,30 @@ def test_validate_classes_beyond_table_errors(capsys):
     assert "2..101" in err
 
 
-def test_cli_import_and_validate_load_no_scipy():
+def test_cli_import_and_validate_load_no_scipy(fresh_python):
     # scipy costs most of a cold start; only the tests may import it
     script = (
         "import sys, wsngen, wsngen.cli\n"
         "wsngen.cli.main(['validate', '--seed', '1', '--format', 'json'])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)\n"
     )
-    src = str(Path(wsngen.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "[]"
+    assert fresh_python(script) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["deploy"],
+    ["deploy", "--format", "json"],
+    ["traffic"],
+    ["traffic", "--format", "json", "--dist", "exp-transform"],
+], ids=["import", "deploy-csv", "deploy-json", "traffic-csv", "traffic-json"])
+def test_import_deploy_and_traffic_leave_numpy_unloaded(argv, fresh_python, tmp_path):
+    # numpy was about half of a cold deploy or traffic, which never use it
+    run = "import wsngen\n" if argv is None else f"import wsngen.cli\nassert wsngen.cli.main({argv!r}) == 0\n"
+    script = "import sys\n" + run + "print('numpy' in sys.modules, file=sys.stderr)\n"
+    assert fresh_python(script, cwd=tmp_path) == "False"
+    if argv is not None:
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -529,9 +537,19 @@ def test_output_onto_a_directory_errors(command, tmp_path, capsys):
     target = tmp_path / "taken"
     target.mkdir()
     assert main(command + ["--out", str(target)]) == EXIT_ERROR
-    _single_error_line(capsys.readouterr().err)
+    # the message names the output, not the temp file beside it
+    assert _single_error_line(capsys.readouterr().err).endswith(f"Is a directory: {str(target)!r}\n")
     assert list(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["deploy"], ["traffic", "--format", "json"], ["validate"]])
+def test_output_into_a_missing_directory_errors(command, tmp_path, capsys):
+    target = tmp_path / "nodir" / "out"
+    assert main(command + ["--out", str(target)]) == EXIT_ERROR
+    assert _single_error_line(capsys.readouterr().err).endswith(
+        f"No such file or directory: {str(target)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--seeds", ""], ["--seeds", " , "], ["--tr", ""]])
@@ -539,3 +557,4 @@ def test_report_empty_list_errors(argv, capsys):
     # --seeds "" used to report the 20 recorded seeds
     assert main(["report"] + argv) == EXIT_ERROR
     assert "expected a comma-separated list" in _single_error_line(capsys.readouterr().err)
+
