@@ -454,9 +454,9 @@ def reports_to_text(reports: Sequence[TestReport]) -> str:
         )
     verdicts = aggregate_verdicts(reports)
     lines.append("")
-    lines.append(f"{'KS-Test':<12}{'Chi2Test':<12}{'Autocorrelation Test':<22}{'Circular':<10}")
+    lines.append(f"{'KS-Test':<12}{'Chi2Test':<12}{'Autocorrelation Test':<22}Circular")
     lines.append(
         f"{verdicts.get('ks', '-'):<12}{verdicts.get('chi2', '-'):<12}"
-        f"{verdicts.get('autocorrelation', '-'):<22}{verdicts.get('circular', '-'):<10}"
+        f"{verdicts.get('autocorrelation', '-'):<22}{verdicts.get('circular', '-')}"
     )
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"

@@ -86,9 +86,9 @@ VALIDATE_SUBJECTS = {
 }
 VALIDATE_CASES = [
     ("deployment", "json", 2, "3ecfef07923402ef5f0cb7e0bc5ccf74a53ea0087add5f10d6f114a9fe693f00"),
-    ("deployment", "text", 2, "6da248a05093f5d4db255f8b8eef177d64b7b8c98f3b41d03fecd7490f1191d6"),
+    ("deployment", "text", 2, "b221ea72da4da509a63dcd0a352c8074a9bc1a67c5de1fb0526a658f8d42275c"),
     ("traffic", "json", 0, "f904a23a912117abd31faa3a0c29342ec9d766daa10e1df64ee72b5b556861da"),
-    ("traffic", "text", 0, "fb7cedf384eae0aaf09bb49a0d883a2c8c8142028e1615255d22d135cd1abc8c"),
+    ("traffic", "text", 0, "1b69062f1dfa0c642bf06f1511e11a69bc942f85ec973796a7089664d47d83f4"),
 ]
 
 

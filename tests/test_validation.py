@@ -294,6 +294,9 @@ def test_reports_serialize():
     assert "Chi2Test" in text
     assert "Autocorrelation Test" in text
     assert text.count("\n") >= len(reports)
+    # printed or written, the report ends its last line and pads none
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert all(line == line.rstrip() for line in text.split("\n"))
 
 
 def test_reports_to_json_refuses_an_infinite_statistic():
