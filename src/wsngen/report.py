@@ -212,19 +212,13 @@ def render_agreement_text(result: dict) -> str:
     lines.append("")
     lines.append("constants matched        %d/%d" % (t["constants"]["matched"], t["constants"]["of"]))
     lines.append("isolated cells matched   %d/%d" % (t["isolated_cells"]["matched"], t["isolated_cells"]["of"]))
-    for test in ("ks", "chi2", "autocorrelation"):
+    for test in VERDICT_TESTS:
         k = "%s_verdicts" % test
         lines.append("%-24s %d/%d" % (test + " verdicts matched", t[k]["matched"], t[k]["of"]))
     return "\n".join(lines) + "\n"
 
 
-def reconstruct_reference_chain(
-    p_min: float = ref.REFERENCE_P_MIN,
-    p_max: float = ref.REFERENCE_P_MAX,
-    count: int = ref.REFERENCE_TRAFFIC_NODES * ref.REFERENCE_TRAFFIC_SLOTS,
-    *,
-    table: Sequence[float] = EXTENDED_TABLE,
-) -> tuple[list[float], list[float]]:
+def reconstruct_reference_chain() -> tuple[list[float], list[float]]:
     """Best reconstruction found for the recorded packet matrices.
 
     Neither packaged generator reproduces them cell for cell.  A search over
@@ -240,11 +234,14 @@ def reconstruct_reference_chain(
     15-cell (uniform) / 18-cell (exponential) prefix at printed precision,
     then drifts: the map amplifies float error by ~a per step, so agreement
     beyond a short prefix would need the bit-exact constants of the original
-    run.  Returns (uniform_cells, exponential_cells), flattened row-major.
+    run.  Returns (uniform_cells, exponential_cells) for the 80 x 5 recorded
+    cells, flattened row-major.
     """
+    p_min, p_max = ref.REFERENCE_P_MIN, ref.REFERENCE_P_MAX
+    count = ref.REFERENCE_TRAFFIC_NODES * ref.REFERENCE_TRAFFIC_SLOTS
     span = p_max - p_min
-    a, c = derive_constants(int(p_min), table)
-    x0 = derive_constants(int(p_max), table)[0]
+    a, c = derive_constants(int(p_min), EXTENDED_TABLE)
+    x0 = derive_constants(int(p_max), EXTENDED_TABLE)[0]
     chain = stream(x0, a, c, span, count + 1, offset=p_min)
     uniform = chain[1:count + 1]
     exponential = [exp_entry_from_uniform(y, p_min, p_max, 1.0) for y in chain[:count]]
@@ -295,7 +292,7 @@ def packet_diff_report() -> dict:
     uniform = traffic_uniform(n, t, p1, p2)
     exp_transform = traffic_exponential_transform(n, t, p1, p2)
     exp_recurrence = traffic_exponential_recurrence(n, t, p1, p2)
-    recon_uniform, recon_exp = reconstruct_reference_chain(p1, p2, n * t)
+    recon_uniform, recon_exp = reconstruct_reference_chain()
     entries = [
         _diff_entry("uniform", uniform.flatten(), ref.REFERENCE_UNIFORM, p1, p2),
         _diff_entry("exponential-transform", exp_transform.flatten(), ref.REFERENCE_EXPONENTIAL, p1, p2),

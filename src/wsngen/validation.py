@@ -1,4 +1,4 @@
-"""Statistical test suite: KS, chi-square, lagged and circular autocorrelation.
+"""Statistical test suite: KS, chi-square, lag-1 autocorrelation, circular correlation.
 
 Verdict vocabulary is Satisfied/Rejected. A test is Satisfied when its
 statistic does not exceed the critical value at the chosen alpha. Alphas are
@@ -6,11 +6,14 @@ restricted to {0.001, 0.01, 0.05} because critical values are table-backed;
 the chi-square table covers nu = 1..100 degrees of freedom, so --classes is
 limited to 2..101.
 
-The autocorrelation sigma is the "ratio" form sqrt((13M+7) / (12(M+1))), with
-the whole fraction under the root. Since rho_hat is bounded in [-0.25, 0.75]
-and this sigma never drops below sqrt(20/24), |Z0| cannot exceed 0.822, so
-the test never rejects at the supported alphas. The bundled golden verdicts
-were produced with this form, which is why it is the one kept.
+The autocorrelation is lag 1 over the whole stream, and the circular test
+pairs x[k] with y[k]. The autocorrelation sigma is the "ratio" form
+sqrt((13M+7) / (12(M+1))), with the whole fraction under the root. Since
+rho_hat is bounded in [-0.25, 0.75] and this sigma never drops below
+sqrt(20/24), |Z0| cannot exceed 0.822, so the test never rejects at the
+supported alphas; the circular sigma, the same form in N, is at least
+sqrt(33/36), so its |Z0| stays below 0.784. The bundled golden verdicts were
+produced with this form, which is why it is the one kept.
 
 Each stream is one float64 array. Every float sum that reaches a statistic
 is the last element of np.cumsum, which adds left to right: np.sum pairs
@@ -26,6 +29,9 @@ from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .deployment import Deployment
+from .traffic import TrafficMatrix
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
 
@@ -179,7 +185,7 @@ def _require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
 
 
-def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = math.inf) -> np.ndarray:
+def _finite(sample: Sequence[float], lower: float, upper: float) -> np.ndarray:
     """The sample as a float64 array, checked to be finite and to lie in [lower, upper)."""
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or not arr.size:
@@ -199,17 +205,6 @@ def normalize(sample: Sequence[float], lower: float, upper: float) -> np.ndarray
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
     return (_finite(sample, lower, upper) - lower) / span
-
-
-def subsample(sample: Sequence, index: int) -> Sequence:
-    """Contiguous quarter of the sample, as a slice; the last quarter absorbs any remainder."""
-    n = len(sample)
-    if n < 4:
-        raise ValueError("sample must hold at least 4 elements")
-    if not 0 <= index <= 3:
-        raise ValueError("index must be in 0..3")
-    q = n // 4
-    return sample[index * q:(index + 1) * q if index < 3 else n]
 
 
 def ks_critical_value(n: int, alpha: float) -> float:
@@ -294,49 +289,43 @@ def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) 
     )
 
 
-def autocorrelation_test(
-    sample: Sequence[float], start: int = 1, lag: int = 1, alpha: float = 0.01
-) -> TestReport:
-    """Lagged autocorrelation test. start is 1-based.
+def autocorrelation_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
+    """Lag-1 autocorrelation over the whole sample.
 
-    M is the largest integer with start + (M+1)*lag <= N. The product pairs
-    elements at positions start + k*lag and start + (k+1)*lag for k = 0..M:
+    With M = N - 2, every neighbouring pair R[k], R[k+1] for k = 0..M enters:
 
-        rho_hat = (1/(M+1)) * sum_k R[start+k*lag] * R[start+(k+1)*lag] - 0.25
+        rho_hat = (1/(M+1)) * sum_k R[k] * R[k+1] - 0.25
 
     Z0 = rho_hat / sigma with sigma = sqrt((13M+7) / (12(M+1))); two-sided
     verdict on |Z0|. The -0.25 centering assumes a sample in [0, 1).
     """
     n = len(sample)
-    if start < 1 or lag < 1:
-        raise ValueError("start and lag must be >= 1")
-    m = (n - start) // lag - 1
+    m = n - 2
     if m < 1:
-        raise ValueError(f"sequence too short for start={start}, lag={lag}")
+        raise ValueError(f"autocorrelation needs at least 3 values, got {n}")
     _require_alpha(alpha)
-    pairs = _finite(sample, 0, 1)[start - 1::lag][:m + 2]
+    arr = _finite(sample, 0, 1)
     # cumsum accumulates in index order, so the sum runs left to right
-    rho = np.cumsum(pairs[:-1] * pairs[1:])[-1].item() / (m + 1) - 0.25
+    rho = np.cumsum(arr[:-1] * arr[1:])[-1].item() / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
     statistic = abs(z0)
-    # "sigma_form" names the one form left, so the report JSON keeps its keys
+    # "start", "lag" and "sigma_form" name the one setting left, so the
+    # report JSON keeps its keys
     return TestReport(
         test_name="autocorrelation", statistic=statistic,
         critical_value=crit, alpha=alpha,
         verdict=_verdict(statistic, crit), sample_size=n,
         details={"rho": rho, "sigma": sigma, "Z0": z0, "M": m,
-                 "start": start, "lag": lag, "sigma_form": "ratio"},
+                 "start": 1, "lag": 1, "sigma_form": "ratio"},
     )
 
 
-def circular_correlation_test(
-    x: Sequence[float], y: Sequence[float], lag: int = 0, alpha: float = 0.001
-) -> TestReport:
-    """Circular cross-correlation with indices wrapped modulo N.
+def circular_correlation_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.001) -> TestReport:
+    """Cross-correlation of two equal-length samples, x[k] paired with y[k].
 
-    rho_hat = (1/N) * sum_k x[k] * y[(k-lag) mod N] - 0.25, with
+    rho_hat = (1/N) * sum_k x[k] * y[k] - 0.25, with
     sigma = sqrt((13N+7)/(12(N+1))) and a two-sided verdict on |Z0|. The
     -0.25 centering mirrors the linear test, so a true-uniform pair in [0, 1)
     scores near zero. For deployments, pass the normalized X and Y coordinate
@@ -347,11 +336,9 @@ def circular_correlation_test(
         raise ValueError("x and y must have equal length")
     if n < 2:
         raise ValueError("need at least 2 values")
-    if not 0 <= lag < n:
-        raise ValueError("lag must satisfy 0 <= lag < N")
     _require_alpha(alpha)
-    # np.roll(y, lag)[k] is y[(k - lag) mod N]; cumsum sums left to right
-    rho = np.cumsum(_finite(x, 0, 1) * np.roll(_finite(y, 0, 1), lag))[-1].item() / n - 0.25
+    # cumsum sums left to right
+    rho = np.cumsum(_finite(x, 0, 1) * _finite(y, 0, 1))[-1].item() / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
@@ -359,7 +346,7 @@ def circular_correlation_test(
     return TestReport(
         test_name="circular", statistic=statistic, critical_value=crit,
         alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
-        details={"rho": rho, "sigma": sigma, "Z0": z0, "lag": lag},
+        details={"rho": rho, "sigma": sigma, "Z0": z0, "lag": 0},
     )
 
 
@@ -374,10 +361,6 @@ class SuiteConfig:
 
 def _suite_streams(data):
     """Resolve input data to named unit-interval streams plus a circular pair."""
-    # imported here to avoid import cycles
-    from .deployment import Deployment
-    from .traffic import TrafficMatrix
-
     if isinstance(data, Deployment):
         coords = np.fromiter(chain.from_iterable(data.points), float)
         nx = normalize(coords[0::2], 0.0, data.area)
@@ -404,8 +387,13 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     streams, circular_pair = _suite_streams(data)
     reports: list[TestReport] = []
     for name, vals in streams.items():
-        # KS ignores order; with sorted quarters, the full sample's sort is a merge
-        quarters = [np.array(sorted(subsample(vals, i).tolist())) for i in range(4)]
+        n = len(vals)
+        if n < 4:
+            raise ValueError("sample must hold at least 4 elements")
+        # four contiguous quarters, the last taking the remainder; KS ignores
+        # order, and with sorted quarters the full sample's sort is a merge
+        cuts = [i * (n // 4) for i in range(4)] + [n]
+        quarters = [np.array(sorted(vals[lo:hi].tolist())) for lo, hi in zip(cuts, cuts[1:])]
         parts = [(f"quarter-{i}", q) for i, q in enumerate(quarters)]
         parts.append(("full", np.concatenate(quarters)))
         for part_name, part in parts:

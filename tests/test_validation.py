@@ -33,7 +33,6 @@ from wsngen.validation import (
     reports_to_json,
     reports_to_text,
     run_suite,
-    subsample,
     suite_satisfied,
 )
 
@@ -142,7 +141,7 @@ def test_chi2_critical_value_outside_table_raises(nu):
 
 def test_autocorrelation_small_sample_details():
     sample = [0.3, 0.7, 0.1, 0.9, 0.5, 0.2]
-    rep = autocorrelation_test(sample, start=1, lag=1, alpha=0.05)
+    rep = autocorrelation_test(sample, alpha=0.05)
     assert rep.details["M"] == 4
     assert rep.details["sigma"] == math.sqrt(59 / 60)
     prods = [0.3 * 0.7, 0.7 * 0.1, 0.1 * 0.9, 0.9 * 0.5, 0.5 * 0.2]
@@ -151,39 +150,39 @@ def test_autocorrelation_small_sample_details():
     assert rep.statistic == abs(rho / math.sqrt(59 / 60))
 
 
-def test_autocorrelation_ratio_form_never_rejects():
-    # |rho| <= 0.75 while the ratio sigma never drops below sqrt(20/24), so
-    # |Z0| <= 0.822 < 1.96: structurally Satisfied at every supported alpha
-    rng = random.Random(77)
-    for _ in range(50):
-        n = rng.randint(10, 400)
-        sample = [rng.random() for _ in range(n)]
-        for alpha in (0.05, 0.01, 0.001):
-            rep = autocorrelation_test(sample, alpha=alpha)
+UNIT_VALUES = st.one_of(st.sampled_from((0.0, math.nextafter(1.0, 0.0))),
+                       st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(UNIT_VALUES, min_size=2, max_size=400), st.data())
+def test_autocorrelation_ratio_form_never_rejects(sample, data):
+    # rho lies in [-0.25, 0.75) on [0, 1) and the ratio sigma is smallest at
+    # the shortest sample: sqrt(20/24) at M = 1 for the autocorrelation and
+    # sqrt(33/36) at N = 2 for the circular test, so |Z0| stays below
+    # 0.75 / sigma (0.82158 and 0.78335) and below every critical value
+    other = data.draw(st.lists(UNIT_VALUES, min_size=len(sample), max_size=len(sample)))
+    tests = [(circular_correlation_test, (sample, other), 0.7834)]
+    if len(sample) >= 3:
+        tests.append((autocorrelation_test, (sample,), 0.822))
+    for test, samples, bound in tests:
+        for alpha in SUPPORTED_ALPHAS:
+            rep = test(*samples, alpha)
+            assert rep.statistic <= bound
+            assert rep.statistic < min(Z_TWO_SIDED.values())
             assert rep.verdict == "Satisfied"
-            assert rep.statistic <= 0.822
-
-
-def test_autocorrelation_lag_and_start():
-    sample = [0.1 * (k % 10) for k in range(40)]
-    rep = autocorrelation_test(sample, start=3, lag=5, alpha=0.05)
-    assert rep.details["M"] == (40 - 3) // 5 - 1
-    assert rep.details["start"] == 3
-    assert rep.details["lag"] == 5
 
 
 def test_autocorrelation_too_short():
-    with pytest.raises(ValueError):
-        autocorrelation_test([0.5, 0.5], start=1, lag=1)
-    with pytest.raises(ValueError):
-        autocorrelation_test([0.5] * 10, start=0, lag=1)
+    with pytest.raises(ValueError, match=r"^autocorrelation needs at least 3 values, got 2$"):
+        autocorrelation_test([0.5, 0.5])
 
 
 # --- circular -----------------------------------------------------------------
 
 def test_circular_constant_half_scores_zero():
     x = [0.5] * 16
-    rep = circular_correlation_test(x, x, lag=0, alpha=0.001)
+    rep = circular_correlation_test(x, x, alpha=0.001)
     assert rep.details["rho"] == 0.0
     assert rep.statistic == 0.0
     assert rep.verdict == "Satisfied"
@@ -191,14 +190,13 @@ def test_circular_constant_half_scores_zero():
 
 def test_circular_matches_brute_convolution():
     rng = random.Random(99)
-    for lag in (0, 1, 5, 11):
-        x = [rng.random() for _ in range(24)]
-        y = [rng.random() for _ in range(24)]
-        rep = circular_correlation_test(x, y, lag=lag, alpha=0.001)
-        rolled = np.roll(np.asarray(y), lag)
-        expect = float(np.dot(np.asarray(x), rolled) / 24 - 0.25)
-        assert abs(rep.details["rho"] - expect) <= 1e-12
-        assert rep.details["sigma"] == math.sqrt((13 * 24 + 7) / (12 * 25))
+    x = [rng.random() for _ in range(24)]
+    y = [rng.random() for _ in range(24)]
+    rep = circular_correlation_test(x, y, alpha=0.001)
+    expect = float(np.dot(np.asarray(x), np.asarray(y)) / 24 - 0.25)
+    assert abs(rep.details["rho"] - expect) <= 1e-12
+    assert rep.details["sigma"] == math.sqrt((13 * 24 + 7) / (12 * 25))
+    assert rep.details["lag"] == 0
 
 
 def test_circular_argument_validation():
@@ -206,8 +204,6 @@ def test_circular_argument_validation():
         circular_correlation_test([0.5] * 4, [0.5] * 5)
     with pytest.raises(ValueError):
         circular_correlation_test([0.5], [0.5])
-    with pytest.raises(ValueError):
-        circular_correlation_test([0.5] * 4, [0.5] * 4, lag=4)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -228,17 +224,6 @@ def test_normalize_rejects_non_finite_bounds(lower, upper):
     # an infinite span used to map every value to 0.0
     with pytest.raises(ValueError, match="bounds must be finite"):
         normalize([0.5], lower, upper)
-
-
-def test_subsample_partitions_sample():
-    sample = list(range(10))
-    pieces = [subsample(sample, i) for i in range(4)]
-    assert [len(p) for p in pieces] == [2, 2, 2, 4]
-    assert [v for p in pieces for v in p] == sample
-    with pytest.raises(ValueError):
-        subsample([1, 2, 3], 0)
-    with pytest.raises(ValueError):
-        subsample(sample, 4)
 
 
 # --- suite --------------------------------------------------------------------
@@ -333,8 +318,7 @@ def test_chi2_rejects_non_finite(bad):
 @NON_FINITE
 def test_autocorrelation_rejects_non_finite(bad):
     _raises_one_line(autocorrelation_test, [bad] * 10)
-    # also a value that no product of the chosen start and lag reads
-    _raises_one_line(autocorrelation_test, [bad] + [0.5] * 9, 2, 2)
+    _raises_one_line(autocorrelation_test, [0.5] * 9 + [bad])
 
 
 @NON_FINITE
@@ -393,15 +377,17 @@ def _same_as_oracle(name, *args, **kwargs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(unit_samples(), st.integers(2, 12), st.integers(1, 7), st.integers(1, 7),
-       st.sampled_from(SUPPORTED_ALPHAS), st.data())
-def test_battery_matches_list_oracle_on_drawn_samples(sample, classes, start, lag, alpha, data):
+@given(unit_samples(), st.integers(2, 12), st.sampled_from(SUPPORTED_ALPHAS), st.data())
+def test_battery_matches_list_oracle_on_drawn_samples(sample, classes, alpha, data):
     other = data.draw(st.permutations(sample))
-    circular_lag = data.draw(st.integers(0, len(sample) - 1))
     _same_as_oracle("ks_test", sample, alpha)
     _same_as_oracle("chi2_test", sample, classes, alpha)
-    _same_as_oracle("autocorrelation_test", sample, start, lag, alpha)
-    _same_as_oracle("circular_correlation_test", sample, other, circular_lag, alpha)
+    # the oracle keeps the general start, lag and circular lag; the product
+    # runs start 1, lag 1 and circular lag 0
+    assert (_outcome(validation, "autocorrelation_test", sample, alpha)
+            == _outcome(oracles, "autocorrelation_test", sample, 1, 1, alpha))
+    assert (_outcome(validation, "circular_correlation_test", sample, other, alpha)
+            == _outcome(oracles, "circular_correlation_test", sample, other, 0, alpha))
     _same_as_oracle("run_suite", sample, SuiteConfig(alpha, alpha, alpha, alpha, classes))
 
 
@@ -425,19 +411,18 @@ OUT_OF_RANGE = st.one_of(st.integers(-1000, -1), st.integers(1, 1000),
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=15, max_size=300),
-       st.integers(1, 5), st.integers(1, 5), st.data())
-def test_correlation_tests_refuse_out_of_range_values(sample, start, lag, data):
-    # the -0.25 centering assumes [0, 1): one value outside it, even one no
-    # product reads, is refused in one line
+       st.data())
+def test_correlation_tests_refuse_out_of_range_values(sample, data):
+    # the -0.25 centering assumes [0, 1): one value outside it is refused in one line
     sample.insert(data.draw(st.integers(0, len(sample))), data.draw(OUT_OF_RANGE))
     other = data.draw(st.permutations(sample))
     refusal = r"^sample values span \[[^\n]*\], outside \[0, 1\)$"
     with pytest.raises(ValueError, match=refusal):
-        autocorrelation_test(sample, start, lag)
+        autocorrelation_test(sample)
     with pytest.raises(ValueError, match=refusal):
         circular_correlation_test(sample, other)
     with pytest.raises(ValueError, match=refusal):
-        circular_correlation_test(sorted(other), sample, lag)
+        circular_correlation_test([0.5] * len(sample), sample)
 
 
 @settings(max_examples=100, deadline=None)
