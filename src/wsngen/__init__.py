@@ -6,46 +6,45 @@ matrices (uniform or exponential), run the uniformity test battery, and
 analyze connectivity of the induced radius graph.  Every artifact is a
 pure function of its seed and parameters.
 
-Only the battery, the radius graph and the reports need numpy. Their names,
-and the modules ``validation``, ``topology`` and ``report``, are loaded on
-first access, so generating and writing a dataset never imports it.
+``import wsngen`` loads no submodule: each public name, and each submodule,
+loads its module on first access. Only the battery, the radius graph and the
+reports need numpy, so generating and writing a dataset never imports it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-from .generator import (
-    DEFAULT_TABLE,
-    EXTENDED_TABLE,
-    GeneratorParams,
-    derive_constants,
-    load_table,
-    stream,
-    validate_table,
-)
-from .deployment import (
-    Deployment,
-    deploy_grid,
-    deploy_nongrid,
-    deployment_from_json,
-    deployment_to_csv,
-    deployment_to_json,
-    points_from_csv,
-)
-from .traffic import (
-    DISTRIBUTIONS,
-    TrafficMatrix,
-    matrix_from_csv,
-    traffic_exponential_recurrence,
-    traffic_exponential_transform,
-    traffic_from_json,
-    traffic_to_csv,
-    traffic_to_json,
-    traffic_uniform,
-)
-
-_LAZY = {
+_EXPORTS = {
+    "generator": (
+        "DEFAULT_TABLE",
+        "EXTENDED_TABLE",
+        "GeneratorParams",
+        "derive_constants",
+        "load_table",
+        "stream",
+        "validate_table",
+    ),
+    "deployment": (
+        "Deployment",
+        "deploy_grid",
+        "deploy_nongrid",
+        "deployment_from_json",
+        "deployment_to_csv",
+        "deployment_to_json",
+        "points_from_csv",
+    ),
+    "traffic": (
+        "DISTRIBUTIONS",
+        "TrafficMatrix",
+        "matrix_from_csv",
+        "traffic_exponential_recurrence",
+        "traffic_exponential_transform",
+        "traffic_from_json",
+        "traffic_to_csv",
+        "traffic_to_json",
+        "traffic_uniform",
+    ),
     "validation": (
         "SuiteConfig",
         "TestReport",
@@ -76,41 +75,15 @@ _LAZY = {
         "reference_agreement_report",
     ),
 }
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "DEFAULT_TABLE",
-    "EXTENDED_TABLE",
-    "GeneratorParams",
-    "derive_constants",
-    "load_table",
-    "stream",
-    "validate_table",
-    "Deployment",
-    "deploy_grid",
-    "deploy_nongrid",
-    "deployment_from_json",
-    "deployment_to_csv",
-    "deployment_to_json",
-    "points_from_csv",
-    "DISTRIBUTIONS",
-    "TrafficMatrix",
-    "matrix_from_csv",
-    "traffic_exponential_recurrence",
-    "traffic_exponential_transform",
-    "traffic_from_json",
-    "traffic_to_csv",
-    "traffic_to_json",
-    "traffic_uniform",
-    *_OWNER,
-    "__version__",
-]
+__all__ = [*_OWNER, "__version__"]
 
 
 def __getattr__(name):
-    """Import a lazy module, or the module defining a lazy name, and keep the
-    result in the package globals so later lookups skip this function."""
-    module = name if name in _LAZY else _OWNER.get(name)
+    """Import a submodule, or the submodule defining a public name, and keep
+    the result in the package globals so later lookups skip this function."""
+    module = name if name in _EXPORTS else _OWNER.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = importlib.import_module(f".{module}", __name__)
@@ -121,4 +94,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_LAZY})
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .deployment import (
+    DEPLOYERS,
     Deployment,
     _check_args,
-    deploy_grid,
-    deploy_nongrid,
     deployment_from_document,
     deployment_to_csv,
     deployment_to_json,
@@ -70,9 +69,8 @@ def _parse_list(text: str, convert, what: str) -> list:
 
 
 def _generate_deployment(args) -> Deployment:
-    fn = deploy_grid if args.mode == "grid" else deploy_nongrid
-    return fn(args.nodes, args.area, args.seed,
-              y_increment=args.y_increment, table=_table_from(args))
+    return DEPLOYERS[args.mode](args.nodes, args.area, args.seed,
+                                y_increment=args.y_increment, table=_table_from(args))
 
 
 def _load_input(args, kinds: Sequence[str]):
@@ -206,15 +204,7 @@ def _cmd_report(args) -> int:
     )
 
     config = _suite_config(args)
-    if args.kind == "agreement":
-        result = reference_agreement_report(config=config)
-        text = render_agreement_text(result)
-        payload = json.dumps(result, indent=2)
-    elif args.kind == "packet-diff":
-        result = packet_diff_report()
-        text = render_packet_diff_text(result)
-        payload = json.dumps(result, indent=2)
-    else:
+    if args.kind == "batch":
         seeds = list(ref.GOLDEN_SEEDS) if args.seeds is None else _parse_list(args.seeds, int, "seeds")
         ranges = _parse_list(args.tr, float, "numbers")
         rows = batch_report(seeds, args.nodes, args.area, ranges,
@@ -222,6 +212,14 @@ def _cmd_report(args) -> int:
                             epsilon=args.epsilon)
         text = render_report_text(rows, ranges)
         payload = render_report_json(rows, ranges)
+    else:
+        if args.kind == "agreement":
+            result = reference_agreement_report(config=config)
+            text = render_agreement_text(result)
+        else:
+            result = packet_diff_report()
+            text = render_packet_diff_text(result)
+        payload = json.dumps(result, indent=2)
     body = payload + "\n" if args.format == "json" else text
     if args.out:
         write_text(args.out, [body])
@@ -245,7 +243,7 @@ def _add_deployment_args(p) -> None:
     p.add_argument("--nodes", type=int, default=100, help="node count (default 100)")
     p.add_argument("--area", type=float, default=100.0,
                    help="square side length (default 100)")
-    p.add_argument("--mode", choices=("non-grid", "grid"), default="non-grid",
+    p.add_argument("--mode", choices=tuple(DEPLOYERS), default="non-grid",
                    help="deployment mode (default non-grid)")
     p.add_argument("--y-increment", choices=("a", "c"), default="a",
                    help="increment used by the Y recurrence (default a)")
@@ -360,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"wsngen: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

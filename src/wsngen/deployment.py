@@ -125,6 +125,10 @@ def deploy_grid(
                       params=params, y_increment=y_increment)
 
 
+# the deployment modes, in report and --mode order
+DEPLOYERS = {"non-grid": deploy_nongrid, "grid": deploy_grid}
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -17,7 +17,7 @@ import json
 from typing import Optional, Sequence
 
 from . import _reference as ref
-from .deployment import deploy_grid, deploy_nongrid
+from .deployment import DEPLOYERS
 from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream
 from .topology import isolated_by_range
 from .traffic import (
@@ -28,9 +28,8 @@ from .traffic import (
 )
 from .validation import SuiteConfig, aggregate_verdicts, run_suite
 
-MODES = ("non-grid", "grid")
+MODES = tuple(DEPLOYERS)
 VERDICT_TESTS = ("ks", "chi2", "autocorrelation")
-_DEPLOYERS = {"non-grid": deploy_nongrid, "grid": deploy_grid}
 # a packet cell agrees when it rounds to the recorded two-decimal value
 PACKET_TOLERANCE = 0.005
 
@@ -49,16 +48,11 @@ def batch_row(
     a, c = derive_constants(seed, table)
     row: dict = {"seed": seed, "a": a, "c": c, "modes": {}}
     for mode in MODES:
-        dep = _DEPLOYERS[mode](node_count, area, seed, table=table)
+        dep = DEPLOYERS[mode](node_count, area, seed, table=table)
         counts = isolated_by_range(dep, ranges, epsilon)
-        iso = tuple([counts[float(tr)] for tr in ranges])
-        verdicts = aggregate_verdicts(run_suite(dep, config))
         row["modes"][mode] = {
-            "isolated": iso,
-            "ks": verdicts["ks"],
-            "chi2": verdicts["chi2"],
-            "autocorrelation": verdicts["autocorrelation"],
-            "circular": verdicts["circular"],
+            "isolated": tuple([counts[float(tr)] for tr in ranges]),
+            **aggregate_verdicts(run_suite(dep, config)),
         }
     return row
 
@@ -139,53 +133,44 @@ def reference_agreement_report(*, config: Optional[SuiteConfig] = None) -> dict:
         config=config,
     )
     per_seed = []
-    iso_hits = 0
-    verdict_hits = dict.fromkeys(VERDICT_TESTS, 0)
-    constants_hits = 0
     for row in rows:
         seed = row["seed"]
         exp_iso = ref.GOLDEN_ISOLATED[seed]
         exp_verd = ref.GOLDEN_VERDICTS[seed]
         exp_a, exp_c = ref.GOLDEN_CONSTANTS[seed]
-        const_ok = round(row["a"], 6) == exp_a and round(row["c"], 6) == exp_c
-        constants_hits += const_ok
-        detail = {"seed": seed, "constants_match": const_ok, "modes": {}}
+        modes = {}
         for mi, mode in enumerate(MODES):
             got = row["modes"][mode]
-            iso_match = tuple(int(g == e) for g, e in zip(got["isolated"], exp_iso[mi]))
-            iso_hits += sum(iso_match)
-            verdict_match = {}
-            for ti, test in enumerate(VERDICT_TESTS):
-                ok = got[test] == exp_verd[mi][ti]
-                verdict_match[test] = bool(ok)
-                verdict_hits[test] += ok
-            detail["modes"][mode] = {
+            modes[mode] = {
                 "isolated_expected": exp_iso[mi],
                 "isolated_actual": got["isolated"],
-                "isolated_match": iso_match,
+                "isolated_match": tuple(int(g == e) for g, e in zip(got["isolated"], exp_iso[mi])),
                 "verdicts_expected": exp_verd[mi],
                 "verdicts_actual": tuple(got[t] for t in VERDICT_TESTS),
-                "verdicts_match": verdict_match,
+                "verdicts_match": {t: got[t] == e for t, e in zip(VERDICT_TESTS, exp_verd[mi])},
             }
-        per_seed.append(detail)
-    n = len(rows)
-    cells = n * len(MODES) * len(ref.REFERENCE_RANGES)
+        per_seed.append({
+            "seed": seed,
+            "constants_match": round(row["a"], 6) == exp_a and round(row["c"], 6) == exp_c,
+            "modes": modes,
+        })
+    per_mode = [m for detail in per_seed for m in detail["modes"].values()]
     return {
         "node_count": ref.REFERENCE_NODE_COUNT,
         "area": ref.REFERENCE_AREA,
         "ranges": ref.REFERENCE_RANGES,
         "rows": per_seed,
         "totals": {
-            "constants": {"matched": constants_hits, "of": n},
-            "isolated_cells": {"matched": iso_hits, "of": cells},
-            "ks_verdicts": {"matched": verdict_hits["ks"], "of": n * len(MODES)},
-            "chi2_verdicts": {"matched": verdict_hits["chi2"], "of": n * len(MODES)},
-            "autocorrelation_verdicts": {
-                "matched": verdict_hits["autocorrelation"],
-                "of": n * len(MODES),
-            },
+            "constants": _tally([detail["constants_match"] for detail in per_seed]),
+            "isolated_cells": _tally([hit for m in per_mode for hit in m["isolated_match"]]),
+            **{f"{test}_verdicts": _tally([m["verdicts_match"][test] for m in per_mode])
+               for test in VERDICT_TESTS},
         },
     }
+
+
+def _tally(hits: Sequence) -> dict:
+    return {"matched": sum(hits), "of": len(hits)}
 
 
 def render_agreement_text(result: dict) -> str:
@@ -251,35 +236,26 @@ def reconstruct_reference_chain() -> tuple[list[float], list[float]]:
 def _diff_entry(name: str, flat: Sequence[float], reference, p_min: float, p_max: float) -> dict:
     ref_flat = [x for row in reference for x in row]
     slots = len(reference[0])
-    matched = 0
-    prefix = 0
-    prefix_open = True
-    max_diff = 0.0
+    diffs = [abs(got - expected) for got, expected in zip(flat, ref_flat)]
+    # a nan difference is a miss, and max() skips it
+    misses = [i for i, diff in enumerate(diffs) if not diff <= PACKET_TOLERANCE + 1e-12]
     first_mismatch = None
-    for i, (got, expected) in enumerate(zip(flat, ref_flat)):
-        diff = abs(got - expected)
-        max_diff = max(max_diff, diff)
-        if diff <= PACKET_TOLERANCE + 1e-12:
-            matched += 1
-            if prefix_open:
-                prefix += 1
-            continue
-        prefix_open = False
-        if first_mismatch is None:
-            first_mismatch = {
-                "index": i,
-                "node": i // slots + 1,
-                "slot": i % slots + 1,
-                "expected": expected,
-                "actual": got,
-            }
+    if misses:
+        i = misses[0]
+        first_mismatch = {
+            "index": i,
+            "node": i // slots + 1,
+            "slot": i % slots + 1,
+            "expected": ref_flat[i],
+            "actual": flat[i],
+        }
     return {
         "name": name,
         "cells": len(ref_flat),
         "in_range": all(p_min <= v < p_max for v in flat),
-        "cells_matched": matched,
-        "prefix_matched": prefix,
-        "max_abs_diff": max_diff,
+        "cells_matched": len(diffs) - len(misses),
+        "prefix_matched": misses[0] if misses else len(diffs),
+        "max_abs_diff": max([0.0, *diffs]),
         "first_mismatch": first_mismatch,
     }
 

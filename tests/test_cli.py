@@ -1,13 +1,22 @@
 """CLI behavior: subcommands, exit codes, file outputs."""
 
+import csv
+import io
 import json
+import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsngen
 from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
+from wsngen.deployment import deployment_from_json, points_from_csv
+from wsngen.generator import read_document
+from wsngen.traffic import matrix_from_csv, traffic_from_json
 
 
 def test_deploy_writes_default_csv(tmp_path, monkeypatch, capsys):
@@ -558,3 +567,103 @@ def test_report_empty_list_errors(argv, capsys):
     assert main(["report"] + argv) == EXIT_ERROR
     assert "expected a comma-separated list" in _single_error_line(capsys.readouterr().err)
 
+
+# ---------------------------------------------------------------------------
+# the CLI contract over drawn arguments
+
+_EXTREMES = (0.0, -1.0, -1e300, math.nan, math.inf, -math.inf, 1e-300, 1e300)
+_VALUES = st.one_of(st.floats(0.01, 500.0), st.sampled_from(_EXTREMES))
+_SEEDS = st.one_of(st.integers(0, 10**6), st.sampled_from([-1, -10**6, 10**300, 10**400]))
+
+
+def _nodes(most: int):
+    return st.one_of(st.integers(1, most), st.sampled_from([0, -1, -2000]))
+
+
+def _deployment_flags(draw, most: int) -> dict:
+    return {"nodes": draw(_nodes(most)), "area": draw(_VALUES), "seed": draw(_SEEDS),
+            "mode": draw(st.sampled_from(["non-grid", "grid"]))}
+
+
+def _read_deploy(out, fmt, flags):
+    points = deployment_from_json(out).points if fmt == "json" else points_from_csv(out)
+    assert len(points) == flags["nodes"]
+    assert all(0.0 <= v < flags["area"] for p in points for v in p)
+
+
+def _read_traffic(out, fmt, flags):
+    values = traffic_from_json(out).values if fmt == "json" else matrix_from_csv(out)
+    assert [len(row) for row in values] == [5] * flags["nodes"]  # the default --slots
+    assert all(flags["pmin"] <= v < flags["pmax"] for row in values for v in row)
+
+
+def _read_analyze(out, fmt, flags):
+    if fmt == "json":
+        doc = read_document(out)
+        edges = doc["edges"]
+        assert doc["meta"]["edge_count"] == len(edges)
+    else:
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["u", "v", "distance"]
+        edges = [(int(u), int(v), float(d)) for u, v, d in rows[1:]]
+    for u, v, d in edges:
+        assert 1 <= u < v <= flags["nodes"]
+        assert 0.0 <= d <= flags["tr"] + flags["epsilon"]
+
+
+def _read_validate(out, fmt, code, stdout):
+    text = Path(out).read_text(encoding="utf-8")
+    if fmt == "text":
+        assert stdout == text
+        return
+    reports = json.loads(text)
+    assert all(math.isfinite(r["statistic"]) and math.isfinite(r["critical_value"]) for r in reports)
+    assert code == (EXIT_OK if all(r["verdict"] == "Satisfied" for r in reports) else EXIT_REJECTED)
+
+
+@st.composite
+def _invocations(draw, command):
+    """(argv, format, flags) for one run of command."""
+    fmt = draw(st.sampled_from(["text", "json"] if command == "validate" else ["csv", "json"]))
+    if command == "traffic":
+        flags = {"nodes": draw(_nodes(2000)), "pmin": draw(_VALUES), "pmax": draw(_VALUES),
+                 "lambda": draw(_VALUES),
+                 "dist": draw(st.sampled_from(["uniform", "exp-transform", "exp-recurrence"]))}
+    elif command == "analyze":
+        # all pairs of 2000 nodes would be 2 million edges, most of a gigabyte
+        flags = {**_deployment_flags(draw, 300), "tr": draw(_VALUES), "epsilon": draw(_VALUES)}
+    else:
+        flags = _deployment_flags(draw, 2000)
+    argv = [command, "--format", fmt] + [
+        f"--{name}={value}" if isinstance(value, str) else f"--{name}={value!r}"
+        for name, value in flags.items()]
+    return argv, fmt, flags
+
+
+_READERS = {"deploy": _read_deploy, "traffic": _read_traffic, "analyze": _read_analyze}
+
+
+@pytest.mark.parametrize("command", ["deploy", "traffic", "analyze", "validate"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_contract_over_drawn_arguments(command, tmp_path_factory, data):
+    # every run exits 0 (or 2 for validate) with a finite, in-range output that
+    # reads back, or exits 1 with one error line, no output and no temp file
+    argv, fmt, flags = data.draw(_invocations(command))
+    directory = tmp_path_factory.mktemp("contract")
+    out = str(directory / f"out.{fmt}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv + ["--out", out])
+    assert not [f for f in os.listdir(directory) if f.startswith(".wsngen-")]
+    if code == EXIT_ERROR:
+        _single_error_line(stderr.getvalue())
+        assert not os.path.exists(out)
+        return
+    assert stderr.getvalue() == ""
+    if command == "validate":
+        _read_validate(out, fmt, code, stdout.getvalue())
+    else:
+        assert code == EXIT_OK
+        _READERS[command](out, fmt, flags)

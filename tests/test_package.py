@@ -36,7 +36,9 @@ def test_lazy_names_are_listed_and_resolve_after_a_fresh_import(fresh_python):
     # in this process the submodules were imported by the suite already
     script = (
         "import sys, wsngen\n"
+        "assert [m for m in sys.modules if m.startswith('wsngen.')] == []\n"
         "assert {*wsngen.__all__, 'validation', 'topology', 'report'} <= set(dir(wsngen))\n"
+        "assert wsngen.deploy_grid is sys.modules['wsngen.deployment'].deploy_grid\n"
         "assert 'numpy' not in sys.modules\n"
         "assert wsngen.build_graph is sys.modules['wsngen.topology'].build_graph\n"
         "for name in ('validation', 'topology', 'report'):\n"

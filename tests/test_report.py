@@ -1,6 +1,7 @@
 """Batch, agreement, and packet-diff reporting."""
 
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from wsngen import _reference as ref
 from wsngen.deployment import deploy_grid, deploy_nongrid
 from wsngen.generator import derive_constants
 from wsngen.report import (
+    _diff_entry,
     batch_report,
     batch_row,
     packet_diff_report,
@@ -148,6 +150,27 @@ def test_packet_diff_report_regression():
     fm = by_name["reconstructed/uniform"]["first_mismatch"]
     assert (fm["node"], fm["slot"]) == (4, 1)
     assert fm["expected"] == 2.54
+
+
+@pytest.mark.parametrize("flat, expected", [
+    # every cell within the tolerance: no mismatch, the prefix is every cell
+    ([2.0, 3.0, 4.0, 5.00390625],
+     {"in_range": True, "cells_matched": 4, "prefix_matched": 4, "max_abs_diff": 0.00390625,
+      "first_mismatch": None}),
+    # a miss at index 0 leaves an empty prefix
+    ([2.5, 3.0, 4.0, 5.0],
+     {"in_range": True, "cells_matched": 3, "prefix_matched": 0, "max_abs_diff": 0.5,
+      "first_mismatch": {"index": 0, "node": 1, "slot": 1, "expected": 2.0, "actual": 2.5}}),
+    # a nan cell is a miss, out of range, and skipped by max_abs_diff
+    ([2.0, math.nan, 4.25, 5.0],
+     {"in_range": False, "cells_matched": 2, "prefix_matched": 1, "max_abs_diff": 0.25,
+      "first_mismatch": {"index": 1, "node": 1, "slot": 2, "expected": 3.0, "actual": "nan"}}),
+])
+def test_diff_entry_counts_matches_prefix_and_first_mismatch(flat, expected):
+    entry = _diff_entry("case", flat, ((2.0, 3.0), (4.0, 5.0)), 2.0, 10.0)
+    if entry["first_mismatch"] is not None and math.isnan(entry["first_mismatch"]["actual"]):
+        entry["first_mismatch"]["actual"] = "nan"
+    assert entry == {"name": "case", "cells": 4, **expected}
 
 
 def test_packet_diff_text_rendering():
