@@ -7,8 +7,10 @@ analyze connectivity of the induced radius graph.  Every artifact is a
 pure function of its seed and parameters.
 
 ``import wsngen`` loads no submodule: each public name, and each submodule,
-loads its module on first access. Only the battery, the radius graph and the
-reports need numpy, so generating and writing a dataset never imports it.
+loads its module on first access. Only the battery and the radius graph use
+numpy, and only from 512 points or values per stream on, so generating and
+writing a dataset never imports it, nor does analyzing or validating one of
+the reference size.
 """
 
 import importlib

@@ -6,8 +6,10 @@ but at least one test is Rejected, 1 on any error. Every output file, the
 --out text of validate and report included, goes through generator.write_text:
 an error leaves no partial file and an existing one as it was.
 
-Only analyze, validate and report need numpy: each imports the modules it
-runs inside its own function, so deploy and traffic start without it.
+analyze, validate and report import the modules they run inside their own
+functions, so deploy and traffic load none of them. Those modules import
+numpy only from 512 points or values per stream on, so at the default sizes
+no command loads it.
 """
 
 from __future__ import annotations

@@ -54,10 +54,11 @@ def _check_args(node_count: int, area: float, y_increment: str) -> None:
 
 
 def _resolve_params(seed: int, table: Sequence[float]) -> GeneratorParams:
-    try:
-        float(seed)
-    except OverflowError:
-        raise ValueError("seed exceeds the float range, so it cannot start the recurrence") from None
+    # the chain starts at float(seed), which from 2**53 on is the same float
+    # for neighbouring seeds: 2**60 and 2**60 + 14 gave one dataset
+    if not seed < 2 ** 53:
+        raise ValueError("seed must be below 2**53: past it the float range does not "
+                         "hold every integer, so two seeds would name one dataset")
     return GeneratorParams(seed, *derive_constants(seed, table))
 
 

@@ -11,11 +11,13 @@ bucketed into square cells slightly wider than the reach, so every pair
 within reach lies in the same or an adjacent cell. Time and memory are
 O(n + edges) for a deployment of roughly even density.
 
-The neighbour pass keeps to a few numpy kernels (elementwise arithmetic,
-searchsorted, repeat) and sorts and takes extents in Python. Each further
+Below generator._NUMPY_FROM points the neighbour pass runs over Python
+lists, so a process that only meets small deployments never imports numpy.
+From there on it keeps to a few numpy kernels (elementwise arithmetic,
+searchsorted, repeat) and sorts and takes extents in Python: each further
 numpy kernel faults 64-128 KB of its code into the resident set of the
-process that first calls it, while at the n = 100 of a seed sweep Python
-does these steps about as fast.
+process that first calls it. Both paths share the cells and compute every
+distance with the same expression, so they give the same graph.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from . import generator
 from .generator import require_finite, write_csv, write_document
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
@@ -50,9 +51,20 @@ class RadiusGraph:
     degrees: tuple[int, ...]
 
 
-def _as_points(deployment) -> np.ndarray:
-    # accepts a Deployment or a raw coordinate sequence
+def _as_points(deployment):
+    """The checked points of a Deployment or a raw coordinate sequence: a list
+    of (x, y) floats below generator._NUMPY_FROM points, else an (n, 2) array."""
     pts = getattr(deployment, "points", deployment)
+    if len(pts) < generator._NUMPY_FROM:
+        try:
+            rows = [(float(x), float(y)) for x, y in pts]
+        except (TypeError, ValueError, OverflowError):
+            rows = []  # the array path below refuses it with its own message
+        if rows:
+            require_finite(rows, "points")
+            return rows
+    import numpy as np
+
     arr = np.asarray(pts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("deployment must supply a non-empty (n, 2) point set")
@@ -68,26 +80,96 @@ def _reach(tr: float, epsilon: float) -> float:
     return tr + epsilon
 
 
-def _argsort(values: np.ndarray) -> np.ndarray:
+def _grid(xs, ys, reach: float):
+    """(lo, side, rows): the lower-left corner of the cells, their side, which is
+    inf when one cell holds every point, and the rows of a cell column."""
+    lo = (min(xs), min(ys))
+    span = (max(xs) - lo[0], max(ys) - lo[1])
+    side = max(reach * _CELL_PAD, max(span) / _MAX_CELLS)
+    # a margin row on each side keeps neighbour offsets inside one column
+    return lo, side, 3 if side == math.inf else int(span[1] / side) + 3
+
+
+def _rescaled(dx: float, dy: float, d: float) -> float:
+    """The distance of a pair whose plain distance d is inf or below 2**-510,
+    where a square left the normal range: the differences are scaled by a power
+    of two to below 2**509, keeping a normal result's bits."""
+    top = max(abs(dx), abs(dy))
+    if not 0 < top < math.inf:  # equal points keep 0, an overflowed difference inf
+        return d
+    k = 509 - math.frexp(top)[1]
+    dx, dy = math.ldexp(dx, k), math.ldexp(dy, k)
+    try:
+        return math.ldexp(math.sqrt(dx * dx + dy * dy), -k)
+    except OverflowError:  # past the float range, where numpy gives inf
+        return math.inf
+
+
+def _square_limit(reach: float) -> float:
+    """The largest float whose square root is at most reach, or inf where a
+    square near reach**2 would leave the normal range. A pair whose squared
+    distance lies above it and is finite has a plain distance beyond reach."""
+    lim = reach * reach
+    if not 2.0 ** -1020 <= lim < math.inf:
+        return math.inf
+    while math.sqrt(lim) > reach:
+        lim = math.nextafter(lim, 0.0)
+    while math.sqrt(math.nextafter(lim, math.inf)) <= reach:
+        lim = math.nextafter(lim, math.inf)
+    return lim
+
+
+def _near_pairs(rows: list, reach: float) -> list:
+    """The list path of the neighbour pass: (u, v, d) with u < v for every
+    pair within reach, in no set order, each distance as _candidates has it."""
+    xs, ys = zip(*rows)
+    (x0, y0), side, per_column = _grid(xs, ys, reach)
+    cells: dict = {}
+    for i, (x, y) in enumerate(rows):
+        key = 0 if side == math.inf else (
+            (math.floor((x - x0) / side) + 1) * per_column + math.floor((y - y0) / side) + 1)
+        cells.setdefault(key, []).append(i)
+    forward = [dx * per_column + dy for dx, dy in _FORWARD]
+    lim = _square_limit(reach)
+    out = []
+    sqrt, inf = math.sqrt, math.inf  # locals: this loop is the list path's cost
+    for key, members in cells.items():
+        others = [v for f in forward for v in cells.get(key + f, ())]
+        for k, u in enumerate(members):
+            x, y = rows[u]
+            for v in members[k + 1:] + others:
+                dx = x - xs[v]
+                dy = y - ys[v]
+                s = dx * dx + dy * dy
+                if lim < s < inf:  # most candidates: no square root needed
+                    continue
+                d = sqrt(s)
+                if not 2.0 ** -510 <= d < inf:
+                    d = _rescaled(dx, dy, d)
+                if d <= reach:
+                    out.append((u, v, d) if u < v else (v, u, d))
+    return out
+
+
+def _argsort(values):
     """Stable argsort by Python's sorted() (see the module docstring)."""
+    import numpy as np
+
     keys = values.tolist()
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
 
 
-def _candidates(pts: np.ndarray, reach: float):
+def _candidates(pts, reach: float):
     """Candidate pairs (u, v) with their distances d, each pair once and in
     no set order. Every pair within reach is among them; d is a row-wise scan's
     expression wherever its squares stay normal, so boundary ties agree."""
-    xs, ys = pts.T.tolist()
-    lo = [min(xs), min(ys)]
-    span = [max(xs) - lo[0], max(ys) - lo[1]]
-    side = max(reach * _CELL_PAD, max(span) / _MAX_CELLS)
+    import numpy as np
+
+    lo, side, rows = _grid(*pts.T.tolist(), reach)
     if side == math.inf:  # one cell: every pair is a candidate
-        cell, rows = np.zeros_like(pts, dtype=np.int64), 3
+        cell = np.zeros_like(pts, dtype=np.int64)
     else:
         cell = np.floor((pts - lo) / side).astype(np.int64)
-        rows = int(span[1] / side) + 3
-    # a margin row on each side keeps neighbour offsets inside one column
     key = (cell[:, 0] + 1) * rows + cell[:, 1] + 1
     order = _argsort(key)
     key = key[order]
@@ -126,16 +208,28 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     reach = _reach(tr, epsilon)
     pts = _as_points(deployment)
     n = len(pts)
-    a, b, d = _candidates(pts, reach)
-    near = d <= reach
-    a, b, d = a[near], b[near], d[near]
-    u, v = np.minimum(a, b), np.maximum(a, b)
-    by_pair = _argsort(u * n + v)
+    if isinstance(pts, list):
+        near = sorted(_near_pairs(pts, reach))
+        edges = [(u, v) for u, v, _ in near]
+        distances = [d for _, _, d in near]
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+    else:
+        import numpy as np
+
+        a, b, d = _candidates(pts, reach)
+        near = d <= reach
+        a, b, d = a[near], b[near], d[near]
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        by_pair = _argsort(u * n + v)
+        edges = zip(u[by_pair].tolist(), v[by_pair].tolist())
+        distances = d[by_pair].tolist()
+        degrees = np.bincount(np.concatenate([u, v]), minlength=n).tolist()
     return RadiusGraph(node_count=n, transmission_range=float(tr),
-                       epsilon=float(epsilon),
-                       edges=tuple(zip(u[by_pair].tolist(), v[by_pair].tolist())),
-                       distances=tuple(d[by_pair].tolist()),
-                       degrees=tuple(np.bincount(np.concatenate([u, v]), minlength=n).tolist()))
+                       epsilon=float(epsilon), edges=tuple(edges),
+                       distances=tuple(distances), degrees=tuple(degrees))
 
 
 def isolated_count(graph: RadiusGraph) -> int:
@@ -185,9 +279,20 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
     if not reaches:
         return {}
     pts = _as_points(deployment)
-    u, v, d = _candidates(pts, max(reaches.values()))
-    nearest = np.full(len(pts), np.inf)
-    np.minimum.at(nearest, u, d)
-    np.minimum.at(nearest, v, d)
-    nearest = nearest.tolist()
+    if isinstance(pts, list):
+        # pairs beyond the largest reach would leave every count as it is
+        nearest = [math.inf] * len(pts)
+        for u, v, d in _near_pairs(pts, max(reaches.values())):
+            if d < nearest[u]:
+                nearest[u] = d
+            if d < nearest[v]:
+                nearest[v] = d
+    else:
+        import numpy as np
+
+        u, v, d = _candidates(pts, max(reaches.values()))
+        nearest = np.full(len(pts), np.inf)
+        np.minimum.at(nearest, u, d)
+        np.minimum.at(nearest, v, d)
+        nearest = nearest.tolist()
     return {tr: sum(x > reach for x in nearest) for tr, reach in reaches.items()}

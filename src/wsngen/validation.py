@@ -15,21 +15,26 @@ supported alphas; the circular sigma, the same form in N, is at least
 sqrt(33/36), so its |Z0| stays below 0.784. The bundled golden verdicts were
 produced with this form, which is why it is the one kept.
 
-Each stream is one float64 array. Every float sum that reaches a statistic
-is the last element of np.cumsum, which adds left to right: np.sum pairs
-terms, and Python 3.12 made the builtin sum() compensated.
+A stream below generator._NUMPY_FROM values is a list of floats, so a
+process that only meets small datasets never imports numpy; a longer stream
+is one float64 array. Both paths give the same floats: every float sum that
+reaches a statistic adds left to right, by functools.reduce over a list and
+as the last element of np.cumsum over an array. np.sum pairs terms, and
+Python 3.12 made the builtin sum() compensated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
-import numpy as np
-
+from . import generator
 from .deployment import Deployment
 from .traffic import TrafficMatrix
 
@@ -185,26 +190,60 @@ def _require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
 
 
-def _finite(sample: Sequence[float], lower: float, upper: float) -> np.ndarray:
-    """The sample as a float64 array, checked to be finite and to lie in [lower, upper)."""
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1 or not arr.size:
-        raise ValueError(f"sample must be a non-empty flat sequence of numbers, got shape {arr.shape}")
-    # min and max both propagate nan, so one pair of reductions checks every value
-    lo, hi = arr.min(), arr.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+def _finite(sample: Sequence[float], lower: float, upper: float):
+    """The sample checked to be finite and to lie in [lower, upper): a new list
+    of floats below generator._NUMPY_FROM values, else a float64 array."""
+    vals = None
+    if len(sample) < generator._NUMPY_FROM:
+        try:
+            vals = [float(v) for v in sample] or None
+        except (TypeError, ValueError, OverflowError):
+            pass  # the array path below refuses it with its own message
+    if vals is not None:
+        finite = all(map(math.isfinite, vals))
+        lo, hi = min(vals), max(vals)
+    else:
+        import numpy as np
+
+        vals = np.asarray(sample, dtype=float)
+        if vals.ndim != 1 or not vals.size:
+            raise ValueError(f"sample must be a non-empty flat sequence of numbers, got shape {vals.shape}")
+        # min and max both propagate nan, so one pair of reductions checks every value
+        lo, hi = vals.min(), vals.max()
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    if not finite:
         raise ValueError("sample holds a non-finite value")
     if lo < lower or hi >= upper:
         raise ValueError(f"sample values span [{lo}, {hi}], outside [{lower}, {upper})")
-    return arr
+    return vals
 
 
-def normalize(sample: Sequence[float], lower: float, upper: float) -> np.ndarray:
-    """Affine map of [lower, upper) onto [0, 1), as a float64 array."""
+def _scaled(sample: Sequence[float], lower: float, upper: float):
+    """normalize's map, onto _finite's list or array."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
-    return (_finite(sample, lower, upper) - lower) / span
+    vals = _finite(sample, lower, upper)
+    if isinstance(vals, list):
+        return [(v - lower) / span for v in vals]
+    return (vals - lower) / span
+
+
+def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
+    """Affine map of [lower, upper) onto [0, 1), as a list of floats."""
+    out = _scaled(sample, lower, upper)
+    return out if isinstance(out, list) else out.tolist()
+
+
+def _ascending(pieces: list):
+    """The values of checked pieces, all lists or all arrays, sorted into one
+    container of their kind. sorted() is stable and keeps np.sort's code out
+    of the resident set; over sorted pieces it is a merge."""
+    if isinstance(pieces[0], list):
+        return sorted(chain.from_iterable(pieces))
+    import numpy as np
+
+    return np.array(sorted(chain.from_iterable(p.tolist() for p in pieces)))
 
 
 def ks_critical_value(n: int, alpha: float) -> float:
@@ -221,18 +260,30 @@ def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     D+ = max_i(i/n - r_i), D- = max_i(r_i - (i-1)/n) over the ascending
     sample, D = max(D+, D-). Satisfied when D <= critical.
     """
+    return _ks(sample, alpha, checked=False)
+
+
+def _ks(sample, alpha: float, checked: bool = True) -> TestReport:
+    """ks_test, on a sample _finite checked and _ascending sorted unless checked is False."""
     n = len(sample)
     if n < 5:
         raise ValueError("KS test needs at least 5 values")
     _require_alpha(alpha)
-    # sorted() is stable and keeps np.sort's code out of the resident set
-    r = np.array(sorted(_finite(sample, 0, 1).tolist()))
-    # i/n for i = 0..n: exact ints over n, correctly rounded as Python's i/n is
-    grid = np.arange(n + 1, dtype=float) / n
-    d_plus = (grid[1:] - r).max().item()
-    below = r - grid[:-1]
-    # only a leading -0.0 gives a -0.0 term, and max() keeps the first of equal values
-    d_minus = max(below[0].item(), below[1:].max().item())
+    r = sample if checked else _ascending([_finite(sample, 0, 1)])
+    # i/n for i = 0..n: exact ints over n, correctly rounded on both paths; a
+    # leading -0.0 gives the only -0.0 term of D-, and the builtin max keeps
+    # the first of equal values
+    if isinstance(r, list):
+        grid = [i / n for i in range(n + 1)]
+        d_plus = max(map(sub, grid[1:], r))
+        d_minus = max(map(sub, r, grid))
+    else:
+        import numpy as np
+
+        grid = np.arange(n + 1, dtype=float) / n
+        d_plus = (grid[1:] - r).max().item()
+        below = r - grid[:-1]
+        d_minus = max(below[0].item(), below[1:].max().item())
     d = max(d_plus, d_minus)
     crit = ks_critical_value(n, alpha)
     return TestReport(
@@ -242,10 +293,15 @@ def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     )
 
 
-def _bin_counts(sample: np.ndarray, classes: int) -> list[int]:
+def _bin_counts(sample, classes: int) -> list[int]:
     # membership by boundary comparison: value v lands in bin i when
     # i/classes <= v < (i+1)/classes
     boundaries = [k / classes for k in range(classes + 1)]
+    if isinstance(sample, list):  # ascending: bin i starts at the first value not below its boundary
+        starts = [bisect_left(sample, b) for b in boundaries]
+        return list(map(sub, starts[1:], starts))
+    import numpy as np
+
     idx = np.searchsorted(boundaries, sample, side="right") - 1
     return np.bincount(idx, minlength=classes).tolist()
 
@@ -269,13 +325,22 @@ def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) 
     the statistic does not exceed the critical value (standard direction).
     Validity rule: N >= 5 * classes.
     """
+    return _chi2(sample, classes, alpha, checked=False)
+
+
+def _chi2(sample, classes: int, alpha: float, checked: bool = True) -> TestReport:
+    """chi2_test, on a sample _finite checked, and sorted if a list, unless checked is False."""
     n = len(sample)
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if n < 5 * classes:
         raise ValueError(f"chi2 needs at least {5 * classes} values for {classes} classes")
     _require_alpha(alpha)
-    counts = _bin_counts(_finite(sample, 0, 1), classes)
+    if not checked:
+        sample = _finite(sample, 0, 1)
+        if isinstance(sample, list):
+            sample.sort()
+    counts = _bin_counts(sample, classes)
     expected = n / classes
     # sum (f - n/k)^2 / (n/k) == sum (k*f - n)^2 / (n*k): a ratio of integers,
     # which int/int division rounds correctly, on every Python version
@@ -289,6 +354,15 @@ def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) 
     )
 
 
+def _dot(x, y) -> float:
+    """sum_k x[k] * y[k] over two checked lists or arrays, added left to right."""
+    if isinstance(x, list):
+        return reduce(add, map(mul, x, y))
+    import numpy as np
+
+    return np.cumsum(x * y)[-1].item()
+
+
 def autocorrelation_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
     """Lag-1 autocorrelation over the whole sample.
 
@@ -299,14 +373,18 @@ def autocorrelation_test(sample: Sequence[float], alpha: float = 0.01) -> TestRe
     Z0 = rho_hat / sigma with sigma = sqrt((13M+7) / (12(M+1))); two-sided
     verdict on |Z0|. The -0.25 centering assumes a sample in [0, 1).
     """
+    return _autocorrelation(sample, alpha, checked=False)
+
+
+def _autocorrelation(sample, alpha: float, checked: bool = True) -> TestReport:
+    """autocorrelation_test, on a sample _finite checked unless checked is False."""
     n = len(sample)
     m = n - 2
     if m < 1:
         raise ValueError(f"autocorrelation needs at least 3 values, got {n}")
     _require_alpha(alpha)
-    arr = _finite(sample, 0, 1)
-    # cumsum accumulates in index order, so the sum runs left to right
-    rho = np.cumsum(arr[:-1] * arr[1:])[-1].item() / (m + 1) - 0.25
+    vals = sample if checked else _finite(sample, 0, 1)
+    rho = _dot(vals[:-1], vals[1:]) / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
@@ -331,14 +409,20 @@ def circular_correlation_test(x: Sequence[float], y: Sequence[float], alpha: flo
     scores near zero. For deployments, pass the normalized X and Y coordinate
     sequences.
     """
+    return _circular(x, y, alpha, checked=False)
+
+
+def _circular(x, y, alpha: float, checked: bool = True) -> TestReport:
+    """circular_correlation_test, on samples _finite checked unless checked is False."""
     n = len(x)
     if n != len(y):
         raise ValueError("x and y must have equal length")
     if n < 2:
         raise ValueError("need at least 2 values")
     _require_alpha(alpha)
-    # cumsum sums left to right
-    rho = np.cumsum(_finite(x, 0, 1) * _finite(y, 0, 1))[-1].item() / n - 0.25
+    if not checked:
+        x, y = _finite(x, 0, 1), _finite(y, 0, 1)
+    rho = _dot(x, y) / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
     crit = Z_TWO_SIDED[alpha]
@@ -359,15 +443,25 @@ class SuiteConfig:
     classes: int = 10
 
 
+def _flat(rows, per_stream: int):
+    """The values of rows in order: a list when a stream holds fewer than
+    generator._NUMPY_FROM of them, else a float64 array, as _finite picks."""
+    if per_stream < generator._NUMPY_FROM:
+        return list(chain.from_iterable(rows))
+    import numpy as np
+
+    return np.fromiter(chain.from_iterable(rows), float)
+
+
 def _suite_streams(data):
-    """Resolve input data to named unit-interval streams plus a circular pair."""
+    """Resolve input data to named checked unit-interval streams plus a circular pair."""
     if isinstance(data, Deployment):
-        coords = np.fromiter(chain.from_iterable(data.points), float)
-        nx = normalize(coords[0::2], 0.0, data.area)
-        ny = normalize(coords[1::2], 0.0, data.area)
+        coords = _flat(data.points, data.node_count)
+        nx = _scaled(coords[0::2], 0.0, data.area)
+        ny = _scaled(coords[1::2], 0.0, data.area)
         return {"x": nx, "y": ny}, (nx, ny)
     if isinstance(data, TrafficMatrix):
-        flat = normalize(np.fromiter(chain.from_iterable(data.values), float), data.p_min, data.p_max)
+        flat = _scaled(_flat(data.values, data.node_count * data.slot_count), data.p_min, data.p_max)
         return {"all": flat}, (flat, flat)
     vals = _finite(data, 0, 1)
     return {"all": vals}, (vals, vals)
@@ -393,20 +487,22 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
         # four contiguous quarters, the last taking the remainder; KS ignores
         # order, and with sorted quarters the full sample's sort is a merge
         cuts = [i * (n // 4) for i in range(4)] + [n]
-        quarters = [np.array(sorted(vals[lo:hi].tolist())) for lo, hi in zip(cuts, cuts[1:])]
+        quarters = [_ascending([vals[lo:hi]]) for lo, hi in zip(cuts, cuts[1:])]
+        full = _ascending(quarters)
         parts = [(f"quarter-{i}", q) for i, q in enumerate(quarters)]
-        parts.append(("full", np.concatenate(quarters)))
+        parts.append(("full", full))
         for part_name, part in parts:
-            rep = ks_test(part, cfg.alpha_ks)
+            rep = _ks(part, cfg.alpha_ks)
             rep.details.update(stream=name, part=part_name)
             reports.append(rep)
-        rep = chi2_test(vals, cfg.classes, cfg.alpha_chi2)
+        # bin counts ignore order, and the list path needs it ascending
+        rep = _chi2(full, cfg.classes, cfg.alpha_chi2)
         rep.details.update(stream=name, part="full")
         reports.append(rep)
-        rep = autocorrelation_test(vals, alpha=cfg.alpha_auto)
+        rep = _autocorrelation(vals, cfg.alpha_auto)
         rep.details.update(stream=name, part="full")
         reports.append(rep)
-    rep = circular_correlation_test(*circular_pair, alpha=cfg.alpha_circular)
+    rep = _circular(*circular_pair, alpha=cfg.alpha_circular)
     rep.details.update(stream="pair", part="full")
     reports.append(rep)
     return reports

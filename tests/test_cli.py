@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import wsngen
 from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
 from wsngen.deployment import deployment_from_json, points_from_csv
-from wsngen.generator import read_document
-from wsngen.traffic import matrix_from_csv, traffic_from_json
+from wsngen.generator import GeneratorParams, read_document
+from wsngen.traffic import TrafficMatrix, matrix_from_csv, traffic_from_json, traffic_to_csv, traffic_uniform
+from wsngen.validation import reports_to_json, run_suite, suite_satisfied
 
 
 def test_deploy_writes_default_csv(tmp_path, monkeypatch, capsys):
@@ -269,20 +270,31 @@ def test_cli_import_and_validate_load_no_scipy(fresh_python):
     assert fresh_python(script) == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["deploy"],
-    ["deploy", "--format", "json"],
-    ["traffic"],
-    ["traffic", "--format", "json", "--dist", "exp-transform"],
-], ids=["import", "deploy-csv", "deploy-json", "traffic-csv", "traffic-json"])
-def test_import_deploy_and_traffic_leave_numpy_unloaded(argv, fresh_python, tmp_path):
-    # numpy was about half of a cold deploy or traffic, which never use it
-    run = "import wsngen\n" if argv is None else f"import wsngen.cli\nassert wsngen.cli.main({argv!r}) == 0\n"
+@pytest.mark.parametrize("argvs, loaded", [
+    (None, False),
+    ([["deploy"]], False),
+    ([["deploy", "--format", "json"]], False),
+    ([["traffic"]], False),
+    ([["traffic", "--format", "json", "--dist", "exp-transform"]], False),
+    ([["analyze"]], False),
+    ([["validate", "--format", "json"]], False),
+    ([["deploy"], ["validate", "--in", "deployment.csv"]], False),
+    ([["deploy", "--format", "json"], ["validate", "--in", "deployment.json"]], False),
+    ([["traffic"], ["validate", "--in", "traffic.csv"]], False),
+    ([["report", "--kind", "batch"]], False),
+    ([["analyze", "--nodes", "600"]], True),
+], ids=["import", "deploy-csv", "deploy-json", "traffic-csv", "traffic-json", "analyze",
+        "validate-json", "validate-in-csv", "validate-in-json", "validate-in-traffic-csv",
+        "report-batch", "analyze-600-nodes"])
+def test_import_deploy_and_traffic_leave_numpy_unloaded(argvs, loaded, fresh_python, tmp_path):
+    # importing numpy was about half of a cold deploy or traffic, which never
+    # use it, and of analyze, validate and report below 512 points per stream
+    run = "import wsngen\n" if argvs is None else "import wsngen.cli\n" + "".join(
+        f"assert wsngen.cli.main({argv!r}) == 0\n" for argv in argvs)
     script = "import sys\n" + run + "print('numpy' in sys.modules, file=sys.stderr)\n"
-    assert fresh_python(script, cwd=tmp_path) == "False"
-    if argv is not None:
-        assert len(list(tmp_path.iterdir())) == 1
+    assert fresh_python(script, cwd=tmp_path) == str(loaded)
+    written = sum(argv[0] in ("deploy", "traffic") for argv in argvs or ())
+    assert len(list(tmp_path.iterdir())) == written
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -402,6 +414,20 @@ def test_overflowing_generation_errors(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_ERROR
     assert "float range" in _single_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["deploy", "--seed", str(2**53)],
+    ["analyze", "--seed", str(2**60)],
+    ["validate", "--seed", str(2**60 + 14)],
+    ["report", "--seeds", f"0,{2**53}"],
+])
+def test_seeds_from_2_53_error(argv, tmp_path, capsys):
+    # past 2**53 neighbouring seeds start the chain from one float
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert "seed must be below 2**53" in _single_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -667,3 +693,33 @@ def test_cli_contract_over_drawn_arguments(command, tmp_path_factory, data):
     else:
         assert code == EXIT_OK
         _READERS[command](out, fmt, flags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_traffic_csv_contract_over_drawn_bounds(tmp_path_factory, data):
+    # a traffic CSV holds no bounds, so --pmin and --pmax supply them: drawn
+    # here, half the time as the bounds the file was generated with
+    directory = tmp_path_factory.mktemp("contract")
+    source = directory / "traffic.csv"
+    low = data.draw(st.floats(0.0, 500.0))
+    high = low + data.draw(st.floats(0.01, 500.0))
+    traffic_to_csv(traffic_uniform(data.draw(st.integers(1, 200)), 5, low, high), source)
+    pmin = data.draw(st.one_of(st.just(low), _VALUES))
+    pmax = data.draw(st.one_of(st.just(high), _VALUES))
+    out = directory / "report.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["validate", "--in", str(source), f"--pmin={pmin!r}", f"--pmax={pmax!r}",
+                     "--format", "json", "--out", str(out)])
+    assert not [f for f in os.listdir(directory) if f.startswith(".wsngen-")]
+    if code == EXIT_ERROR:
+        _single_error_line(stderr.getvalue())
+        assert not out.exists()
+        return
+    assert stderr.getvalue() == ""
+    matrix = TrafficMatrix(values=matrix_from_csv(source), p_min=pmin, p_max=pmax,
+                           distribution="uniform", params=GeneratorParams(0, 1.0, 1.0))
+    reports = run_suite(matrix)
+    assert out.read_text(encoding="utf-8") == reports_to_json(reports) + "\n"
+    assert code == (EXIT_OK if suite_satisfied(reports) else EXIT_REJECTED)

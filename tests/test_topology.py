@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wsngen.deployment import deploy_grid, deploy_nongrid
+from wsngen import generator
+from wsngen.deployment import DEPLOYERS, deploy_grid, deploy_nongrid
 from wsngen.topology import (
     build_graph,
     graph_to_csv,
@@ -342,3 +343,32 @@ def test_hundred_thousand_nodes():
     g = build_graph(pts, 15.0)
     assert g.node_count == 100_000
     assert sum(g.degrees) == 2 * len(g.edges) > 0
+
+
+# Below 512 points the graph is built over lists, so the cases above take
+# that path; the properties and edge cases run again with numpy from 0 points.
+_ON_NUMPY = {
+    "cell_list": lambda tmp_path: test_cell_list_matches_row_wise_brute_force(tmp_path),
+    "isolated_by_range": lambda tmp_path: test_isolated_by_range_matches_per_range_graphs(),
+    "distance": lambda tmp_path: test_distance_over_the_full_exponent_range(),
+    "huge_extent": lambda tmp_path: test_huge_extent_scales_exactly(),
+    "tiny_reach": lambda tmp_path: test_tiny_reach_over_huge_extent(),
+    "infinite_reach": lambda tmp_path: test_infinite_reach_joins_every_pair(),
+    "beyond_square_range": lambda tmp_path: test_distance_beyond_square_range(),
+}
+
+
+@pytest.mark.parametrize("name", _ON_NUMPY)
+def test_properties_hold_on_the_numpy_path(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(generator, "_NUMPY_FROM", 0)
+    _ON_NUMPY[name](tmp_path)
+
+
+@pytest.mark.parametrize("mode", DEPLOYERS)
+def test_list_path_matches_numpy_at_the_benchmark_size(mode, monkeypatch):
+    # the large_topology benchmark's graphs, which take the numpy path
+    dep = DEPLOYERS[mode](1000, 10.0 * math.sqrt(1000), 11)
+    trs = (10.0, 15.0, 20.0)
+    on_numpy = [build_graph(dep, tr) for tr in trs], isolated_by_range(dep, trs)
+    monkeypatch.setattr(generator, "_NUMPY_FROM", 10**6)
+    assert ([build_graph(dep, tr) for tr in trs], isolated_by_range(dep, trs)) == on_numpy

@@ -13,9 +13,9 @@ from scipy import stats as scipy_stats
 
 import oracles
 from oracles import interval_uniformity
-from strategies import deployments, matrices
-from wsngen import validation
-from wsngen.deployment import deploy_nongrid
+from strategies import GENERATORS, deployments, matrices
+from wsngen import generator, validation
+from wsngen.deployment import DEPLOYERS, deploy_nongrid
 from wsngen.traffic import traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
@@ -209,7 +209,7 @@ def test_circular_argument_validation():
 # --- helpers ------------------------------------------------------------------
 
 def test_normalize_maps_and_validates():
-    assert normalize([2.0, 6.0, 9.9], 2.0, 10.0).tolist() == [0.0, 0.5, 0.9875]
+    assert normalize([2.0, 6.0, 9.9], 2.0, 10.0) == [0.0, 0.5, 0.9875]
     with pytest.raises(ValueError):
         normalize([10.0], 2.0, 10.0)
     with pytest.raises(ValueError):
@@ -437,13 +437,43 @@ def test_normalize_matches_list_oracle(lower, upper, data):
     inside = st.one_of(st.floats(lower, upper, exclude_max=True),
                        st.integers(math.ceil(lower), math.ceil(upper) - 1))
     sample = data.draw(st.lists(inside, min_size=1, max_size=50))
-    assert repr(normalize(sample, lower, upper).tolist()) == repr(oracles.normalize(sample, lower, upper))
+    assert repr(normalize(sample, lower, upper)) == repr(oracles.normalize(sample, lower, upper))
     finite = {"allow_nan": False, "allow_infinity": False}
     sample.append(data.draw(st.one_of(st.floats(max_value=lower, exclude_max=True, **finite),
                                       st.floats(min_value=upper, **finite))))
     for battery in (oracles, validation):
         with pytest.raises(ValueError, match="outside"):
             battery.normalize(sample, lower, upper)
+
+
+# Below 512 values per stream the battery runs on lists, so most drawn samples
+# take that path; the properties run again with numpy from 0 values.
+_ON_NUMPY = {
+    "battery": lambda: test_battery_matches_list_oracle_on_drawn_samples(),
+    "run_suite": lambda: test_run_suite_matches_list_oracle_on_drawn_datasets(),
+    "normalize": lambda: test_normalize_matches_list_oracle(),
+    "signed_zeros": lambda: [test_ks_signed_zeros_match_list_oracle(s) for s in (
+        [-0.0, 0.2, 0.4, 0.6, 0.8], [-0.0, 0.0, 0.2, 0.4, 0.6],
+        [0.0, -0.0, 0.2, 0.4, 0.6], [-0.0, 0.0, 0, 0.6, 0.8, 0.8])],
+}
+
+
+@pytest.mark.parametrize("name", _ON_NUMPY)
+def test_properties_hold_on_the_numpy_path(name, monkeypatch):
+    monkeypatch.setattr(generator, "_NUMPY_FROM", 0)
+    _ON_NUMPY[name]()
+
+
+@pytest.mark.parametrize("kind", [*DEPLOYERS, *GENERATORS])
+def test_list_path_matches_numpy_at_the_benchmark_sizes(kind, monkeypatch):
+    # the large_dataset benchmark's datasets, which take the numpy path
+    if kind in DEPLOYERS:
+        data = DEPLOYERS[kind](5000, 10.0 * math.sqrt(5000), 5)
+    else:
+        data = GENERATORS[kind](1000, 5, 2.0, 10.0)
+    on_numpy = reports_to_json(run_suite(data))
+    monkeypatch.setattr(generator, "_NUMPY_FROM", 10**6)
+    assert reports_to_json(run_suite(data)) == on_numpy
 
 
 def test_normalize_rejects_non_finite_sample():
