@@ -212,17 +212,17 @@ def _cmd_report(args) -> int:
         rows = batch_report(seeds, args.nodes, args.area, ranges,
                             config=config, table=_table_from(args),
                             epsilon=args.epsilon)
-        text = render_report_text(rows, ranges)
-        payload = render_report_json(rows, ranges)
+        # only the requested form is rendered: JSON refuses a non-finite range
+        if args.format == "json":
+            body = render_report_json(rows, ranges) + "\n"
+        else:
+            body = render_report_text(rows, ranges)
     else:
         if args.kind == "agreement":
-            result = reference_agreement_report(config=config)
-            text = render_agreement_text(result)
+            result, render = reference_agreement_report(config=config), render_agreement_text
         else:
-            result = packet_diff_report()
-            text = render_packet_diff_text(result)
-        payload = json.dumps(result, indent=2)
-    body = payload + "\n" if args.format == "json" else text
+            result, render = packet_diff_report(), render_packet_diff_text
+        body = json.dumps(result, indent=2) + "\n" if args.format == "json" else render(result)
     if args.out:
         write_text(args.out, [body])
         print(f"report: kind={args.kind} -> {args.out}")

@@ -77,7 +77,8 @@ def batch_report(
 
 
 def render_report_json(rows: Sequence[dict], ranges: Sequence[float] = (10.0, 15.0, 20.0)) -> str:
-    return json.dumps({"kind": "batch-report", "ranges": list(ranges), "rows": rows}, indent=2)
+    return json.dumps({"kind": "batch-report", "ranges": list(ranges), "rows": rows},
+                      indent=2, allow_nan=False)
 
 
 def render_report_text(rows: Sequence[dict], ranges: Sequence[float] = (10.0, 15.0, 20.0)) -> str:

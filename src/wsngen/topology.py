@@ -12,12 +12,12 @@ within reach lies in the same or an adjacent cell. Time and memory are
 O(n + edges) for a deployment of roughly even density.
 
 Below generator._NUMPY_FROM points the neighbour pass runs over Python
-lists, so a process that only meets small deployments never imports numpy.
-From there on it keeps to a few numpy kernels (elementwise arithmetic,
-searchsorted, repeat) and sorts and takes extents in Python: each further
-numpy kernel faults 64-128 KB of its code into the resident set of the
-process that first calls it. Both paths share the cells and compute every
-distance with the same expression, so they give the same graph.
+lists: at those sizes importing numpy (about 150 ms) costs more than the
+pass, so a process that only meets small deployments never imports it.
+From there on the pass is numpy. Both paths share the cells and the
+power-of-two rescale of a distance whose square left the normal range,
+compute every other distance with the same expression and sort the edges
+by (u, v), so they give the same graph.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _rescaled(dx: float, dy: float, d: float) -> float:
     dx, dy = math.ldexp(dx, k), math.ldexp(dy, k)
     try:
         return math.ldexp(math.sqrt(dx * dx + dy * dy), -k)
-    except OverflowError:  # past the float range, where numpy gives inf
+    except OverflowError:  # past the float range, as a plain distance gives inf
         return math.inf
 
 
@@ -151,14 +151,6 @@ def _near_pairs(rows: list, reach: float) -> list:
     return out
 
 
-def _argsort(values):
-    """Stable argsort by Python's sorted() (see the module docstring)."""
-    import numpy as np
-
-    keys = values.tolist()
-    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-
-
 def _candidates(pts, reach: float):
     """Candidate pairs (u, v) with their distances d, each pair once and in
     no set order. Every pair within reach is among them; d is a row-wise scan's
@@ -171,7 +163,7 @@ def _candidates(pts, reach: float):
     else:
         cell = np.floor((pts - lo) / side).astype(np.int64)
     key = (cell[:, 0] + 1) * rows + cell[:, 1] + 1
-    order = _argsort(key)
+    order = np.argsort(key, kind="stable")
     key = key[order]
     # point k (in cell order) pairs with the later points of its own cell
     # and with every point of the forward neighbour cells; each such run is
@@ -188,18 +180,13 @@ def _candidates(pts, reach: float):
     i = np.repeat(np.tile(later - 1, len(first)), size)
     j = np.repeat(np.concatenate(first) - np.cumsum(size) + size, size) + np.arange(len(i))
     u, v = order[i], order[j]
-    with np.errstate(over="ignore"):  # past the float range is inf: see below
+    with np.errstate(over="ignore"):  # past the float range is inf: _rescaled redoes it
         diff = pts[u] - pts[v]
         d = np.sqrt((diff ** 2).sum(axis=-1))
-    # a square outside the normal range loses the distance: redo such a pair on its
-    # differences scaled by a power of two to below 2**509, keeping a normal result's bits
+    # a square outside the normal range lost the distance; equal points keep 0
     redo = np.flatnonzero((d < 2.0 ** -510) | (d == math.inf))
-    if len(redo):
-        top = np.abs(diff[redo]).max(axis=-1)
-        keep = (top > 0) & (top < math.inf)  # equal points keep 0, an overflowed difference inf
-        redo, k = redo[keep], 509 - np.frexp(top[keep])[1]
-        with np.errstate(over="ignore"):
-            d[redo] = np.ldexp(np.sqrt((np.ldexp(diff[redo], k[:, None]) ** 2).sum(axis=-1)), -k)
+    for k in redo[diff[redo].any(axis=-1)].tolist():
+        d[k] = _rescaled(*diff[k].tolist(), float(d[k]))
     return u, v, d
 
 
@@ -223,7 +210,7 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
         near = d <= reach
         a, b, d = a[near], b[near], d[near]
         u, v = np.minimum(a, b), np.maximum(a, b)
-        by_pair = _argsort(u * n + v)
+        by_pair = np.argsort(u * n + v, kind="stable")
         edges = zip(u[by_pair].tolist(), v[by_pair].tolist())
         distances = d[by_pair].tolist()
         degrees = np.bincount(np.concatenate([u, v]), minlength=n).tolist()

@@ -16,10 +16,11 @@ sqrt(33/36), so its |Z0| stays below 0.784. The bundled golden verdicts were
 produced with this form, which is why it is the one kept.
 
 A stream below generator._NUMPY_FROM values is a list of floats, so a
-process that only meets small datasets never imports numpy; a longer stream
-is one float64 array. Both paths give the same floats: every float sum that
-reaches a statistic adds left to right, by functools.reduce over a list and
-as the last element of np.cumsum over an array. np.sum pairs terms, and
+process that only meets small datasets never imports numpy, whose import
+takes longer than the battery at those sizes; a longer stream is one float64
+array. Both paths give the same floats: every float sum that reaches a
+statistic adds left to right, by functools.reduce over a list and as the
+last element of np.cumsum over an array. np.sum pairs terms, and
 Python 3.12 made the builtin sum() compensated.
 """
 
@@ -39,6 +40,10 @@ from .deployment import Deployment
 from .traffic import TrafficMatrix
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
+
+# The largest float below 1.0: normalize's image of a value whose map rounds
+# onto 1.0.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 # Large-sample KS coefficients: critical = c(alpha)/sqrt(n) for n > 35.
 KS_ASYMPTOTIC = {0.05: 1.36, 0.01: 1.63, 0.001: 1.95}
@@ -219,14 +224,18 @@ def _finite(sample: Sequence[float], lower: float, upper: float):
 
 
 def _scaled(sample: Sequence[float], lower: float, upper: float):
-    """normalize's map, onto _finite's list or array."""
+    """normalize's map, onto _finite's list or array. A value just below upper
+    can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a value
+    that rounded onto p_max just below it."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
     vals = _finite(sample, lower, upper)
     if isinstance(vals, list):
-        return [(v - lower) / span for v in vals]
-    return (vals - lower) / span
+        out = [(v - lower) / span for v in vals]
+        return out if max(out) < 1.0 else [min(v, _BELOW_ONE) for v in out]
+    out = (vals - lower) / span
+    return out if out.max() < 1.0 else out.clip(max=_BELOW_ONE)
 
 
 def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
@@ -237,13 +246,14 @@ def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float
 
 def _ascending(pieces: list):
     """The values of checked pieces, all lists or all arrays, sorted into one
-    container of their kind. sorted() is stable and keeps np.sort's code out
-    of the resident set; over sorted pieces it is a merge."""
+    container of their kind. Lists are the pieces of small datasets, which
+    sorted() orders without the numpy import that would cost more than the
+    battery. Both sorts are stable, so -0.0 and 0.0 keep their order."""
     if isinstance(pieces[0], list):
         return sorted(chain.from_iterable(pieces))
     import numpy as np
 
-    return np.array(sorted(chain.from_iterable(p.tolist() for p in pieces)))
+    return np.sort(np.concatenate(pieces), kind="stable")
 
 
 def ks_critical_value(n: int, alpha: float) -> float:
@@ -294,16 +304,11 @@ def _ks(sample, alpha: float, checked: bool = True) -> TestReport:
 
 
 def _bin_counts(sample, classes: int) -> list[int]:
-    # membership by boundary comparison: value v lands in bin i when
-    # i/classes <= v < (i+1)/classes
-    boundaries = [k / classes for k in range(classes + 1)]
-    if isinstance(sample, list):  # ascending: bin i starts at the first value not below its boundary
-        starts = [bisect_left(sample, b) for b in boundaries]
-        return list(map(sub, starts[1:], starts))
-    import numpy as np
-
-    idx = np.searchsorted(boundaries, sample, side="right") - 1
-    return np.bincount(idx, minlength=classes).tolist()
+    """Bin counts of an ascending list or array in [0, 1). Value v lands in
+    bin i when i/classes <= v < (i+1)/classes, so bin i starts at the first
+    value not below its boundary."""
+    starts = [bisect_left(sample, k / classes) for k in range(classes + 1)]
+    return list(map(sub, starts[1:], starts))
 
 
 def chi2_critical_value(nu: int, alpha: float) -> float:
@@ -329,7 +334,7 @@ def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) 
 
 
 def _chi2(sample, classes: int, alpha: float, checked: bool = True) -> TestReport:
-    """chi2_test, on a sample _finite checked, and sorted if a list, unless checked is False."""
+    """chi2_test, on a sample _finite checked and _ascending sorted unless checked is False."""
     n = len(sample)
     if classes < 2:
         raise ValueError("classes must be >= 2")
@@ -337,9 +342,7 @@ def _chi2(sample, classes: int, alpha: float, checked: bool = True) -> TestRepor
         raise ValueError(f"chi2 needs at least {5 * classes} values for {classes} classes")
     _require_alpha(alpha)
     if not checked:
-        sample = _finite(sample, 0, 1)
-        if isinstance(sample, list):
-            sample.sort()
+        sample = _ascending([_finite(sample, 0, 1)])
     counts = _bin_counts(sample, classes)
     expected = n / classes
     # sum (f - n/k)^2 / (n/k) == sum (k*f - n)^2 / (n*k): a ratio of integers,
@@ -495,7 +498,7 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
             rep = _ks(part, cfg.alpha_ks)
             rep.details.update(stream=name, part=part_name)
             reports.append(rep)
-        # bin counts ignore order, and the list path needs it ascending
+        # bin counting needs the sample ascending
         rep = _chi2(full, cfg.classes, cfg.alpha_chi2)
         rep.details.update(stream=name, part="full")
         reports.append(rep)

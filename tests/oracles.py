@@ -5,14 +5,16 @@ true-uniform numpy source, count windows of an already generated sample,
 run the uniformity battery as the per-element list loops it was before it
 ran on float64 arrays, write a file through the standard library's csv
 and json encoders, fill the exponential-recurrence matrix through the
-t x t working table it used before it became two chains, or measure the
-distance between two points, as the radius graph once did and exactly.
+t x t working table it used before it became two chains, measure the
+distance between two points, as the radius graph once did and exactly, or
+predict the seed gap at which two deployments coincide.
 """
 
 import csv
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,7 +124,8 @@ def _left_sum(values) -> float:
 
 
 def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
-    """Affine map of [lower, upper) onto [0, 1)."""
+    """Affine map of [lower, upper) onto [0, 1); a value whose map rounds onto
+    1.0 gets the largest float below it."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
@@ -130,7 +133,7 @@ def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float
     for v in sample:
         if v < lower or v >= upper:
             raise ValueError(f"value {v} outside [{lower}, {upper})")
-        out.append((v - lower) / span)
+        out.append(min((v - lower) / span, math.nextafter(1.0, 0.0)))
     return out
 
 
@@ -365,6 +368,19 @@ def exact_distance(p, q) -> Decimal:
         dx = Decimal(p[0]) - Decimal(q[0])
         dy = Decimal(p[1]) - Decimal(q[1])
         return (dx * dx + dy * dy).sqrt()
+
+
+# --- seed aliasing ------------------------------------------------------------
+
+def alias_period(a: float, area: float) -> int:
+    """The seed gap 14k after which a deployment's first point comes back.
+
+    Seeds s and s + 14k share a and c, and their first points differ by
+    14k*a. For the 6-decimal a that is a whole number of areas when k is the
+    denominator of 14*a/area; only the error of float(a) is left to tell the
+    two seeds apart.
+    """
+    return 14 * (14 * Fraction(str(a)) / Fraction(str(area))).denominator
 
 
 # --- the exponential recurrence over its working table, kept byte for byte ----

@@ -594,12 +594,24 @@ def test_report_empty_list_errors(argv, capsys):
     assert "expected a comma-separated list" in _single_error_line(capsys.readouterr().err)
 
 
+def test_report_json_refuses_an_infinite_range(tmp_path, capsys):
+    # the batch document held a bare Infinity, which is not JSON; the text
+    # report heads the column TR=inf and still counts
+    out = tmp_path / "report.json"
+    argv = ["report", "--seeds", "0", "--tr", "10,inf", "--out", str(out)]
+    assert main(argv + ["--format", "json"]) == EXIT_ERROR
+    assert "not JSON compliant" in _single_error_line(capsys.readouterr().err)
+    assert not out.exists()
+    assert main(argv) == EXIT_OK
+    assert "TR=inf" in out.read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # the CLI contract over drawn arguments
 
 _EXTREMES = (0.0, -1.0, -1e300, math.nan, math.inf, -math.inf, 1e-300, 1e300)
 _VALUES = st.one_of(st.floats(0.01, 500.0), st.sampled_from(_EXTREMES))
-_SEEDS = st.one_of(st.integers(0, 10**6), st.sampled_from([-1, -10**6, 10**300, 10**400]))
+_SEEDS = st.one_of(st.integers(0, 10**6), st.sampled_from([-1, -10**6, 2**53, 10**300, 10**400]))
 
 
 def _nodes(most: int):
@@ -609,6 +621,23 @@ def _nodes(most: int):
 def _deployment_flags(draw, most: int) -> dict:
     return {"nodes": draw(_nodes(most)), "area": draw(_VALUES), "seed": draw(_SEEDS),
             "mode": draw(st.sampled_from(["non-grid", "grid"]))}
+
+
+def _comma_list(elements, text, min_size=0):
+    return st.lists(elements, min_size=min_size, max_size=3).map(lambda v: ",".join(map(text, v)))
+
+
+# report runs the graph and the battery once per seed and mode, so its flags
+# are (ordinary, wild) pairs and one flag in four is drawn wild: seed lists
+# that are empty or hold negative or >= 2**53 seeds, ranges of 0, nan or
+# +-inf, and the graph at 300 nodes at most, as for analyze
+_REPORT_FLAGS = {
+    "seeds": (_comma_list(st.integers(0, 10**6), str, 1), _comma_list(_SEEDS, str)),
+    "tr": (_comma_list(st.floats(0.01, 500.0), repr, 1), _comma_list(_VALUES, repr)),
+    "nodes": (st.integers(50, 300), _nodes(300)),
+    "area": (st.floats(0.01, 500.0), _VALUES),
+    "epsilon": (st.floats(0.0, 500.0), _VALUES),
+}
 
 
 def _read_deploy(out, fmt, flags):
@@ -638,6 +667,28 @@ def _read_analyze(out, fmt, flags):
         assert 0.0 <= d <= flags["tr"] + flags["epsilon"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number in the report: {name}")
+
+
+def _read_report(out, fmt, flags):
+    seeds = sorted({int(s) for s in flags["seeds"].split(",")})
+    ranges = len(flags["tr"].split(","))
+    if fmt == "json":
+        doc = json.loads(Path(out).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        rows = [[r["seed"]] + [v for m in r["modes"].values() for v in (*m["isolated"], m["ks"],
+                m["chi2"], m["autocorrelation"])] for r in doc["rows"]]
+    else:  # a banner, the column heads and a rule, then one row per seed
+        rows = [line.split() for line in Path(out).read_text(encoding="utf-8").splitlines()[3:]]
+        rows = [[int(r[0])] + r[3:] for r in rows]
+    assert [r[0] for r in rows] == seeds
+    for r in rows:
+        assert len(r) == 1 + 2 * (ranges + 3)
+        for mode in (r[1:ranges + 4], r[ranges + 4:]):
+            assert all(0 <= int(n) <= flags["nodes"] for n in mode[:ranges])
+            assert set(mode[ranges:]) <= {"Satisfied", "Rejected"}
+
+
 def _read_validate(out, fmt, code, stdout):
     text = Path(out).read_text(encoding="utf-8")
     if fmt == "text":
@@ -651,7 +702,7 @@ def _read_validate(out, fmt, code, stdout):
 @st.composite
 def _invocations(draw, command):
     """(argv, format, flags) for one run of command."""
-    fmt = draw(st.sampled_from(["text", "json"] if command == "validate" else ["csv", "json"]))
+    fmt = draw(st.sampled_from(["text", "json"] if command in ("validate", "report") else ["csv", "json"]))
     if command == "traffic":
         flags = {"nodes": draw(_nodes(2000)), "pmin": draw(_VALUES), "pmax": draw(_VALUES),
                  "lambda": draw(_VALUES),
@@ -659,6 +710,9 @@ def _invocations(draw, command):
     elif command == "analyze":
         # all pairs of 2000 nodes would be 2 million edges, most of a gigabyte
         flags = {**_deployment_flags(draw, 300), "tr": draw(_VALUES), "epsilon": draw(_VALUES)}
+    elif command == "report":
+        flags = {name: draw(wild if draw(st.integers(0, 3)) == 0 else ordinary)
+                 for name, (ordinary, wild) in _REPORT_FLAGS.items()}
     else:
         flags = _deployment_flags(draw, 2000)
     argv = [command, "--format", fmt] + [
@@ -667,10 +721,11 @@ def _invocations(draw, command):
     return argv, fmt, flags
 
 
-_READERS = {"deploy": _read_deploy, "traffic": _read_traffic, "analyze": _read_analyze}
+_READERS = {"deploy": _read_deploy, "traffic": _read_traffic, "analyze": _read_analyze,
+            "report": _read_report}
 
 
-@pytest.mark.parametrize("command", ["deploy", "traffic", "analyze", "validate"])
+@pytest.mark.parametrize("command", ["deploy", "traffic", "analyze", "validate", "report"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_contract_over_drawn_arguments(command, tmp_path_factory, data):

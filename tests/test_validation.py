@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -16,7 +16,8 @@ from oracles import interval_uniformity
 from strategies import GENERATORS, deployments, matrices
 from wsngen import generator, validation
 from wsngen.deployment import DEPLOYERS, deploy_nongrid
-from wsngen.traffic import traffic_uniform
+from wsngen.generator import GeneratorParams
+from wsngen.traffic import TrafficMatrix, traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
     SUPPORTED_ALPHAS,
@@ -482,6 +483,41 @@ def test_normalize_rejects_non_finite_sample():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             normalize([0.5, bad], 0.0, 1.0)
+
+
+# bounds under which the largest value of a traffic CSV, below upper, mapped
+# onto exactly 1.0: the list path's chi-square counted 99 of 100 values, and
+# the numpy path's gave an eleventh bin and a Rejected verdict
+_ROUNDS_ONTO_ONE = (13.245794280199016, 4.245794280199017, 13.245794280199018)
+
+
+@pytest.mark.parametrize("numpy_from", [0, 10**6])
+def test_value_just_below_upper_stays_in_the_last_bin(numpy_from, monkeypatch):
+    monkeypatch.setattr(generator, "_NUMPY_FROM", numpy_from)
+    top, lower, upper = _ROUNDS_ONTO_ONE
+    values = traffic_uniform(20, 5, lower, upper).values
+    matrix = TrafficMatrix(values=((top,) + values[0][1:],) + values[1:], p_min=lower, p_max=upper,
+                           distribution="uniform", params=GeneratorParams(0, 1.0, 1.0))
+    chi2 = [r for r in run_suite(matrix) if r.test_name == "chi2"][0]
+    assert len(chi2.details["counts"]) == 10
+    assert sum(chi2.details["counts"]) == 100
+    assert chi2.details["counts"][-1] >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(*_ROUNDS_ONTO_ONE[1:], [])
+def test_normalize_stays_below_one(lower, upper, fractions):
+    assume(lower < upper)
+    # the largest value the bounds admit, then drawn ones between the bounds
+    top = math.nextafter(upper, -math.inf)
+    sample = [top, lower] + [min(lower + f * (upper - lower), top) for f in fractions]
+    for numpy_from in (0, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "_NUMPY_FROM", numpy_from)
+            out = normalize(sample, lower, upper)
+        assert all(0.0 <= v < 1.0 for v in out)
+    assert all(0.0 <= v < 1.0 for v in oracles.normalize(sample, lower, upper))
 
 
 # --- interval harness -----------------------------------------------------------
