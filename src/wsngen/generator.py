@@ -197,39 +197,47 @@ def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
     return values
 
 
-# rows per joined piece of a JSON array: one piece per row costs more time,
-# one piece per array keeps the whole array's text in memory
+# rows per joined piece of a JSON array or a graph CSV: one piece per row costs
+# more time, one piece per array keeps the whole array's text in memory
 _BLOCK = 256
 # the opening, separator and closing of a JSON array of numbers, and of rows
 _LAYOUTS = (("[\n    ", ",\n    ", "\n  ]"), ("[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"))
+_CELL_SEP = ",\n      "  # between the cells of a row
 
 
 def write_document(meta: dict, data: dict, path) -> None:
     """Write json.dumps({"meta": meta, **data}, indent=2) and a final newline to path.
     Each data value lists ints and floats, or equal-width rows of them, checked by
     _require_writable before the file is opened."""
-    # meta is small, so json.dumps lays it out, less its closing "\n}"
-    head = json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
-    for key, rows in data.items():
-        _require_writable(rows if _nested(rows) else tuple(zip(rows)), repr(key))
-    write_text(path, _document_pieces(head, data))
+    head = _document_head(meta)
+    write_text(path, _document_pieces(head, {key: _array_text(key, rows) for key, rows in data.items()}))
 
 
-def _nested(rows) -> bool:
-    return bool(rows) and isinstance(rows[0], (list, tuple))
+def _document_head(meta: dict) -> str:
+    """json.dumps({"meta": meta}, indent=2) less its closing "\n}"; meta must be finite."""
+    return json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
 
 
-def _document_pieces(head: str, data: dict):
-    """The text of a document: its meta head, then each array _BLOCK rows at a time."""
+def _array_text(key: str, rows):
+    """(nested, blocks) for _document_pieces of rows that _require_writable passes."""
+    nested = bool(rows) and isinstance(rows[0], (list, tuple))
+    _require_writable(rows if nested else tuple(zip(rows)), repr(key))
+    blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
+    return nested, ([_CELL_SEP.join(map(repr, r)) for r in b] if nested else map(repr, b) for b in blocks)
+
+
+def _document_pieces(head: str, arrays: dict):
+    """The text of a document: its meta head, then each array from (nested, blocks),
+    each block the text of _BLOCK elements (a row's cells joined by _CELL_SEP)."""
     yield head
-    for key, rows in data.items():
-        nested = _nested(rows)
-        start, sep, end = _LAYOUTS[nested] if rows else ("[]", "", "")
-        yield f",\n  {json.dumps(key)}: {start}"
-        for i in range(0, len(rows), _BLOCK):
-            block = rows[i:i + _BLOCK]
-            yield sep.join([",\n      ".join(map(repr, r)) for r in block] if nested else map(repr, block))
-            yield sep if i + _BLOCK < len(rows) else end
+    for key, (nested, blocks) in arrays.items():
+        start, sep, end = _LAYOUTS[nested]
+        yield f",\n  {json.dumps(key)}: "
+        gap = start
+        for block in blocks:
+            yield gap + sep.join(block)
+            gap = sep
+        yield end if gap == sep else "[]"
     yield "\n}\n"
 
 

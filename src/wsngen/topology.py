@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 from . import generator
-from .generator import require_finite, write_csv, write_document
+from .generator import require_finite, write_text
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -68,7 +69,8 @@ def _as_points(deployment):
     arr = np.asarray(pts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("deployment must supply a non-empty (n, 2) point set")
-    require_finite(arr.tolist(), "points")
+    if not np.isfinite(arr).all():
+        require_finite(arr.tolist(), "points")
     return arr
 
 
@@ -224,25 +226,33 @@ def isolated_count(graph: RadiusGraph) -> int:
     return graph.degrees.count(0)
 
 
-def _weighted_edges(graph: RadiusGraph):
-    """[u, v, distance] per edge in (u, v) order, 1-based Python ints and floats."""
-    return [[u + 1, v + 1, d] for (u, v), d in zip(graph.edges, graph.distances)]
+def _edge_text(graph: RadiusGraph, what: str, sep: str, end: str):
+    """Blocks of _BLOCK edge rows u + 1, v + 1, distance, joined by sep and ended by
+    end, once they pass _require_writable. Int ids and finite float distances, which
+    build_graph gives, pass on their types and one sum, which a nan or inf makes non-finite."""
+    edges, distances = graph.edges, graph.distances
+    if not (set(map(type, chain.from_iterable(edges))) <= {int} and set(map(type, distances)) <= {float}
+            and math.isfinite(sum(distances))):
+        generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], what)
+    rows = zip(edges, distances)  # blocks until one is empty; an int or float formats as its repr
+    return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for (u, v), d in islice(rows, generator._BLOCK)], [])
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
     """Edge list as u,v,distance (1-based node ids).
 
-    The distances are the ones stored in the graph; ``deployment`` is not read.
+    The rows are the graph's stored edges and distances, checked once before the
+    file is opened and written in blocks; ``deployment`` is not read.
     """
-    edges = _weighted_edges(graph)
-    write_csv(path, ("u", "v", "distance"), edges,
-              (f"{u},{v},{d!r}\r\n" for u, v, d in edges))
+    write_text(path, chain(("u,v,distance\r\n",), map("".join, _edge_text(graph, "CSV", ",", "\r\n"))))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
     """Graph document: meta, degree list and [u, v, distance] triples (1-based ids).
 
-    The distances are the ones stored in the graph; ``deployment`` is not read.
+    The edge rows are the graph's stored edges and distances, checked once after
+    meta and degrees and written in blocks, laid out as write_document lays out
+    rows; ``deployment`` is not read.
     """
     meta = {
         "kind": "radius-graph",
@@ -252,7 +262,10 @@ def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
         "edge_count": len(graph.edges),
         "isolated": isolated_count(graph),
     }
-    write_document(meta, {"degrees": graph.degrees, "edges": _weighted_edges(graph)}, path)
+    head = generator._document_head(meta)
+    degrees = generator._array_text("degrees", graph.degrees)
+    edges = True, _edge_text(graph, "'edges'", generator._CELL_SEP, "")
+    write_text(path, generator._document_pieces(head, {"degrees": degrees, "edges": edges}))
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

@@ -618,19 +618,25 @@ def _nodes(most: int):
     return st.one_of(st.integers(1, most), st.sampled_from([0, -1, -2000]))
 
 
-def _deployment_flags(draw, most: int) -> dict:
-    return {"nodes": draw(_nodes(most)), "area": draw(_VALUES), "seed": draw(_SEEDS),
-            "mode": draw(st.sampled_from(["non-grid", "grid"]))}
-
-
 def _comma_list(elements, text, min_size=0):
     return st.lists(elements, min_size=min_size, max_size=3).map(lambda v: ",".join(map(text, v)))
 
 
-# report runs the graph and the battery once per seed and mode, so its flags
-# are (ordinary, wild) pairs and one flag in four is drawn wild: seed lists
-# that are empty or hold negative or >= 2**53 seeds, ranges of 0, nan or
-# +-inf, and the graph at 300 nodes at most, as for analyze
+# each flag is an (ordinary, wild) pair and one flag in four is drawn wild, so
+# most runs get past the argument checks to the output checks. The wild draws
+# hold the extremes: counts of 0 or below, seeds that are negative or >= 2**53,
+# values of 0, nan or +-inf; a flag with no extremes draws from one set.
+_FLOAT = (st.floats(0.01, 500.0), _VALUES)
+_MODES = (st.sampled_from(["non-grid", "grid"]),) * 2
+
+
+def _deployment_flags(most: int, fewest: int = 1) -> dict:
+    return {"nodes": (st.integers(fewest, most), _nodes(most)), "area": _FLOAT,
+            "seed": (st.integers(0, 10**6), _SEEDS), "mode": _MODES}
+
+
+# report runs the graph and the battery once per seed and mode, so its seed
+# lists may also be empty, and its graph, as for analyze, has 300 nodes at most
 _REPORT_FLAGS = {
     "seeds": (_comma_list(st.integers(0, 10**6), str, 1), _comma_list(_SEEDS, str)),
     "tr": (_comma_list(st.floats(0.01, 500.0), repr, 1), _comma_list(_VALUES, repr)),
@@ -704,17 +710,19 @@ def _invocations(draw, command):
     """(argv, format, flags) for one run of command."""
     fmt = draw(st.sampled_from(["text", "json"] if command in ("validate", "report") else ["csv", "json"]))
     if command == "traffic":
-        flags = {"nodes": draw(_nodes(2000)), "pmin": draw(_VALUES), "pmax": draw(_VALUES),
-                 "lambda": draw(_VALUES),
-                 "dist": draw(st.sampled_from(["uniform", "exp-transform", "exp-recurrence"]))}
+        # ordinary bounds never cross
+        pairs = {"nodes": (st.integers(1, 2000), _nodes(2000)), "pmin": (st.floats(0.0, 250.0), _VALUES),
+                 "pmax": (st.floats(250.5, 500.0), _VALUES), "lambda": _FLOAT,
+                 "dist": (st.sampled_from(["uniform", "exp-transform", "exp-recurrence"]),) * 2}
     elif command == "analyze":
         # all pairs of 2000 nodes would be 2 million edges, most of a gigabyte
-        flags = {**_deployment_flags(draw, 300), "tr": draw(_VALUES), "epsilon": draw(_VALUES)}
+        pairs = {**_deployment_flags(300), "tr": _FLOAT, "epsilon": (st.floats(0.0, 500.0), _VALUES)}
     elif command == "report":
-        flags = {name: draw(wild if draw(st.integers(0, 3)) == 0 else ordinary)
-                 for name, (ordinary, wild) in _REPORT_FLAGS.items()}
-    else:
-        flags = _deployment_flags(draw, 2000)
+        pairs = _REPORT_FLAGS
+    else:  # the battery's chi-square needs 50 values a stream at its 10 classes
+        pairs = _deployment_flags(2000, 50 if command == "validate" else 1)
+    flags = {name: draw(wild if draw(st.integers(0, 3)) == 0 else ordinary)
+             for name, (ordinary, wild) in pairs.items()}
     argv = [command, "--format", fmt] + [
         f"--{name}={value}" if isinstance(value, str) else f"--{name}={value!r}"
         for name, value in flags.items()]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from wsngen.deployment import Deployment, deploy_nongrid, deployment_to_csv, deployment_to_json
 from wsngen.generator import _BLOCK, GeneratorParams, write_csv, write_document
-from wsngen.topology import build_graph, graph_to_csv
+from wsngen.topology import build_graph, graph_to_csv, graph_to_json
 from wsngen.traffic import TrafficMatrix, traffic_to_csv, traffic_to_json
 
 PARAMS = GeneratorParams(seed=1, a=3.359886, c=1.902161)
@@ -170,6 +170,24 @@ def test_json_export_streams_its_rows(tmp_path):
     tracemalloc.start()
     try:
         deployment_to_json(dep, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("export", [graph_to_csv, graph_to_json])
+def test_graph_exports_stream_their_rows(tmp_path, export):
+    # with a [u, v, distance] list built per edge first, the peak was 4.4 MB
+    # for 44,850 edges, 3.6 times the CSV's size and 1.7 times the JSON's
+    dep = deploy_nongrid(300, 1.0, 0)
+    graph = build_graph(dep, 2.0)
+    assert len(graph.edges) == 300 * 299 // 2
+    path = tmp_path / "graph"
+    export(graph, dep, path)
+    tracemalloc.start()
+    try:
+        export(graph, dep, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

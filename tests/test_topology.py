@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import re
 import sys
 from decimal import Decimal
 
@@ -16,6 +17,7 @@ import oracles
 from wsngen import generator
 from wsngen.deployment import DEPLOYERS, deploy_grid, deploy_nongrid
 from wsngen.topology import (
+    RadiusGraph,
     build_graph,
     graph_to_csv,
     graph_to_json,
@@ -181,9 +183,20 @@ def test_cell_list_matches_row_wise_brute_force(tmp_path, case):
         degrees[u] += 1
         degrees[v] += 1
     assert g.degrees == tuple(degrees)
-    graph_to_json(g, pts, tmp_path / "graph.json")
-    doc = json.loads((tmp_path / "graph.json").read_text())
-    assert doc["edges"] == [[u + 1, v + 1, brute[(u, v)]] for u, v in sorted(brute)]
+    _assert_exports_match_oracles(g, [[u + 1, v + 1, brute[(u, v)]] for u, v in sorted(brute)], tmp_path)
+
+
+def _assert_exports_match_oracles(g, rows, directory):
+    """Both exports of g give the bytes csv.writer and json.dumps give for its
+    edge rows [u, v, distance] (1-based)."""
+    meta = {"kind": "radius-graph", "node_count": g.node_count, "transmission_range": g.transmission_range,
+            "epsilon": g.epsilon, "edge_count": len(rows), "isolated": g.degrees.count(0)}
+    oracles.write_csv(directory / "oracle.csv", ("u", "v", "distance"), ([u, v, repr(d)] for u, v, d in rows))
+    oracles.write_document(meta, {"degrees": g.degrees, "edges": rows}, directory / "oracle.json")
+    graph_to_csv(g, None, directory / "graph.csv")
+    graph_to_json(g, None, directory / "graph.json")
+    for suffix in ("csv", "json"):
+        assert (directory / f"graph.{suffix}").read_bytes() == (directory / f"oracle.{suffix}").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,6 +348,38 @@ def test_exports_refuse_an_overflowed_distance(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         graph_to_json(g, pts, tmp_path / "graph.json")
     assert list(tmp_path.iterdir()) == []
+
+
+def _hand_built(edges, distances):
+    return RadiusGraph(node_count=3, transmission_range=1.0, epsilon=0.0, edges=edges,
+                       distances=distances, degrees=(2, 1, 1))
+
+
+@pytest.mark.parametrize("edges, distances, message", [
+    (((0, 1), (0, 2)), (0.5, np.float64(1.5)), "expected ints and floats, got float64"),
+    (((0, 1), (0, np.int64(2))), (0.5, 1.5), "expected ints and floats, got int64"),
+    (((0, 1), (0, 2)), (0.5, math.nan), "row 2: non-finite value in [1, 3, nan]"),
+    (((0, 1), (0, 2)), (math.inf, 1.5), "row 1: non-finite value in [1, 2, inf]"),
+    (((0, 1), (0, 2)), (0.5, -math.inf), "row 2: non-finite value in [1, 3, -inf]"),
+])
+def test_exports_refuse_what_json_and_csv_cannot_hold(tmp_path, edges, distances, message):
+    # repr(np.float64(1.5)) is "np.float64(1.5)"
+    g = _hand_built(edges, distances)
+    with pytest.raises(ValueError, match=f"^cannot write CSV: {re.escape(message)}$"):
+        graph_to_csv(g, None, tmp_path / "edges.csv")
+    with pytest.raises(ValueError, match=f"^cannot write 'edges': {re.escape(message)}$"):
+        graph_to_json(g, None, tmp_path / "graph.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edges, distances", [
+    (((0.0, 1), (0, 2)), (0.5, 1.5)),  # a float id is written as one: 1.0
+    (((True, 1), (0, 2)), (0.5, 1.5)),  # True + 1 is the int 2
+    (((0, 1), (0, 2)), (1, 1.5)),  # an int distance
+])
+def test_exports_write_other_ints_and_floats_as_their_rows(tmp_path, edges, distances):
+    rows = [[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)]
+    _assert_exports_match_oracles(_hand_built(edges, distances), rows, tmp_path)
 
 
 def test_hundred_thousand_nodes():
