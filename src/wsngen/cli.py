@@ -6,10 +6,10 @@ but at least one test is Rejected, 1 on any error. Every output file, the
 --out text of validate and report included, goes through generator.write_text:
 an error leaves no partial file and an existing one as it was.
 
-analyze, validate and report import the modules they run inside their own
-functions, so deploy and traffic load none of them. Those modules import
-numpy only from 512 points or values per stream on, so at the default sizes
-no command loads it.
+Each command imports the modules it runs inside its own function, so a cold
+process compiles none it does not run (deploy and analyze never load traffic).
+The graph and the battery import numpy only from 512 points or values per
+stream on, so at the default sizes no command loads it.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ from .deployment import (
     points_from_csv,
 )
 from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document, write_text
-from .traffic import (
-    TrafficMatrix,
-    _check_traffic_args,
-    matrix_from_csv,
-    traffic_exponential_recurrence,
-    traffic_exponential_transform,
-    traffic_from_document,
-    traffic_to_csv,
-    traffic_to_json,
-    traffic_uniform,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,7 +74,7 @@ def _load_input(args, kinds: Sequence[str]):
         return _generate_deployment(args)
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(64)
-    doc = read_document(path) if head.lstrip().startswith("{") else None
+    doc = read_document(path) if head.lstrip()[:1] in ("{", "[") else None
     if doc is not None:
         kind = doc["meta"].get("kind")
     elif head.startswith("node_id,x,y"):
@@ -103,6 +92,8 @@ def _load_input(args, kinds: Sequence[str]):
         _check_args(len(points), args.area, args.y_increment)
         params = GeneratorParams(seed=0, a=1.0, c=1.0)
         return Deployment(points=points, area=float(args.area), mode=args.mode, params=params)
+    from .traffic import TrafficMatrix, _check_traffic_args, matrix_from_csv, traffic_from_document
+
     if doc is not None:
         return traffic_from_document(doc, path)
     values = matrix_from_csv(path)
@@ -142,19 +133,21 @@ def _cmd_deploy(args) -> int:
 
 
 _TRAFFIC_BUILDERS = {
-    "uniform": lambda a, table: traffic_uniform(
+    "uniform": lambda tm, a, table: tm.traffic_uniform(
         a.nodes, a.slots, a.pmin, a.pmax, table=table),
-    "exp-transform": lambda a, table: traffic_exponential_transform(
+    "exp-transform": lambda tm, a, table: tm.traffic_exponential_transform(
         a.nodes, a.slots, a.pmin, a.pmax, a.rate, table=table),
-    "exp-recurrence": lambda a, table: traffic_exponential_recurrence(
+    "exp-recurrence": lambda tm, a, table: tm.traffic_exponential_recurrence(
         a.nodes, a.slots, a.pmin, a.pmax, table=table),
 }
 
 
 def _cmd_traffic(args) -> int:
-    matrix = _TRAFFIC_BUILDERS[args.dist](args, _table_from(args))
+    from . import traffic
+
+    matrix = _TRAFFIC_BUILDERS[args.dist](traffic, args, _table_from(args))
     out = args.out or f"traffic.{args.format}"
-    write = traffic_to_csv if args.format == "csv" else traffic_to_json
+    write = traffic.traffic_to_csv if args.format == "csv" else traffic.traffic_to_json
     write(matrix, out)
     print(
         "traffic: dist=%s n=%d slots=%d p=[%g, %g) -> %s"
@@ -194,7 +187,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from . import _reference as ref
     from .report import (
         batch_report,
         packet_diff_report,
@@ -207,7 +199,10 @@ def _cmd_report(args) -> int:
 
     config = _suite_config(args)
     if args.kind == "batch":
-        seeds = list(ref.GOLDEN_SEEDS) if args.seeds is None else _parse_list(args.seeds, int, "seeds")
+        if args.seeds is None:
+            from ._reference import GOLDEN_SEEDS as seeds
+        else:
+            seeds = _parse_list(args.seeds, int, "seeds")
         ranges = _parse_list(args.tr, float, "numbers")
         rows = batch_report(seeds, args.nodes, args.area, ranges,
                             config=config, table=_table_from(args),

@@ -12,8 +12,7 @@ symmetric variant is available via y_increment="c".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .generator import (
@@ -29,8 +28,7 @@ from .generator import (
 )
 
 
-@dataclass(frozen=True)
-class Deployment:
+class Deployment(NamedTuple):
     """Ordered node coordinates plus the provenance needed to regenerate."""
 
     points: tuple[tuple[float, float], ...]

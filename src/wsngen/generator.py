@@ -23,9 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Canonical constant table, fixed at 6-decimal precision. Order matters: the
 # seed indexes into it. Entries are well-known mathematical constants
@@ -310,8 +309,7 @@ def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple
     return a, c
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(NamedTuple):
     """The seed and constants of a stream; its modulus is the data's range."""
 
     seed: float

@@ -1,6 +1,6 @@
 """Batch summary reports and agreement checks against the bundled goldens.
 
-Three report families:
+Three report families; only the last two load the recorded results:
 
 * ``batch_report`` regenerates deployments for a seed list and tabulates
   derived constants, isolated-node counts per transmission range, and the
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from . import _reference as ref
 from .deployment import DEPLOYERS
 from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream
 from .topology import isolated_by_range
@@ -126,6 +125,8 @@ def reference_agreement_report(*, config: Optional[SuiteConfig] = None) -> dict:
     this report treats them as targets: every isolated-node cell and verdict
     is compared and counted, never asserted.
     """
+    from . import _reference as ref
+
     rows = batch_report(
         ref.GOLDEN_SEEDS,
         ref.REFERENCE_NODE_COUNT,
@@ -223,6 +224,8 @@ def reconstruct_reference_chain() -> tuple[list[float], list[float]]:
     run.  Returns (uniform_cells, exponential_cells) for the 80 x 5 recorded
     cells, flattened row-major.
     """
+    from . import _reference as ref
+
     p_min, p_max = ref.REFERENCE_P_MIN, ref.REFERENCE_P_MAX
     count = ref.REFERENCE_TRAFFIC_NODES * ref.REFERENCE_TRAFFIC_SLOTS
     span = p_max - p_min
@@ -263,6 +266,8 @@ def _diff_entry(name: str, flat: Sequence[float], reference, p_min: float, p_max
 
 def packet_diff_report() -> dict:
     """Diff every generator against the recorded 80 x 5 packet matrices."""
+    from . import _reference as ref
+
     n = ref.REFERENCE_TRAFFIC_NODES
     t = ref.REFERENCE_TRAFFIC_SLOTS
     p1, p2 = ref.REFERENCE_P_MIN, ref.REFERENCE_P_MAX

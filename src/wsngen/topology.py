@@ -23,9 +23,8 @@ by (u, v), so they give the same graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import generator
 from .generator import require_finite, write_text
@@ -42,8 +41,7 @@ _MAX_CELLS = 2 ** 30
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class RadiusGraph:
+class RadiusGraph(NamedTuple):
     node_count: int
     transmission_range: float
     epsilon: float

@@ -19,8 +19,7 @@ unclamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .generator import (
@@ -38,8 +37,7 @@ from .generator import (
 DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
 
 
-@dataclass(frozen=True)
-class TrafficMatrix:
+class TrafficMatrix(NamedTuple):
     values: tuple[tuple[float, ...], ...]
     p_min: float
     p_max: float

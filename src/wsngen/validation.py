@@ -29,11 +29,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import generator
 from .deployment import Deployment
@@ -171,15 +170,23 @@ CHI2_CRITICAL = {
 Z_TWO_SIDED = {0.05: 1.9599639845, 0.01: 2.5758293035, 0.001: 3.2905267315}
 
 
-@dataclass
-class TestReport:
+class _ReportFields(NamedTuple):
     test_name: str  # ks | chi2 | autocorrelation | circular
     statistic: float
     critical_value: float
     alpha: float
     verdict: str  # Satisfied | Rejected
     sample_size: int
-    details: dict = field(default_factory=dict)
+    details: dict
+
+
+class TestReport(_ReportFields):
+    __slots__ = ()
+
+    def __new__(cls, test_name, statistic, critical_value, alpha, verdict, sample_size, details=None):
+        # a NamedTuple default would be one dict that every report shares and run_suite adds to
+        return super().__new__(cls, test_name, statistic, critical_value, alpha, verdict, sample_size,
+                               {} if details is None else details)
 
     @property
     def satisfied(self) -> bool:
@@ -437,8 +444,7 @@ def _circular(x, y, alpha: float, checked: bool = True) -> TestReport:
     )
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     alpha_ks: float = 0.01
     alpha_chi2: float = 0.001
     alpha_auto: float = 0.01
@@ -482,11 +488,13 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     """
     cfg = config or SuiteConfig()
     streams, circular_pair = _suite_streams(data)
+    need = max(20, 5 * cfg.classes)  # 5 values per KS quarter and per chi2 class
     reports: list[TestReport] = []
     for name, vals in streams.items():
         n = len(vals)
-        if n < 4:
-            raise ValueError("sample must hold at least 4 elements")
+        if n < need:
+            raise ValueError(f"the battery needs at least {need} values per stream "
+                             f"at {cfg.classes} chi-square classes, got {n}")
         # four contiguous quarters, the last taking the remainder; KS ignores
         # order, and with sorted quarters the full sample's sort is a merge
         cuts = [i * (n // 4) for i in range(4)] + [n]
@@ -527,7 +535,7 @@ def suite_satisfied(reports: Sequence[TestReport]) -> bool:
 
 
 def reports_to_json(reports: Sequence[TestReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2, allow_nan=False)
+    return json.dumps([r._asdict() for r in reports], indent=2, allow_nan=False)
 
 
 def reports_to_text(reports: Sequence[TestReport]) -> str:

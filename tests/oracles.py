@@ -315,8 +315,12 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     """
     cfg = config or SuiteConfig()
     streams, circular_pair = _suite_streams(data)
+    need = max(20, 5 * cfg.classes)
     reports: list[TestReport] = []
     for name, vals in streams.items():
+        if len(vals) < need:
+            raise ValueError(f"the battery needs at least {need} values per stream "
+                             f"at {cfg.classes} chi-square classes, got {len(vals)}")
         parts = [(f"quarter-{i}", subsample(vals, i)) for i in range(4)]
         parts.append(("full", list(vals)))
         for part_name, part in parts:

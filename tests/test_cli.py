@@ -128,6 +128,53 @@ def test_validate_unknown_json_kind_errors(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
+def _write_wrong_kind(path) -> None:
+    """Write the file an --in case names: a graph export, a traffic CSV, a JSON
+    array or an empty file."""
+    if path.name.startswith("graph"):
+        assert main(["analyze", "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
+    elif path.name == "traffic.csv":
+        assert main(["traffic", "--out", str(path)]) == EXIT_OK
+    else:
+        path.write_text({"array.json": "[1,2]", "empty.csv": ""}[path.name])
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("validate", "graph.csv", "unrecognized CSV header in {}: 'u,v,distance'"),
+    ("validate", "graph.json", "{}: unrecognized kind 'radius-graph'; validate reads deployment or traffic files"),
+    ("validate", "array.json", "{}: expected a JSON object whose 'meta' is an object"),
+    ("validate", "empty.csv", "unrecognized CSV header in {}: ''"),
+    ("analyze", "traffic.csv", "{}: unrecognized kind 'traffic'; analyze reads deployment files"),
+])
+def test_in_file_of_the_wrong_kind_is_refused(command, name, message, tmp_path, capsys):
+    # a JSON array used to be read as a CSV header
+    path = tmp_path / name
+    _write_wrong_kind(path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--in", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert _single_error_line(capsys.readouterr().err) == f"wsngen: error: {message.format(path)}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("nodes, classes", [(3, 10), (10, 10), (19, 10), (20, 10), (49, 10),
+                                            (149, 30), (19, 2)])
+def test_validate_refuses_a_stream_shorter_than_the_battery_needs(nodes, classes, capsys):
+    # each KS quarter needs 5 values and chi2 5 per class; the refusal used
+    # to come from whichever test broke first, about a quarter or a class
+    assert main(["validate", "--nodes", str(nodes), "--classes", str(classes)]) == EXIT_ERROR
+    need = max(20, 5 * classes)
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"wsngen: error: the battery needs at least {need} values per stream "
+        f"at {classes} chi-square classes, got {nodes}\n")
+
+
+@pytest.mark.parametrize("nodes, classes", [(50, 10), (150, 30), (20, 2)])
+def test_validate_runs_at_the_battery_minimum(nodes, classes, capsys):
+    assert main(["validate", "--nodes", str(nodes), "--classes", str(classes)]) in (EXIT_OK, EXIT_REJECTED)
+    assert capsys.readouterr().err == ""
+
+
 def test_analyze_summary_frozen(capsys):
     assert main(["analyze", "--seed", "0", "--tr", "10"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -288,13 +335,30 @@ def test_cli_import_and_validate_load_no_scipy(fresh_python):
         "report-batch", "analyze-600-nodes"])
 def test_import_deploy_and_traffic_leave_numpy_unloaded(argvs, loaded, fresh_python, tmp_path):
     # importing numpy was about half of a cold deploy or traffic, which never
-    # use it, and of analyze, validate and report below 512 points per stream
+    # use it, and of analyze, validate and report below 512 points per stream.
+    # dataclasses, which loads inspect, cost about as much as generating 100
+    # points; numpy loads inspect itself
     run = "import wsngen\n" if argvs is None else "import wsngen.cli\n" + "".join(
         f"assert wsngen.cli.main({argv!r}) == 0\n" for argv in argvs)
-    script = "import sys\n" + run + "print('numpy' in sys.modules, file=sys.stderr)\n"
-    assert fresh_python(script, cwd=tmp_path) == str(loaded)
+    script = "import sys\n" + run + (
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules], file=sys.stderr)\n")
+    assert fresh_python(script, cwd=tmp_path) == str(["numpy", "inspect"] if loaded else [])
     written = sum(argv[0] in ("deploy", "traffic") for argv in argvs or ())
     assert len(list(tmp_path.iterdir())) == written
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["deploy"], "wsngen.traffic"),
+    (["deploy", "--format", "json"], "wsngen.traffic"),
+    (["analyze"], "wsngen.traffic"),
+    (["report", "--kind", "batch", "--seeds", "1,2"], "wsngen._reference"),
+], ids=["deploy-csv", "deploy-json", "analyze", "report-batch-seeds"])
+def test_command_leaves_the_modules_it_does_not_run_unloaded(argv, unused, fresh_python, tmp_path):
+    # a cold process compiles every module it imports from source when it
+    # may not write bytecode, so a module a command never runs costs it time
+    script = (f"import sys, wsngen.cli\nassert wsngen.cli.main({argv!r}) == 0\n"
+              f"print({unused!r} in sys.modules, file=sys.stderr)\n")
+    assert fresh_python(script, cwd=tmp_path) == "False"
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -209,5 +209,5 @@ def test_files_round_trip_drawn_deployments(tmp_path, dep):
     deployment_to_csv(dep, tmp_path / "dep.csv")
     deployment_to_json(dep, tmp_path / "dep.json")
     assert points_from_csv(tmp_path / "dep.csv") == dep.points
-    # the dataclass compares points, area, mode, y_increment and (seed, a, c)
+    # the record compares points, area, mode, y_increment and (seed, a, c)
     assert deployment_from_json(tmp_path / "dep.json") == dep

@@ -46,3 +46,44 @@ def test_lazy_names_are_listed_and_resolve_after_a_fresh_import(fresh_python):
         "assert 'numpy' not in sys.modules\n"
     )
     fresh_python(script)
+
+
+# each record's fields, and a call that builds it; two calls give equal records
+RECORDS = {
+    "GeneratorParams": (("seed", "a", "c"),
+                        lambda: wsngen.GeneratorParams(3, 2.80777, 1.324718)),
+    "Deployment": (("points", "area", "mode", "params", "y_increment"),
+                   lambda: wsngen.deploy_grid(9, 10.0, 3)),
+    "TrafficMatrix": (("values", "p_min", "p_max", "distribution", "params", "rate"),
+                      lambda: wsngen.traffic_exponential_transform(4, 3, 2.0, 10.0, 0.5)),
+    "RadiusGraph": (("node_count", "transmission_range", "epsilon", "edges", "distances", "degrees"),
+                    lambda: wsngen.build_graph(wsngen.deploy_grid(9, 10.0, 3), 4.0)),
+    "TestReport": (("test_name", "statistic", "critical_value", "alpha", "verdict", "sample_size",
+                    "details"),
+                   lambda: wsngen.ks_test([0.1, 0.3, 0.5, 0.7, 0.9])),
+    "SuiteConfig": (("alpha_ks", "alpha_chi2", "alpha_auto", "alpha_circular", "classes"),
+                    lambda: wsngen.SuiteConfig(classes=12)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_value_objects(name):
+    fields, build = RECORDS[name]
+    record, again = build(), build()
+    assert type(record) is getattr(wsngen, name)
+    assert record._fields == fields
+    assert record == again and record is not again
+    if name == "TestReport":  # details is a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(again)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+    assert repr(record).startswith(f"{name}({fields[0]}=")
+
+
+def test_test_reports_built_without_details_get_their_own_dict():
+    first, second = (wsngen.TestReport("ks", 0.1, 0.5, 0.01, "Satisfied", 5) for _ in range(2))
+    first.details["stream"] = "x"
+    assert first.details == {"stream": "x"} and second.details == {}

@@ -260,5 +260,5 @@ def test_files_round_trip_drawn_matrices(tmp_path, m):
     traffic_to_csv(m, tmp_path / "traffic.csv")
     traffic_to_json(m, tmp_path / "traffic.json")
     assert matrix_from_csv(tmp_path / "traffic.csv") == m.values
-    # the dataclass compares values, bounds, distribution, rate and (seed, a, c)
+    # the record compares values, bounds, distribution, rate and (seed, a, c)
     assert traffic_from_json(tmp_path / "traffic.json") == m
