@@ -7,7 +7,8 @@ but at least one test is Rejected, 1 on any error. Every output file, the
 an error leaves no partial file and an existing one as it was.
 
 Each command imports the modules it runs inside its own function, so a cold
-process compiles none it does not run (deploy and analyze never load traffic).
+process compiles none it does not run: deploy, analyze and report --kind
+batch never load traffic, and validate loads it only for a traffic input.
 The graph and the battery import numpy only from 512 points or values per
 stream on, so at the default sizes no command loads it.
 """
@@ -29,7 +30,7 @@ from .deployment import (
     deployment_to_json,
     points_from_csv,
 )
-from .generator import DEFAULT_TABLE, GeneratorParams, load_table, read_document, write_text
+from .generator import DEFAULT_TABLE, load_table, read_document, write_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,7 +69,8 @@ def _load_input(args, kinds: Sequence[str]):
     """Resolve --in (or the generation flags) to a Deployment or TrafficMatrix.
 
     A JSON file's meta.kind decides its kind, a CSV file's header does. A CSV
-    has no provenance, so the flags supply it, checked as for generation."""
+    records no provenance, so its record's provenance fields are None, and
+    --area, or --pmin and --pmax, describe it, checked as for generation."""
     path = args.input
     if path is None:
         return _generate_deployment(args)
@@ -90,17 +92,14 @@ def _load_input(args, kinds: Sequence[str]):
             return deployment_from_document(doc, path)
         points = points_from_csv(path)
         _check_args(len(points), args.area, args.y_increment)
-        params = GeneratorParams(seed=0, a=1.0, c=1.0)
-        return Deployment(points=points, area=float(args.area), mode=args.mode, params=params)
+        return Deployment(points, float(args.area), mode=None, params=None, y_increment=None)
     from .traffic import TrafficMatrix, _check_traffic_args, matrix_from_csv, traffic_from_document
 
     if doc is not None:
         return traffic_from_document(doc, path)
     values = matrix_from_csv(path)
     _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
-    params = GeneratorParams(seed=0, a=1.0, c=1.0)
-    return TrafficMatrix(values=values, p_min=float(args.pmin), p_max=float(args.pmax),
-                         distribution="uniform", params=params)
+    return TrafficMatrix(values, float(args.pmin), float(args.pmax), distribution=None, params=None)
 
 
 def _suite_config(args):

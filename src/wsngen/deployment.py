@@ -12,7 +12,7 @@ symmetric variant is available via y_increment="c".
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
 from .generator import (
@@ -33,9 +33,10 @@ class Deployment(NamedTuple):
 
     points: tuple[tuple[float, float], ...]
     area: float
-    mode: str  # "grid" or "non-grid"
-    params: GeneratorParams
-    y_increment: str = "a"
+    # provenance: None for points read from CSV, which records none
+    mode: Optional[str]  # "grid" or "non-grid"
+    params: Optional[GeneratorParams]
+    y_increment: Optional[str] = "a"
 
     @property
     def node_count(self) -> int:

@@ -1,6 +1,7 @@
 """Batch summary reports and agreement checks against the bundled goldens.
 
-Three report families; only the last two load the recorded results:
+Three report families; only the last two load the recorded results, and
+only the packet diff loads the traffic generators:
 
 * ``batch_report`` regenerates deployments for a seed list and tabulates
   derived constants, isolated-node counts per transmission range, and the
@@ -19,12 +20,6 @@ from typing import Optional, Sequence
 from .deployment import DEPLOYERS
 from .generator import DEFAULT_TABLE, EXTENDED_TABLE, derive_constants, stream
 from .topology import isolated_by_range
-from .traffic import (
-    exp_entry_from_uniform,
-    traffic_exponential_recurrence,
-    traffic_exponential_transform,
-    traffic_uniform,
-)
 from .validation import SuiteConfig, aggregate_verdicts, run_suite
 
 MODES = tuple(DEPLOYERS)
@@ -225,6 +220,7 @@ def reconstruct_reference_chain() -> tuple[list[float], list[float]]:
     cells, flattened row-major.
     """
     from . import _reference as ref
+    from .traffic import exp_entry_from_uniform
 
     p_min, p_max = ref.REFERENCE_P_MIN, ref.REFERENCE_P_MAX
     count = ref.REFERENCE_TRAFFIC_NODES * ref.REFERENCE_TRAFFIC_SLOTS
@@ -267,6 +263,7 @@ def _diff_entry(name: str, flat: Sequence[float], reference, p_min: float, p_max
 def packet_diff_report() -> dict:
     """Diff every generator against the recorded 80 x 5 packet matrices."""
     from . import _reference as ref
+    from .traffic import traffic_exponential_recurrence, traffic_exponential_transform, traffic_uniform
 
     n = ref.REFERENCE_TRAFFIC_NODES
     t = ref.REFERENCE_TRAFFIC_SLOTS

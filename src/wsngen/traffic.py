@@ -18,6 +18,7 @@ unclamped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,8 +42,9 @@ class TrafficMatrix(NamedTuple):
     values: tuple[tuple[float, ...], ...]
     p_min: float
     p_max: float
-    distribution: str
-    params: GeneratorParams
+    # provenance: None for a matrix read from CSV, which records none
+    distribution: Optional[str]
+    params: Optional[GeneratorParams]
     rate: Optional[float] = None
 
     @property
@@ -54,7 +56,7 @@ class TrafficMatrix(NamedTuple):
         return len(self.values[0]) if self.values else 0
 
     def flatten(self) -> tuple[float, ...]:
-        return tuple(v for row in self.values for v in row)
+        return tuple(itertools.chain.from_iterable(self.values))
 
 
 def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:

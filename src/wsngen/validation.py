@@ -35,8 +35,6 @@ from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from . import generator
-from .deployment import Deployment
-from .traffic import TrafficMatrix
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
 
@@ -452,25 +450,23 @@ class SuiteConfig(NamedTuple):
     classes: int = 10
 
 
-def _flat(rows, per_stream: int):
-    """The values of rows in order: a list when a stream holds fewer than
-    generator._NUMPY_FROM of them, else a float64 array, as _finite picks."""
-    if per_stream < generator._NUMPY_FROM:
-        return list(chain.from_iterable(rows))
-    import numpy as np
-
-    return np.fromiter(chain.from_iterable(rows), float)
-
-
 def _suite_streams(data):
-    """Resolve input data to named checked unit-interval streams plus a circular pair."""
-    if isinstance(data, Deployment):
-        coords = _flat(data.points, data.node_count)
-        nx = _scaled(coords[0::2], 0.0, data.area)
-        ny = _scaled(coords[1::2], 0.0, data.area)
+    """Resolve input data, read by its fields, to named checked unit-interval
+    streams plus a circular pair: points and an area make a deployment, p_min,
+    p_max and flatten() a traffic matrix, and anything else is a raw stream."""
+    if hasattr(data, "points"):
+        # zip stops at the shortest point and drops the cells of longer ones
+        try:
+            xs, ys = zip(*data.points)
+            pairs = sum(map(len, data.points)) == 2 * len(xs)
+        except (TypeError, ValueError):
+            pairs = False
+        if not pairs:
+            raise ValueError("deployment must supply a non-empty (n, 2) point set")
+        nx, ny = _scaled(xs, 0.0, data.area), _scaled(ys, 0.0, data.area)
         return {"x": nx, "y": ny}, (nx, ny)
-    if isinstance(data, TrafficMatrix):
-        flat = _scaled(_flat(data.values, data.node_count * data.slot_count), data.p_min, data.p_max)
+    if hasattr(data, "p_min"):
+        flat = _scaled(data.flatten(), data.p_min, data.p_max)
         return {"all": flat}, (flat, flat)
     vals = _finite(data, 0, 1)
     return {"all": vals}, (vals, vals)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsngen
-from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
+from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, _load_input, build_parser, main
 from wsngen.deployment import deployment_from_json, points_from_csv
-from wsngen.generator import GeneratorParams, read_document
+from wsngen.generator import read_document
 from wsngen.traffic import TrafficMatrix, matrix_from_csv, traffic_from_json, traffic_to_csv, traffic_uniform
 from wsngen.validation import reports_to_json, run_suite, suite_satisfied
 
@@ -128,13 +128,12 @@ def test_validate_unknown_json_kind_errors(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
-def _write_wrong_kind(path) -> None:
-    """Write the file an --in case names: a graph export, a traffic CSV, a JSON
-    array or an empty file."""
-    if path.name.startswith("graph"):
-        assert main(["analyze", "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
-    elif path.name == "traffic.csv":
-        assert main(["traffic", "--out", str(path)]) == EXIT_OK
+def _write_in_file(path) -> None:
+    """Write the --in file a name stands for: a deployment, traffic or graph
+    export in the format of its suffix, a JSON array or an empty file."""
+    command = {"deployment": "deploy", "traffic": "traffic", "graph": "analyze"}.get(path.stem)
+    if command:
+        assert main([command, "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
     else:
         path.write_text({"array.json": "[1,2]", "empty.csv": ""}[path.name])
 
@@ -149,12 +148,30 @@ def _write_wrong_kind(path) -> None:
 def test_in_file_of_the_wrong_kind_is_refused(command, name, message, tmp_path, capsys):
     # a JSON array used to be read as a CSV header
     path = tmp_path / name
-    _write_wrong_kind(path)
+    _write_in_file(path)
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([command, "--in", str(path), "--out", str(out)]) == EXIT_ERROR
     assert _single_error_line(capsys.readouterr().err) == f"wsngen: error: {message.format(path)}\n"
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("deploy", ("mode", "params", "y_increment")),
+    ("traffic", ("distribution", "params")),
+])
+def test_csv_input_carries_no_provenance(command, fields, tmp_path, capsys):
+    # a CSV holds the data alone; its record used to claim seed 0 with
+    # a = c = 1, and the --mode flag or the uniform distribution
+    records = []
+    for path in (tmp_path / "data.csv", tmp_path / "data.json"):
+        assert main([command, "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
+        args = build_parser().parse_args(["validate", "--in", str(path)])
+        records.append(_load_input(args, ("deployment", "traffic")))
+    from_csv, from_json = records
+    assert [getattr(from_csv, f) for f in fields] == [None] * len(fields)
+    assert None not in [getattr(from_json, f) for f in fields]
+    assert from_csv == from_json._replace(**dict.fromkeys(fields))
 
 
 @pytest.mark.parametrize("nodes, classes", [(3, 10), (10, 10), (19, 10), (20, 10), (49, 10),
@@ -347,18 +364,25 @@ def test_import_deploy_and_traffic_leave_numpy_unloaded(argvs, loaded, fresh_pyt
     assert len(list(tmp_path.iterdir())) == written
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["deploy"], "wsngen.traffic"),
-    (["deploy", "--format", "json"], "wsngen.traffic"),
-    (["analyze"], "wsngen.traffic"),
-    (["report", "--kind", "batch", "--seeds", "1,2"], "wsngen._reference"),
-], ids=["deploy-csv", "deploy-json", "analyze", "report-batch-seeds"])
-def test_command_leaves_the_modules_it_does_not_run_unloaded(argv, unused, fresh_python, tmp_path):
+@pytest.mark.parametrize("argvs, unused", [
+    ([["deploy"]], ("wsngen.traffic",)),
+    ([["deploy", "--format", "json"]], ("wsngen.traffic",)),
+    ([["analyze"]], ("wsngen.traffic",)),
+    ([["validate", "--format", "json"]], ("wsngen.traffic",)),
+    ([["deploy"], ["validate", "--in", "deployment.csv"]], ("wsngen.traffic",)),
+    ([["deploy", "--format", "json"], ["validate", "--in", "deployment.json"]], ("wsngen.traffic",)),
+    ([["report", "--kind", "batch", "--seeds", "1,2"]], ("wsngen._reference", "wsngen.traffic")),
+    (None, ("wsngen.deployment", "wsngen.traffic")),
+], ids=["deploy-csv", "deploy-json", "analyze", "validate-json", "validate-in-csv",
+        "validate-in-json", "report-batch-seeds", "import-validation"])
+def test_command_leaves_the_modules_it_does_not_run_unloaded(argvs, unused, fresh_python, tmp_path):
     # a cold process compiles every module it imports from source when it
-    # may not write bytecode, so a module a command never runs costs it time
-    script = (f"import sys, wsngen.cli\nassert wsngen.cli.main({argv!r}) == 0\n"
-              f"print({unused!r} in sys.modules, file=sys.stderr)\n")
-    assert fresh_python(script, cwd=tmp_path) == "False"
+    # may not write bytecode, so a module a command never runs costs it time.
+    # The battery reads a dataset by its fields, so it imports no record module
+    run = "import wsngen.validation\n" if argvs is None else "import wsngen.cli\n" + "".join(
+        f"assert wsngen.cli.main({argv!r}) == 0\n" for argv in argvs)
+    script = "import sys\n" + run + f"print([m for m in {unused!r} if m in sys.modules], file=sys.stderr)\n"
+    assert fresh_python(script, cwd=tmp_path) == "[]"
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -790,20 +814,42 @@ def _invocations(draw, command):
     argv = [command, "--format", fmt] + [
         f"--{name}={value}" if isinstance(value, str) else f"--{name}={value!r}"
         for name, value in flags.items()]
+    if command in ("analyze", "validate"):
+        # half the runs read an --in file of some kind instead of generating
+        source = draw(st.one_of(st.none(), st.sampled_from(_IN_FILES)))
+        if source:
+            flags.update(source=source, nodes=_IN_NODES)
     return argv, fmt, flags
 
 
 _READERS = {"deploy": _read_deploy, "traffic": _read_traffic, "analyze": _read_analyze,
             "report": _read_report}
 
+# the --in files drawn for analyze and validate: every kind and format this
+# package writes, and two files no command reads. The deployments hold the
+# default 100 nodes
+_IN_FILES = ("deployment.csv", "deployment.json", "traffic.csv", "traffic.json",
+             "graph.csv", "graph.json", "array.json", "empty.csv")
+_IN_NODES = 100
+
+
+@pytest.fixture(scope="module")
+def in_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("in")
+    for name in _IN_FILES:
+        _write_in_file(directory / name)
+    return directory
+
 
 @pytest.mark.parametrize("command", ["deploy", "traffic", "analyze", "validate", "report"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_cli_contract_over_drawn_arguments(command, tmp_path_factory, data):
+def test_cli_contract_over_drawn_arguments(command, tmp_path_factory, in_files, data):
     # every run exits 0 (or 2 for validate) with a finite, in-range output that
     # reads back, or exits 1 with one error line, no output and no temp file
     argv, fmt, flags = data.draw(_invocations(command))
+    if "source" in flags:
+        argv += ["--in", str(in_files / flags["source"])]
     directory = tmp_path_factory.mktemp("contract")
     out = str(directory / f"out.{fmt}")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -846,7 +892,7 @@ def test_validate_traffic_csv_contract_over_drawn_bounds(tmp_path_factory, data)
         return
     assert stderr.getvalue() == ""
     matrix = TrafficMatrix(values=matrix_from_csv(source), p_min=pmin, p_max=pmax,
-                           distribution="uniform", params=GeneratorParams(0, 1.0, 1.0))
+                           distribution=None, params=None)
     reports = run_suite(matrix)
     assert out.read_text(encoding="utf-8") == reports_to_json(reports) + "\n"
     assert code == (EXIT_OK if suite_satisfied(reports) else EXIT_REJECTED)

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import oracles
 from oracles import interval_uniformity
 from strategies import GENERATORS, deployments, matrices
 from wsngen import generator, validation
-from wsngen.deployment import DEPLOYERS, deploy_nongrid
-from wsngen.generator import GeneratorParams
+from wsngen.deployment import DEPLOYERS, Deployment, deploy_nongrid
+from wsngen.topology import build_graph
 from wsngen.traffic import TrafficMatrix, traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
@@ -257,6 +258,36 @@ def test_run_suite_on_traffic_and_raw_stream():
         run_suite([0.5, 1.5, 0.2, 0.8, 0.1])
 
 
+# a hand-built deployment whose points are not (x, y) pairs: 3-D, 1-D, ragged
+# and empty. Its cells used to be interleaved into an "x" and a "y" stream
+_NOT_PAIRS = {
+    "3-d": ((1.0, 2.0, 3.0),) * 60,
+    "1-d": ((0.5,),) * 60,
+    "ragged": ((1, 2), (3, 4, 5)) + ((1, 2),) * 58,
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("points", _NOT_PAIRS.values(), ids=_NOT_PAIRS)
+def test_run_suite_refuses_points_that_are_not_pairs(points):
+    dep = Deployment(points, 10.0, mode=None, params=None)
+    line = r"^deployment must supply a non-empty \(n, 2\) point set$"
+    with pytest.raises(ValueError, match=line):
+        run_suite(dep)
+    if points != _NOT_PAIRS["ragged"]:  # numpy words the graph's refusal of ragged rows
+        with pytest.raises(ValueError, match=line):
+            build_graph(dep, 1.0)
+
+
+def test_run_suite_reads_a_dataset_by_its_fields():
+    # the battery needs no record type: the fields it reads are enough
+    dep = deploy_nongrid(100, 100.0, 3)
+    assert run_suite(SimpleNamespace(points=dep.points, area=dep.area)) == run_suite(dep)
+    matrix = traffic_uniform(80, 5, 2.0, 10.0)
+    duck = SimpleNamespace(p_min=matrix.p_min, p_max=matrix.p_max, flatten=matrix.flatten)
+    assert run_suite(duck) == run_suite(matrix)
+
+
 def test_aggregate_verdicts_all_runs_must_pass():
     dep = deploy_nongrid(100, 100.0, 3)
     reports = run_suite(dep)
@@ -477,6 +508,28 @@ def test_list_path_matches_numpy_at_the_benchmark_sizes(kind, monkeypatch):
     assert reports_to_json(run_suite(data)) == on_numpy
 
 
+# The size of KS and chi-square on a true uniform source: the rejections among
+# _REPLICATES independent samples are Binomial(_REPLICATES, alpha) when the
+# size is alpha. The bounds are that law's 1e-6 and 1 - 1e-6 quantiles, fixed
+# before the seeds were first run: 137..270 for KS at 0.01 and 3..45 for
+# chi-square at 0.001. The lower bound fails a test that never rejects.
+_REPLICATES = 20_000
+_CLASSES = {25: 5, 36: 7, 100: 20, 1000: 100}  # n/5 at most: 5 or more expected a class
+
+
+@pytest.mark.parametrize("n", sorted(_CLASSES))
+def test_ks_and_chi2_hold_their_size_on_a_uniform_source(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    ks = chi2 = 0
+    for _ in range(_REPLICATES):
+        sample = rng.random(n).tolist()
+        ks += not ks_test(sample, 0.01).satisfied
+        chi2 += not chi2_test(sample, _CLASSES[n], 0.001).satisfied
+    for rejected, alpha in ((ks, 0.01), (chi2, 0.001)):
+        law = scipy_stats.binom(_REPLICATES, alpha)
+        assert law.ppf(1e-6) <= rejected <= law.isf(1e-6), (rejected, alpha)
+
+
 def test_normalize_rejects_non_finite_sample():
     # the list loop let a nan through, since nan < lower and nan >= upper are both false
     assert oracles.normalize([0.5, math.nan], 0.0, 1.0)[0] == 0.5
@@ -497,7 +550,7 @@ def test_value_just_below_upper_stays_in_the_last_bin(numpy_from, monkeypatch):
     top, lower, upper = _ROUNDS_ONTO_ONE
     values = traffic_uniform(20, 5, lower, upper).values
     matrix = TrafficMatrix(values=((top,) + values[0][1:],) + values[1:], p_min=lower, p_max=upper,
-                           distribution="uniform", params=GeneratorParams(0, 1.0, 1.0))
+                           distribution=None, params=None)
     chi2 = [r for r in run_suite(matrix) if r.test_name == "chi2"][0]
     assert len(chi2.details["counts"]) == 10
     assert sum(chi2.details["counts"]) == 100
