@@ -1,6 +1,6 @@
 """Generate both deployment modes for one seed and write CSV + SVG."""
 
-from wsngen import deploy_grid, deploy_nongrid, deployment_to_csv
+from wsngen import deploy_grid, deploy_nongrid, write
 
 seed = 43
 nodes = 100
@@ -31,7 +31,7 @@ for mode, fn in (("non-grid", deploy_nongrid), ("grid", deploy_grid)):
     for i, (x, y) in enumerate(dep.points[:4], start=1):
         print(f"  node {i}: ({x:.6f}, {y:.6f})")
     stem = f"deployment_{mode.replace('-', '_')}"
-    deployment_to_csv(dep, stem + ".csv")
+    write(dep, stem + ".csv", "csv")
     deployment_to_svg(dep, stem + ".svg")
     print(f"  wrote {stem}.csv and {stem}.svg")
 

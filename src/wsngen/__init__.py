@@ -24,27 +24,21 @@ _EXPORTS = {
         "GeneratorParams",
         "derive_constants",
         "load_table",
+        "read",
         "stream",
         "validate_table",
+        "write",
     ),
     "deployment": (
         "Deployment",
         "deploy_grid",
         "deploy_nongrid",
-        "deployment_from_json",
-        "deployment_to_csv",
-        "deployment_to_json",
-        "points_from_csv",
     ),
     "traffic": (
         "DISTRIBUTIONS",
         "TrafficMatrix",
-        "matrix_from_csv",
         "traffic_exponential_recurrence",
         "traffic_exponential_transform",
-        "traffic_from_json",
-        "traffic_to_csv",
-        "traffic_to_json",
         "traffic_uniform",
     ),
     "validation": (

@@ -21,16 +21,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .deployment import (
-    DEPLOYERS,
-    Deployment,
-    _check_args,
-    deployment_from_document,
-    deployment_to_csv,
-    deployment_to_json,
-    points_from_csv,
-)
-from .generator import DEFAULT_TABLE, load_table, read_document, write_text
+from .deployment import DEPLOYERS, Deployment
+from .generator import DEFAULT_TABLE, load_table, read, write, write_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,50 +48,9 @@ def _parse_list(text: str, convert, what: str) -> list:
     return vals
 
 
-# ---------------------------------------------------------------------------
-# input resolution shared by analyze/validate
-
-
 def _generate_deployment(args) -> Deployment:
     return DEPLOYERS[args.mode](args.nodes, args.area, args.seed,
                                 y_increment=args.y_increment, table=_table_from(args))
-
-
-def _load_input(args, kinds: Sequence[str]):
-    """Resolve --in (or the generation flags) to a Deployment or TrafficMatrix.
-
-    A JSON file's meta.kind decides its kind, a CSV file's header does. A CSV
-    records no provenance, so its record's provenance fields are None, and
-    --area, or --pmin and --pmax, describe it, checked as for generation."""
-    path = args.input
-    if path is None:
-        return _generate_deployment(args)
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(64)
-    doc = read_document(path) if head.lstrip()[:1] in ("{", "[") else None
-    if doc is not None:
-        kind = doc["meta"].get("kind")
-    elif head.startswith("node_id,x,y"):
-        kind = "deployment"
-    elif head.startswith("node_id,t"):
-        kind = "traffic"
-    else:
-        raise ValueError(f"unrecognized CSV header in {path}: {(head.splitlines() or [''])[0]!r}")
-    if kind not in kinds:
-        raise ValueError(f"{path}: unrecognized kind {kind!r}; {args.command} reads {' or '.join(kinds)} files")
-    if kind == "deployment":
-        if doc is not None:
-            return deployment_from_document(doc, path)
-        points = points_from_csv(path)
-        _check_args(len(points), args.area, args.y_increment)
-        return Deployment(points, float(args.area), mode=None, params=None, y_increment=None)
-    from .traffic import TrafficMatrix, _check_traffic_args, matrix_from_csv, traffic_from_document
-
-    if doc is not None:
-        return traffic_from_document(doc, path)
-    values = matrix_from_csv(path)
-    _check_traffic_args(len(values), len(values[0]), args.pmin, args.pmax)
-    return TrafficMatrix(values, float(args.pmin), float(args.pmax), distribution=None, params=None)
 
 
 def _suite_config(args):
@@ -121,8 +72,7 @@ def _suite_config(args):
 def _cmd_deploy(args) -> int:
     dep = _generate_deployment(args)
     out = args.out or f"deployment.{args.format}"
-    write = deployment_to_csv if args.format == "csv" else deployment_to_json
-    write(dep, out)
+    write(dep, out, args.format)
     print(
         "deploy: seed=%d a=%.6f c=%.6f mode=%s n=%d area=%g -> %s"
         % (dep.params.seed, dep.params.a, dep.params.c, dep.mode,
@@ -146,8 +96,7 @@ def _cmd_traffic(args) -> int:
 
     matrix = _TRAFFIC_BUILDERS[args.dist](traffic, args, _table_from(args))
     out = args.out or f"traffic.{args.format}"
-    write = traffic.traffic_to_csv if args.format == "csv" else traffic.traffic_to_json
-    write(matrix, out)
+    write(matrix, out, args.format)
     print(
         "traffic: dist=%s n=%d slots=%d p=[%g, %g) -> %s"
         % (args.dist, matrix.node_count, matrix.slot_count,
@@ -159,11 +108,12 @@ def _cmd_traffic(args) -> int:
 def _cmd_analyze(args) -> int:
     from .topology import build_graph, graph_to_csv, graph_to_json, isolated_count
 
-    dep = _load_input(args, ("deployment",))
+    dep = (_generate_deployment(args) if args.input is None
+           else read(args.input, ("deployment",), args.command, area=args.area))
     graph = build_graph(dep, args.tr, args.epsilon)
     if args.out:
-        write = graph_to_csv if args.format == "csv" else graph_to_json
-        write(graph, dep, args.out)
+        export = graph_to_csv if args.format == "csv" else graph_to_json
+        export(graph, dep, args.out)
     print(
         "analyze: n=%d tr=%g epsilon=%g edges=%d isolated=%d%s"
         % (dep.node_count, args.tr, args.epsilon, len(graph.edges),
@@ -175,7 +125,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_validate(args) -> int:
     from .validation import reports_to_json, reports_to_text, run_suite, suite_satisfied
 
-    subject = _load_input(args, ("deployment", "traffic"))
+    subject = (_generate_deployment(args) if args.input is None
+               else read(args.input, ("deployment", "traffic"), args.command,
+                         area=args.area, p_min=args.pmin, p_max=args.pmax))
     reports = run_suite(subject, _suite_config(args))
     body = reports_to_json(reports) + "\n" if args.format == "json" else reports_to_text(reports)
     if args.out:
@@ -354,7 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"wsngen: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,18 +14,33 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from . import __version__
 from .generator import (
     DEFAULT_TABLE,
+    NUMBER,
     GeneratorParams,
+    Schema,
     derive_constants,
-    document_parts,
-    read_csv,
-    read_document,
+    read,
     stream,
-    write_csv,
-    write_document,
+    write,
 )
+
+_COLUMNS = ("node_id", "x", "y")
+
+
+def _check_args(node_count: int, area: float, y_increment: str) -> None:
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    if not area > 0 or not math.isfinite(area):
+        raise ValueError(f"area must be positive and finite, got {area}")
+    if y_increment not in ("a", "c"):
+        raise ValueError("y_increment must be 'a' or 'c'")
+
+
+def _check_points(points, area: float) -> None:
+    if len(points[0]) != 2:
+        raise ValueError("'points' must be a list of [x, y] number pairs")
+    _check_args(len(points), area, "a")
 
 
 class Deployment(NamedTuple):
@@ -42,14 +57,14 @@ class Deployment(NamedTuple):
     def node_count(self) -> int:
         return len(self.points)
 
-
-def _check_args(node_count: int, area: float, y_increment: str) -> None:
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if not area > 0 or not math.isfinite(area):
-        raise ValueError(f"area must be positive and finite, got {area}")
-    if y_increment not in ("a", "c"):
-        raise ValueError("y_increment must be 'a' or 'c'")
+    # the file format: node_id,x,y rows, or a JSON document of points
+    SCHEMA = Schema(
+        kind="deployment", data="points", columns=lambda width: _COLUMNS,
+        meta={"seed": NUMBER, "a": NUMBER, "c": NUMBER,
+              "mode": (lambda v: v in ("grid", "non-grid", None), "'grid' or 'non-grid' or null"),
+              "area": NUMBER, "node_count": NUMBER,
+              "y_increment": (lambda v: v in ("a", "c", None), "'a' or 'c' or null")},
+        described=("area",), check=_check_points)
 
 
 def _resolve_params(seed: int, table: Sequence[float]) -> GeneratorParams:
@@ -130,51 +145,21 @@ DEPLOYERS = {"non-grid": deploy_nongrid, "grid": deploy_grid}
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-_COLUMNS = ("node_id", "x", "y")
+# the file codec's former names, which perfbench still calls
 
 
 def deployment_to_csv(dep: Deployment, path) -> None:
-    """CSV with header node_id,x,y; coordinates as shortest round-trip reprs."""
-    write_csv(path, _COLUMNS, dep.points,
-              (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(dep.points, start=1)))
+    write(dep, path, "csv")
 
 
 def deployment_to_json(dep: Deployment, path) -> None:
-    meta = {
-        "kind": "deployment",
-        "seed": dep.params.seed,
-        "a": dep.params.a,
-        "c": dep.params.c,
-        "mode": dep.mode,
-        "area": dep.area,
-        "node_count": dep.node_count,
-        "y_increment": dep.y_increment,
-        "tool_version": __version__,
-    }
-    write_document(meta, {"points": dep.points}, path)
+    write(dep, path, "json")
 
 
 def deployment_from_json(path) -> Deployment:
-    return deployment_from_document(read_document(path), path)
-
-
-def deployment_from_document(doc: dict, path) -> Deployment:
-    """Build a Deployment from a document parsed by read_document from path."""
-    meta, points = document_parts(doc, path, "points", ("seed", "a", "c", "area", "mode"))
-    if len(points[0]) != 2:
-        raise ValueError(f"{path}: 'points' must be a list of [x, y] number pairs")
-    y_increment = meta.get("y_increment", "a")
-    try:
-        _check_args(len(points), meta["area"], y_increment)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"])
-    return Deployment(points=points, area=float(meta["area"]), mode=meta["mode"],
-                      params=params, y_increment=y_increment)
+    return read(path, ("deployment",))
 
 
 def points_from_csv(path) -> tuple[tuple[float, float], ...]:
-    """Read back the node_id,x,y format. Returns the coordinate tuple only."""
-    return read_csv(path, "deployment", lambda width: _COLUMNS)
+    # any valid area will do: only the points are returned
+    return read(path, ("deployment",), area=1.0).points

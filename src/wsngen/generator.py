@@ -24,7 +24,9 @@ import math
 import os
 import sys
 from itertools import chain, repeat
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+from . import __version__
 
 # Canonical constant table, fixed at 6-decimal precision. Order matters: the
 # seed indexes into it. Entries are well-known mathematical constants
@@ -163,17 +165,10 @@ def write_text(path, chunks) -> None:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
-def write_csv(path, header: Sequence[str], rows, lines) -> None:
-    """Write the header, then `lines`: the lines csv.writer would write for `rows`,
-    which are refused before the file is opened (see _require_writable)."""
-    _require_writable(rows, "CSV")
-    write_text(path, chain((",".join(header) + "\r\n",), lines))
-
-
 def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
     """The float cells of each row of a `kind` CSV. The header must be exactly
     columns(width), width >= 2 being its cell count, and at least one row of
-    width cells follow: a node id, which is not read, then finite floats."""
+    width cells follow: a node id, which is not read, then floats."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -192,7 +187,6 @@ def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
     if set(map(len, values)) != {len(header) - 1}:
         row = next(i for i, r in enumerate(values, start=1) if len(r) != len(header) - 1)
         raise ValueError(f"{path}: row {row}: expected {len(header)} cells, as in the header")
-    require_finite(values, path)
     return values
 
 
@@ -240,41 +234,54 @@ def _document_pieces(head: str, arrays: dict):
     yield "\n}\n"
 
 
-def read_document(path) -> dict:
-    """Parse a wsngen JSON file: an object whose 'meta' is an object."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("meta"), dict):
-        raise ValueError(f"{path}: expected a JSON object whose 'meta' is an object")
-    return doc
+# a meta field's test of its JSON value, and what that value must be
+NUMBER = (_is_finite_number, "a finite number")
+_COUNTS = ("node_count", "slot_count")  # meta fields checked against the rows
 
 
-_META_TYPES = {
-    "mode": (lambda v: v in ("grid", "non-grid"), "'grid' or 'non-grid'"),
-    "distribution": (lambda v: isinstance(v, str), "a string"),
-    "y_increment": (lambda v: v in ("a", "c"), "'a' or 'c'"),
-    "rate": (lambda v: v is None or _is_finite_number(v), "null or a finite number"),
-}
+class Schema(NamedTuple):
+    """How one kind of record is stored; each record type holds its own as SCHEMA.
 
-
-def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -> tuple[dict, tuple]:
-    """The meta object and the float rows of a document from read_document.
-
-    Every named meta field, any field in _META_TYPES and any other float in
-    meta must be typed (_META_TYPES, else a finite number, which a bool is not);
-    the named ones must be present. The data must be a non-empty list of
-    equal-width rows of finite numbers, node_count rows of slot_count if given.
+    A CSV holds the `data` rows under the header columns(width), a node id
+    first in each row; a JSON file holds them under the key `data`, after a
+    meta of "kind", the `meta` fields in order (record fields, properties or
+    params' seed, a and c) and "tool_version". A CSV has no meta: read takes
+    its `described` fields as keywords, and check(rows, *described) raises
+    ValueError where generation would refuse them.
     """
+
+    kind: str
+    data: str
+    columns: Callable[[int], Sequence[str]]
+    meta: dict  # field -> (valid, wanted), in file order
+    described: tuple[str, ...]
+    check: Callable[..., None]
+
+
+def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
+    """(rows, description, provenance) of a JSON document for a record type.
+
+    Every meta field of its SCHEMA, and any other float in meta, must pass its
+    test, and be present unless the record has a default or it is a count;
+    seed, a and c may instead all be null. The data must be a non-empty list
+    of equal-width rows of numbers, node_count rows of slot_count if given.
+    """
+    schema = record.SCHEMA
     meta = doc["meta"]
-    if data_key not in doc:
-        raise ValueError(f"{path}: expected a JSON object with 'meta' and {data_key!r}")
-    missing = [k for k in meta_fields if k not in meta]
+    if schema.data not in doc:
+        raise ValueError(f"{path}: expected a JSON object with 'meta' and {schema.data!r}")
+    optional = (*record._field_defaults, *_COUNTS)
+    missing = [k for k in schema.meta if k not in meta and k not in optional]
     if missing:
         raise ValueError(f"{path}: meta lacks field {', '.join(map(repr, missing))}")
+    params = [meta[k] for k in GeneratorParams._fields]
+    unset = params == [None] * 3
     for key, value in meta.items():
-        valid, wanted = _META_TYPES.get(key, (_is_finite_number, "a finite number"))
-        if (key in meta_fields or key in _META_TYPES or isinstance(value, float)) and not valid(value):
+        valid, wanted = schema.meta.get(key, NUMBER)
+        if ((key in schema.meta or isinstance(value, float)) and not valid(value)
+                and not (unset and key in GeneratorParams._fields)):
             raise ValueError(f"{path}: meta field {key!r} must be {wanted}, got {value!r}")
-    data = doc[data_key]
+    data = doc[schema.data]
     try:
         types = set(map(type, chain.from_iterable(data)))
         numbers = len(set(map(len, data))) == 1 and types and types <= {int, float}
@@ -284,12 +291,86 @@ def document_parts(doc: dict, path, data_key: str, meta_fields: Sequence[str]) -
     except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
         rows = ()
     if not rows:
-        raise ValueError(f"{path}: {data_key!r} must be a non-empty list of equal-width rows of numbers")
-    for key, count in (("node_count", len(rows)), ("slot_count", len(rows[0]))):
+        raise ValueError(f"{path}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
+    for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
         if meta.get(key, count) != count:
-            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {data_key!r} gives {count}")
+            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {count}")
+    provenance = {k: meta[k] for k in record._fields if k in meta and k != schema.data}
+    provenance["params"] = None if unset else GeneratorParams(*params)
+    return rows, [provenance.pop(k) for k in schema.described], provenance
+
+
+def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "read", *,
+         area=None, p_min=None, p_max=None):
+    """The Deployment or TrafficMatrix in the CSV or JSON file at path.
+
+    A JSON file's meta.kind gives its kind, a CSV file's header does; a kind
+    not in kinds, a subset of the two, is refused, naming `reader`. Provenance
+    is None for a CSV, and for a JSON file whose seed, a and c are null. A CSV
+    records no area or packet range either: area, or p_min and p_max, describe
+    it, checked as generation checks them.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.read(64)
+    doc = None
+    if head.lstrip()[:1] in ("{", "["):
+        doc = _load_json(path)
+        if not isinstance(doc, dict) or not isinstance(doc.get("meta"), dict):
+            raise ValueError(f"{path}: expected a JSON object whose 'meta' is an object")
+        kind = doc["meta"].get("kind")
+    elif head.startswith("node_id,x,y"):
+        kind = "deployment"
+    elif head.startswith("node_id,t"):
+        kind = "traffic"
+    else:
+        raise ValueError(f"unrecognized CSV header in {path}: {(head.splitlines() or [''])[0]!r}")
+    if kind not in kinds:
+        raise ValueError(f"{path}: unrecognized kind {kind!r}; {reader} reads {' or '.join(kinds)} files")
+    if kind == "deployment":
+        from .deployment import Deployment as record
+    else:
+        from .traffic import TrafficMatrix as record
+    schema = record.SCHEMA
+    if doc is None:
+        rows = read_csv(path, kind, schema.columns)
+        description = [{"area": area, "p_min": p_min, "p_max": p_max}[k] for k in schema.described]
+        if None in description:
+            raise ValueError(f"{path}: a {kind} CSV records no {' or '.join(schema.described)}; "
+                             "pass it to read")
+        provenance = dict.fromkeys(k for k in record._fields
+                                   if k != schema.data and k not in schema.described)
+    else:
+        rows, description, provenance = _document_parts(doc, path, record)
     require_finite(rows, path)
-    return meta, rows
+    try:
+        schema.check(rows, *description)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return record(**{schema.data: rows}, **dict(zip(schema.described, map(float, description))),
+                  **provenance)
+
+
+def write(record, path, fmt: str) -> None:
+    """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
+    its SCHEMA. A record with no provenance (params None) writes it as null. The
+    rows are refused before the file is opened unless _require_writable passes them."""
+    schema = record.SCHEMA
+    rows = getattr(record, schema.data)
+    if fmt == "csv":
+        header = schema.columns(len(rows[0]) + 1 if rows else 1)
+        if len(header) == 3:  # two values a row, as in every deployment, format faster unpacked
+            lines = (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(rows, start=1))
+        else:
+            lines = (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(rows, start=1))
+        _require_writable(rows, "CSV")
+        write_text(path, chain((",".join(header) + "\r\n",), lines))
+    elif fmt == "json":
+        params = record.params or GeneratorParams(None, None, None)
+        meta = {k: getattr(params if k in GeneratorParams._fields else record, k) for k in schema.meta}
+        write_document({"kind": schema.kind, **meta, "tool_version": __version__},
+                       {schema.data: rows}, path)
+    else:
+        raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
 
 
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:

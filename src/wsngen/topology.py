@@ -54,22 +54,24 @@ def _as_points(deployment):
     """The checked points of a Deployment or a raw coordinate sequence: a list
     of (x, y) floats below generator._NUMPY_FROM points, else an (n, 2) array."""
     pts = getattr(deployment, "points", deployment)
-    if len(pts) < generator._NUMPY_FROM:
-        try:
+    try:  # ragged rows, cells that are not numbers and an iterator, which has no len(), raise
+        if len(pts) < generator._NUMPY_FROM:
             rows = [(float(x), float(y)) for x, y in pts]
-        except (TypeError, ValueError, OverflowError):
-            rows = []  # the array path below refuses it with its own message
-        if rows:
-            require_finite(rows, "points")
-            return rows
-    import numpy as np
+            pairs = bool(rows)
+        else:
+            import numpy as np
 
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
+            rows = np.asarray(pts, dtype=float)
+            pairs = rows.ndim == 2 and rows.shape[1] == 2 and rows.shape[0] > 0
+    except (TypeError, ValueError, OverflowError):
+        pairs = False
+    if not pairs:
         raise ValueError("deployment must supply a non-empty (n, 2) point set")
-    if not np.isfinite(arr).all():
-        require_finite(arr.tolist(), "points")
-    return arr
+    if isinstance(rows, list):
+        require_finite(rows, "points")
+    elif not np.isfinite(rows).all():
+        require_finite(rows.tolist(), "points")
+    return rows
 
 
 def _reach(tr: float, epsilon: float) -> float:

@@ -22,20 +22,32 @@ import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from . import __version__
 from .generator import (
     DEFAULT_TABLE,
+    NUMBER,
     GeneratorParams,
+    Schema,
+    _is_finite_number,
     derive_constants,
-    document_parts,
-    read_csv,
-    read_document,
+    read,
     stream,
-    write_csv,
-    write_document,
+    write,
 )
 
 DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
+
+
+def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be >= 1")
+    if not p_min >= 0:
+        raise ValueError(f"p_min must be finite and >= 0, got {p_min}")
+    if not p_max > p_min or not math.isfinite(p_max):
+        raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
+
+
+def _columns(width: int) -> list[str]:
+    return ["node_id"] + [f"t{j}" for j in range(1, width)]
 
 
 class TrafficMatrix(NamedTuple):
@@ -58,14 +70,15 @@ class TrafficMatrix(NamedTuple):
     def flatten(self) -> tuple[float, ...]:
         return tuple(itertools.chain.from_iterable(self.values))
 
-
-def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be >= 1")
-    if not p_min >= 0:
-        raise ValueError(f"p_min must be finite and >= 0, got {p_min}")
-    if not p_max > p_min or not math.isfinite(p_max):
-        raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
+    # the file format: node_id,t1,...,tT rows, or a JSON document of values
+    SCHEMA = Schema(
+        kind="traffic", data="values", columns=_columns,
+        meta={"distribution": (lambda v: v is None or isinstance(v, str), "a string or null"),
+              "p_min": NUMBER, "p_max": NUMBER,
+              "rate": (lambda v: v is None or _is_finite_number(v), "null or a finite number"),
+              "node_count": NUMBER, "slot_count": NUMBER, "seed": NUMBER, "a": NUMBER, "c": NUMBER},
+        described=("p_min", "p_max"),
+        check=lambda rows, p_min, p_max: _check_traffic_args(len(rows), len(rows[0]), p_min, p_max))
 
 
 def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[float]):
@@ -185,53 +198,21 @@ def traffic_exponential_recurrence(
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def _columns(width: int) -> list[str]:
-    return ["node_id"] + [f"t{j}" for j in range(1, width)]
+# the file codec's former names, which perfbench still calls
 
 
 def traffic_to_csv(matrix: TrafficMatrix, path) -> None:
-    """CSV with header node_id,t1,...,tT; full-precision values."""
-    write_csv(path, _columns(matrix.slot_count + 1), matrix.values,
-              (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(matrix.values, start=1)))
+    write(matrix, path, "csv")
 
 
 def traffic_to_json(matrix: TrafficMatrix, path) -> None:
-    meta = {
-        "kind": "traffic",
-        "distribution": matrix.distribution,
-        "p_min": matrix.p_min,
-        "p_max": matrix.p_max,
-        "rate": matrix.rate,
-        "node_count": matrix.node_count,
-        "slot_count": matrix.slot_count,
-        "seed": matrix.params.seed,
-        "a": matrix.params.a,
-        "c": matrix.params.c,
-        "tool_version": __version__,
-    }
-    write_document(meta, {"values": matrix.values}, path)
+    write(matrix, path, "json")
 
 
 def traffic_from_json(path) -> TrafficMatrix:
-    return traffic_from_document(read_document(path), path)
-
-
-def traffic_from_document(doc: dict, path) -> TrafficMatrix:
-    """Build a TrafficMatrix from a document parsed by read_document from path."""
-    meta, values = document_parts(doc, path, "values",
-                                  ("seed", "a", "c", "p_min", "p_max", "distribution"))
-    try:
-        _check_traffic_args(len(values), len(values[0]), meta["p_min"], meta["p_max"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    params = GeneratorParams(seed=meta["seed"], a=meta["a"], c=meta["c"])
-    return TrafficMatrix(values=values, p_min=float(meta["p_min"]),
-                         p_max=float(meta["p_max"]), distribution=meta["distribution"],
-                         params=params, rate=meta.get("rate"))
+    return read(path, ("traffic",))
 
 
 def matrix_from_csv(path) -> tuple[tuple[float, ...], ...]:
-    """Read back the node_id,t1..tT format. Returns the value rows only."""
-    return read_csv(path, "traffic", _columns)
+    # any valid range will do: only the values are returned
+    return read(path, ("traffic",), p_min=0.0, p_max=1.0).values

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsngen
-from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, _load_input, build_parser, main
-from wsngen.deployment import deployment_from_json, points_from_csv
-from wsngen.generator import read_document
-from wsngen.traffic import TrafficMatrix, matrix_from_csv, traffic_from_json, traffic_to_csv, traffic_uniform
+from wsngen.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
+from wsngen.generator import read, write
+from wsngen.traffic import TrafficMatrix, traffic_uniform
 from wsngen.validation import reports_to_json, run_suite, suite_satisfied
 
 
@@ -135,7 +134,8 @@ def _write_in_file(path) -> None:
     if command:
         assert main([command, "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
     else:
-        path.write_text({"array.json": "[1,2]", "empty.csv": ""}[path.name])
+        path.write_text({"array.json": "[1,2]", "empty.csv": "",
+                         "no-points.json": '{"meta": {"kind": "deployment"}}'}[path.name])
 
 
 @pytest.mark.parametrize("command, name, message", [
@@ -144,6 +144,7 @@ def _write_in_file(path) -> None:
     ("validate", "array.json", "{}: expected a JSON object whose 'meta' is an object"),
     ("validate", "empty.csv", "unrecognized CSV header in {}: ''"),
     ("analyze", "traffic.csv", "{}: unrecognized kind 'traffic'; analyze reads deployment files"),
+    ("analyze", "no-points.json", "{}: expected a JSON object with 'meta' and 'points'"),
 ])
 def test_in_file_of_the_wrong_kind_is_refused(command, name, message, tmp_path, capsys):
     # a JSON array used to be read as a CSV header
@@ -166,8 +167,7 @@ def test_csv_input_carries_no_provenance(command, fields, tmp_path, capsys):
     records = []
     for path in (tmp_path / "data.csv", tmp_path / "data.json"):
         assert main([command, "--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
-        args = build_parser().parse_args(["validate", "--in", str(path)])
-        records.append(_load_input(args, ("deployment", "traffic")))
+        records.append(read(path, area=100.0, p_min=2.0, p_max=10.0))
     from_csv, from_json = records
     assert [getattr(from_csv, f) for f in fields] == [None] * len(fields)
     assert None not in [getattr(from_json, f) for f in fields]
@@ -345,11 +345,12 @@ def test_cli_import_and_validate_load_no_scipy(fresh_python):
     ([["deploy"], ["validate", "--in", "deployment.csv"]], False),
     ([["deploy", "--format", "json"], ["validate", "--in", "deployment.json"]], False),
     ([["traffic"], ["validate", "--in", "traffic.csv"]], False),
+    ([["traffic", "--format", "json"], ["validate", "--in", "traffic.json"]], False),
     ([["report", "--kind", "batch"]], False),
     ([["analyze", "--nodes", "600"]], True),
 ], ids=["import", "deploy-csv", "deploy-json", "traffic-csv", "traffic-json", "analyze",
         "validate-json", "validate-in-csv", "validate-in-json", "validate-in-traffic-csv",
-        "report-batch", "analyze-600-nodes"])
+        "validate-in-traffic-json", "report-batch", "analyze-600-nodes"])
 def test_import_deploy_and_traffic_leave_numpy_unloaded(argvs, loaded, fresh_python, tmp_path):
     # importing numpy was about half of a cold deploy or traffic, which never
     # use it, and of analyze, validate and report below 512 points per stream.
@@ -371,10 +372,12 @@ def test_import_deploy_and_traffic_leave_numpy_unloaded(argvs, loaded, fresh_pyt
     ([["validate", "--format", "json"]], ("wsngen.traffic",)),
     ([["deploy"], ["validate", "--in", "deployment.csv"]], ("wsngen.traffic",)),
     ([["deploy", "--format", "json"], ["validate", "--in", "deployment.json"]], ("wsngen.traffic",)),
+    ([["deploy"], ["analyze", "--in", "deployment.csv"]], ("wsngen.traffic",)),
+    ([["deploy", "--format", "json"], ["analyze", "--in", "deployment.json"]], ("wsngen.traffic",)),
     ([["report", "--kind", "batch", "--seeds", "1,2"]], ("wsngen._reference", "wsngen.traffic")),
     (None, ("wsngen.deployment", "wsngen.traffic")),
 ], ids=["deploy-csv", "deploy-json", "analyze", "validate-json", "validate-in-csv",
-        "validate-in-json", "report-batch-seeds", "import-validation"])
+        "validate-in-json", "analyze-in-csv", "analyze-in-json", "report-batch-seeds", "import-validation"])
 def test_command_leaves_the_modules_it_does_not_run_unloaded(argvs, unused, fresh_python, tmp_path):
     # a cold process compiles every module it imports from source when it
     # may not write bytecode, so a module a command never runs costs it time.
@@ -649,7 +652,7 @@ def test_output_files_get_the_mode_open_gives(tmp_path, capsys):
     for name, argv in runs:
         assert main(argv + ["--out", str(tmp_path / name)]) in (EXIT_OK, EXIT_REJECTED)
     capsys.readouterr()
-    wsngen.traffic_to_csv(wsngen.traffic_uniform(4, 2, 2.0, 10.0), tmp_path / "lib.csv")
+    wsngen.write(wsngen.traffic_uniform(4, 2, 2.0, 10.0), tmp_path / "lib.csv", "csv")
     for name in [name for name, _ in runs] + ["lib.csv"]:
         assert os.stat(tmp_path / name).st_mode == plain, name
 
@@ -735,20 +738,20 @@ _REPORT_FLAGS = {
 
 
 def _read_deploy(out, fmt, flags):
-    points = deployment_from_json(out).points if fmt == "json" else points_from_csv(out)
+    points = read(out, area=flags["area"]).points
     assert len(points) == flags["nodes"]
     assert all(0.0 <= v < flags["area"] for p in points for v in p)
 
 
 def _read_traffic(out, fmt, flags):
-    values = traffic_from_json(out).values if fmt == "json" else matrix_from_csv(out)
+    values = read(out, p_min=flags["pmin"], p_max=flags["pmax"]).values
     assert [len(row) for row in values] == [5] * flags["nodes"]  # the default --slots
     assert all(flags["pmin"] <= v < flags["pmax"] for row in values for v in row)
 
 
 def _read_analyze(out, fmt, flags):
     if fmt == "json":
-        doc = read_document(out)
+        doc = json.loads(Path(out).read_text(encoding="utf-8"))
         edges = doc["edges"]
         assert doc["meta"]["edge_count"] == len(edges)
     else:
@@ -877,7 +880,7 @@ def test_validate_traffic_csv_contract_over_drawn_bounds(tmp_path_factory, data)
     source = directory / "traffic.csv"
     low = data.draw(st.floats(0.0, 500.0))
     high = low + data.draw(st.floats(0.01, 500.0))
-    traffic_to_csv(traffic_uniform(data.draw(st.integers(1, 200)), 5, low, high), source)
+    write(traffic_uniform(data.draw(st.integers(1, 200)), 5, low, high), source, "csv")
     pmin = data.draw(st.one_of(st.just(low), _VALUES))
     pmax = data.draw(st.one_of(st.just(high), _VALUES))
     out = directory / "report.json"
@@ -891,7 +894,7 @@ def test_validate_traffic_csv_contract_over_drawn_bounds(tmp_path_factory, data)
         assert not out.exists()
         return
     assert stderr.getvalue() == ""
-    matrix = TrafficMatrix(values=matrix_from_csv(source), p_min=pmin, p_max=pmax,
+    matrix = TrafficMatrix(values=read(source, p_min=low, p_max=high).values, p_min=pmin, p_max=pmax,
                            distribution=None, params=None)
     reports = run_suite(matrix)
     assert out.read_text(encoding="utf-8") == reports_to_json(reports) + "\n"

@@ -8,15 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import deployments
-from wsngen.deployment import (
-    deploy_grid,
-    deploy_nongrid,
-    deployment_from_json,
-    deployment_to_csv,
-    deployment_to_json,
-    points_from_csv,
-)
-from wsngen.generator import derive_constants
+from wsngen.deployment import deploy_grid, deploy_nongrid
+from wsngen.generator import derive_constants, read, write
 
 
 def test_grid_seed_43_frozen_first_point():
@@ -122,35 +115,35 @@ def test_bad_y_increment_rejected():
 def test_csv_round_trip_exact(tmp_path):
     dep = deploy_nongrid(60, 100.0, 24)
     path = tmp_path / "dep.csv"
-    deployment_to_csv(dep, path)
-    assert points_from_csv(path) == dep.points
+    write(dep, path, "csv")
+    assert read(path, area=100.0).points == dep.points
 
 
 def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("node_id,x,y\n1,2.5\n")
     with pytest.raises(ValueError):
-        points_from_csv(path)
+        read(path, area=100.0)
     path.write_text("foo,bar,baz\n1,2.0,3.0\n")
     with pytest.raises(ValueError):
-        points_from_csv(path)
+        read(path, area=100.0)
     path.write_text("node_id,x,y\n")
     with pytest.raises(ValueError):
-        points_from_csv(path)
+        read(path, area=100.0)
     # extra columns, and a cell beyond the csv module's field limit
     path.write_text("node_id,x,y,z\n1,2.0,3.0,4.0\n")
     with pytest.raises(ValueError, match="expected header node_id,x,y"):
-        points_from_csv(path)
+        read(path, area=100.0)
     path.write_text("node_id,x,y\n1," + "1" * 200_000 + ",3.0\n")
     with pytest.raises(ValueError, match="field limit"):
-        points_from_csv(path)
+        read(path, area=100.0)
 
 
 def test_json_round_trip(tmp_path):
     dep = deploy_grid(100, 100.0, 43)
     path = tmp_path / "dep.json"
-    deployment_to_json(dep, path)
-    back = deployment_from_json(path)
+    write(dep, path, "json")
+    back = read(path)
     assert back.points == dep.points
     assert back.mode == "grid"
     assert back.area == 100.0
@@ -206,8 +199,8 @@ def test_deployments_contained_and_grid_congruent(seed, n, area, y_increment):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(deployments())
 def test_files_round_trip_drawn_deployments(tmp_path, dep):
-    deployment_to_csv(dep, tmp_path / "dep.csv")
-    deployment_to_json(dep, tmp_path / "dep.json")
-    assert points_from_csv(tmp_path / "dep.csv") == dep.points
+    write(dep, tmp_path / "dep.csv", "csv")
+    write(dep, tmp_path / "dep.json", "json")
+    assert read(tmp_path / "dep.csv", area=dep.area).points == dep.points
     # the record compares points, area, mode, y_increment and (seed, a, c)
-    assert deployment_from_json(tmp_path / "dep.json") == dep
+    assert read(tmp_path / "dep.json") == dep

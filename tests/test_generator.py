@@ -105,6 +105,7 @@ def test_load_table_round_trip(tmp_path):
 
 def test_load_table_rejects_non_array(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"a": 1}')
-    with pytest.raises(ValueError):
-        load_table(path)
+    for text in ('{"a": 1}', "5", '[1.5, "2.5"]', "[1.5, null]"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^constants file must contain a JSON array of finite numbers$"):
+            load_table(path)

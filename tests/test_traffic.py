@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 import oracles
 from oracles import exp_inverse_transform, min_exponentials_check
 from strategies import matrices
-from wsngen.generator import DEFAULT_TABLE, EXTENDED_TABLE, stream
+from wsngen.generator import DEFAULT_TABLE, EXTENDED_TABLE, read, stream, write
 from wsngen.traffic import (
     TrafficMatrix,
     exp_entry_from_uniform,
-    matrix_from_csv,
     traffic_exponential_recurrence,
     traffic_exponential_transform,
-    traffic_from_json,
-    traffic_to_csv,
-    traffic_to_json,
     traffic_uniform,
 )
 
@@ -224,8 +220,8 @@ def test_flatten_matches_row_major():
 def test_csv_round_trip_exact(tmp_path):
     m = traffic_exponential_transform(12, 6, 2.0, 10.0)
     path = tmp_path / "traffic.csv"
-    traffic_to_csv(m, path)
-    assert matrix_from_csv(path) == m.values
+    write(m, path, "csv")
+    assert read(path, p_min=2.0, p_max=10.0).values == m.values
     header = path.read_text().splitlines()[0]
     assert header == "node_id,t1,t2,t3,t4,t5,t6"
 
@@ -234,20 +230,20 @@ def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("node_id,t1,t2\n1,2.5\n")
     with pytest.raises(ValueError):
-        matrix_from_csv(path)
+        read(path, p_min=2.0, p_max=10.0)
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
-        matrix_from_csv(path)
+        read(path, p_min=2.0, p_max=10.0)
     path.write_text("node_id,t1\n")
     with pytest.raises(ValueError):
-        matrix_from_csv(path)
+        read(path, p_min=2.0, p_max=10.0)
 
 
 def test_json_round_trip(tmp_path):
     m = traffic_uniform(10, 5, 2.0, 10.0)
     path = tmp_path / "traffic.json"
-    traffic_to_json(m, path)
-    back = traffic_from_json(path)
+    write(m, path, "json")
+    back = read(path)
     assert back.values == m.values
     assert back.p_min == 2.0 and back.p_max == 10.0
     assert back.distribution == "uniform"
@@ -257,8 +253,8 @@ def test_json_round_trip(tmp_path):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrices())
 def test_files_round_trip_drawn_matrices(tmp_path, m):
-    traffic_to_csv(m, tmp_path / "traffic.csv")
-    traffic_to_json(m, tmp_path / "traffic.json")
-    assert matrix_from_csv(tmp_path / "traffic.csv") == m.values
+    write(m, tmp_path / "traffic.csv", "csv")
+    write(m, tmp_path / "traffic.json", "json")
+    assert read(tmp_path / "traffic.csv", p_min=m.p_min, p_max=m.p_max).values == m.values
     # the record compares values, bounds, distribution, rate and (seed, a, c)
-    assert traffic_from_json(tmp_path / "traffic.json") == m
+    assert read(tmp_path / "traffic.json") == m

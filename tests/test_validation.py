@@ -258,13 +258,17 @@ def test_run_suite_on_traffic_and_raw_stream():
         run_suite([0.5, 1.5, 0.2, 0.8, 0.1])
 
 
-# a hand-built deployment whose points are not (x, y) pairs: 3-D, 1-D, ragged
-# and empty. Its cells used to be interleaved into an "x" and a "y" stream
+# a hand-built deployment whose points are not (x, y) pairs: 3-D, 1-D, ragged,
+# empty, or an iterator, which has no len(), on both sides of the numpy
+# threshold. Its cells used to be interleaved into an "x" and a "y" stream
 _NOT_PAIRS = {
     "3-d": ((1.0, 2.0, 3.0),) * 60,
     "1-d": ((0.5,),) * 60,
     "ragged": ((1, 2), (3, 4, 5)) + ((1, 2),) * 58,
     "empty": (),
+    "ragged-600": ((1, 2), (3, 4, 5)) + ((1, 2),) * 598,
+    "iterator": iter(((1.0, 2.0),) * 60),
+    "iterator-600": iter(((1.0, 2.0),) * 600),
 }
 
 
@@ -274,9 +278,8 @@ def test_run_suite_refuses_points_that_are_not_pairs(points):
     line = r"^deployment must supply a non-empty \(n, 2\) point set$"
     with pytest.raises(ValueError, match=line):
         run_suite(dep)
-    if points != _NOT_PAIRS["ragged"]:  # numpy words the graph's refusal of ragged rows
-        with pytest.raises(ValueError, match=line):
-            build_graph(dep, 1.0)
+    with pytest.raises(ValueError, match=line):
+        build_graph(dep, 1.0)
 
 
 def test_run_suite_reads_a_dataset_by_its_fields():
