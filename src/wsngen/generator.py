@@ -123,6 +123,31 @@ def _load_json(path):
 _NUMPY_FROM = 512
 
 
+def point_columns(data):
+    """The x and y columns of a dataset's points, or of a point sequence: two lists
+    of floats below _NUMPY_FROM points, else a (2, n) float64 array, the points'
+    transpose. A cell float() refuses, a row that is not a pair, no point or an
+    iterator gives one message at every size, a nan or inf require_finite's."""
+    points = getattr(data, "points", data)
+    try:  # an iterator has no len(); a row that is not a number sequence raises
+        if len(points) >= _NUMPY_FROM:
+            import numpy as np
+
+            cols = np.asarray(points, dtype=float).T
+            if cols.ndim == 2 and len(cols) == 2 and np.isfinite(cols).all():
+                return cols
+        # numpy reads None as nan: the lists word every fault as below _NUMPY_FROM
+        xs, ys = zip(*points)  # stops at the shortest row; the sum counts every cell
+        cols = [list(map(float, xs)), list(map(float, ys))] if sum(map(len, points)) == 2 * len(xs) else []
+    except (TypeError, ValueError, OverflowError):
+        cols = []
+    if not cols:
+        raise ValueError("deployment must supply a non-empty (n, 2) point set")
+    if not all(map(math.isfinite, chain(*cols))):
+        require_finite(list(zip(*cols)), "points")
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # file formats: the CSV and JSON files of deployments, traffic matrices and graphs
 
@@ -198,14 +223,6 @@ _LAYOUTS = (("[\n    ", ",\n    ", "\n  ]"), ("[\n    [\n      ", "\n    ],\n   
 _CELL_SEP = ",\n      "  # between the cells of a row
 
 
-def write_document(meta: dict, data: dict, path) -> None:
-    """Write json.dumps({"meta": meta, **data}, indent=2) and a final newline to path.
-    Each data value lists ints and floats, or equal-width rows of them, checked by
-    _require_writable before the file is opened."""
-    head = _document_head(meta)
-    write_text(path, _document_pieces(head, {key: _array_text(key, rows) for key, rows in data.items()}))
-
-
 def _document_head(meta: dict) -> str:
     """json.dumps({"meta": meta}, indent=2) less its closing "\n}"; meta must be finite."""
     return json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
@@ -258,6 +275,21 @@ class Schema(NamedTuple):
     check: Callable[..., None]
 
 
+def _require_table(rows, key: str, where) -> None:
+    """Raise ValueError, led by where, unless rows are a non-empty list of equal-width,
+    non-empty rows; read checks a JSON file's with it, and write every record's."""
+    if not rows or not rows[0] or len(set(map(len, rows))) != 1:
+        raise ValueError(f"{where}: {key!r} must be a non-empty list of equal-width rows of numbers")
+
+
+def _require_described(rows, schema: Schema, description, where) -> None:
+    """Raise ValueError, led by where, unless schema.check passes the finite rows."""
+    try:
+        schema.check(rows, *description)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
     """(rows, description, provenance) of a JSON document for a record type.
 
@@ -284,14 +316,12 @@ def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
     data = doc[schema.data]
     try:
         types = set(map(type, chain.from_iterable(data)))
-        numbers = len(set(map(len, data))) == 1 and types and types <= {int, float}
         # json.load gives floats already; only ints need converting
         floats = data if types == {float} else map(map, repeat(float), data)
-        rows = tuple(map(tuple, floats)) if numbers else ()
+        rows = tuple(map(tuple, floats)) if types <= {int, float} else ()
     except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
         rows = ()
-    if not rows:
-        raise ValueError(f"{path}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
+    _require_table(rows, schema.data, path)
     for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
         if meta.get(key, count) != count:
             raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {count}")
@@ -342,18 +372,16 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
     else:
         rows, description, provenance = _document_parts(doc, path, record)
     require_finite(rows, path)
-    try:
-        schema.check(rows, *description)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    _require_described(rows, schema, description, path)
     return record(**{schema.data: rows}, **dict(zip(schema.described, map(float, description))),
                   **provenance)
 
 
 def write(record, path, fmt: str) -> None:
     """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
-    its SCHEMA. A record with no provenance (params None) writes it as null. The
-    rows are refused before the file is opened unless _require_writable passes them."""
+    its SCHEMA. A record with no provenance (params None) writes it as null. Before
+    the file is opened, _require_writable, _require_table and _require_described
+    refuse the rows, area or packet range that read would refuse."""
     schema = record.SCHEMA
     rows = getattr(record, schema.data)
     if fmt == "csv":
@@ -363,14 +391,18 @@ def write(record, path, fmt: str) -> None:
         else:
             lines = (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(rows, start=1))
         _require_writable(rows, "CSV")
-        write_text(path, chain((",".join(header) + "\r\n",), lines))
+        chunks = chain((",".join(header) + "\r\n",), lines)
     elif fmt == "json":
         params = record.params or GeneratorParams(None, None, None)
         meta = {k: getattr(params if k in GeneratorParams._fields else record, k) for k in schema.meta}
-        write_document({"kind": schema.kind, **meta, "tool_version": __version__},
-                       {schema.data: rows}, path)
+        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
+        chunks = _document_pieces(head, {schema.data: _array_text(schema.data, rows)})
     else:
         raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
+    where = f"cannot write {fmt.upper()}"
+    _require_table(rows, schema.data, where)
+    _require_described(rows, schema, [getattr(record, k) for k in schema.described], where)
+    write_text(path, chunks)
 
 
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:

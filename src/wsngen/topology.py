@@ -27,7 +27,7 @@ from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 from . import generator
-from .generator import require_finite, write_text
+from .generator import point_columns, write_text
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -48,30 +48,6 @@ class RadiusGraph(NamedTuple):
     edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, 0-based ids, sorted
     distances: tuple[float, ...]  # aligned with edges
     degrees: tuple[int, ...]
-
-
-def _as_points(deployment):
-    """The checked points of a Deployment or a raw coordinate sequence: a list
-    of (x, y) floats below generator._NUMPY_FROM points, else an (n, 2) array."""
-    pts = getattr(deployment, "points", deployment)
-    try:  # ragged rows, cells that are not numbers and an iterator, which has no len(), raise
-        if len(pts) < generator._NUMPY_FROM:
-            rows = [(float(x), float(y)) for x, y in pts]
-            pairs = bool(rows)
-        else:
-            import numpy as np
-
-            rows = np.asarray(pts, dtype=float)
-            pairs = rows.ndim == 2 and rows.shape[1] == 2 and rows.shape[0] > 0
-    except (TypeError, ValueError, OverflowError):
-        pairs = False
-    if not pairs:
-        raise ValueError("deployment must supply a non-empty (n, 2) point set")
-    if isinstance(rows, list):
-        require_finite(rows, "points")
-    elif not np.isfinite(rows).all():
-        require_finite(rows.tolist(), "points")
-    return rows
 
 
 def _reach(tr: float, epsilon: float) -> float:
@@ -121,13 +97,12 @@ def _square_limit(reach: float) -> float:
     return lim
 
 
-def _near_pairs(rows: list, reach: float) -> list:
+def _near_pairs(xs: list, ys: list, reach: float) -> list:
     """The list path of the neighbour pass: (u, v, d) with u < v for every
     pair within reach, in no set order, each distance as _candidates has it."""
-    xs, ys = zip(*rows)
     (x0, y0), side, per_column = _grid(xs, ys, reach)
     cells: dict = {}
-    for i, (x, y) in enumerate(rows):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         key = 0 if side == math.inf else (
             (math.floor((x - x0) / side) + 1) * per_column + math.floor((y - y0) / side) + 1)
         cells.setdefault(key, []).append(i)
@@ -138,7 +113,7 @@ def _near_pairs(rows: list, reach: float) -> list:
     for key, members in cells.items():
         others = [v for f in forward for v in cells.get(key + f, ())]
         for k, u in enumerate(members):
-            x, y = rows[u]
+            x, y = xs[u], ys[u]
             for v in members[k + 1:] + others:
                 dx = x - xs[v]
                 dy = y - ys[v]
@@ -153,13 +128,14 @@ def _near_pairs(rows: list, reach: float) -> list:
     return out
 
 
-def _candidates(pts, reach: float):
-    """Candidate pairs (u, v) with their distances d, each pair once and in
-    no set order. Every pair within reach is among them; d is a row-wise scan's
-    expression wherever its squares stay normal, so boundary ties agree."""
+def _candidates(cols, reach: float):
+    """Candidate pairs (u, v) of the (2, n) point columns, with distances d, each
+    pair once and in no set order. Every pair within reach is among them; d is a
+    row-wise scan's expression wherever its squares stay normal, so ties agree."""
     import numpy as np
 
-    lo, side, rows = _grid(*pts.T.tolist(), reach)
+    lo, side, rows = _grid(*cols.tolist(), reach)
+    pts = cols.T
     if side == math.inf:  # one cell: every pair is a candidate
         cell = np.zeros_like(pts, dtype=np.int64)
     else:
@@ -195,10 +171,10 @@ def _candidates(pts, reach: float):
 def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     """Radius graph: edge (u, v) iff distance(u, v) <= tr + epsilon, u != v."""
     reach = _reach(tr, epsilon)
-    pts = _as_points(deployment)
-    n = len(pts)
-    if isinstance(pts, list):
-        near = sorted(_near_pairs(pts, reach))
+    cols = point_columns(deployment)
+    n = len(cols[0])
+    if isinstance(cols, list):
+        near = sorted(_near_pairs(*cols, reach))
         edges = [(u, v) for u, v, _ in near]
         distances = [d for _, _, d in near]
         degrees = [0] * n
@@ -208,7 +184,7 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     else:
         import numpy as np
 
-        a, b, d = _candidates(pts, reach)
+        a, b, d = _candidates(cols, reach)
         near = d <= reach
         a, b, d = a[near], b[near], d[near]
         u, v = np.minimum(a, b), np.maximum(a, b)
@@ -251,8 +227,8 @@ def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
     """Graph document: meta, degree list and [u, v, distance] triples (1-based ids).
 
     The edge rows are the graph's stored edges and distances, checked once after
-    meta and degrees and written in blocks, laid out as write_document lays out
-    rows; ``deployment`` is not read.
+    meta and degrees and written in blocks, laid out as write lays out a
+    record's rows; ``deployment`` is not read.
     """
     meta = {
         "kind": "radius-graph",
@@ -278,11 +254,11 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
     reaches = {float(tr): _reach(tr, epsilon) for tr in trs}
     if not reaches:
         return {}
-    pts = _as_points(deployment)
-    if isinstance(pts, list):
+    cols = point_columns(deployment)
+    if isinstance(cols, list):
         # pairs beyond the largest reach would leave every count as it is
-        nearest = [math.inf] * len(pts)
-        for u, v, d in _near_pairs(pts, max(reaches.values())):
+        nearest = [math.inf] * len(cols[0])
+        for u, v, d in _near_pairs(*cols, max(reaches.values())):
             if d < nearest[u]:
                 nearest[u] = d
             if d < nearest[v]:
@@ -290,8 +266,8 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
     else:
         import numpy as np
 
-        u, v, d = _candidates(pts, max(reaches.values()))
-        nearest = np.full(len(pts), np.inf)
+        u, v, d = _candidates(cols, max(reaches.values()))
+        nearest = np.full(len(cols[0]), np.inf)
         np.minimum.at(nearest, u, d)
         np.minimum.at(nearest, v, d)
         nearest = nearest.tolist()

@@ -168,7 +168,7 @@ CHI2_CRITICAL = {
 Z_TWO_SIDED = {0.05: 1.9599639845, 0.01: 2.5758293035, 0.001: 3.2905267315}
 
 
-class _ReportFields(NamedTuple):
+class TestReport(NamedTuple):
     test_name: str  # ks | chi2 | autocorrelation | circular
     statistic: float
     critical_value: float
@@ -176,15 +176,6 @@ class _ReportFields(NamedTuple):
     verdict: str  # Satisfied | Rejected
     sample_size: int
     details: dict
-
-
-class TestReport(_ReportFields):
-    __slots__ = ()
-
-    def __new__(cls, test_name, statistic, critical_value, alpha, verdict, sample_size, details=None):
-        # a NamedTuple default would be one dict that every report shares and run_suite adds to
-        return super().__new__(cls, test_name, statistic, critical_value, alpha, verdict, sample_size,
-                               {} if details is None else details)
 
     @property
     def satisfied(self) -> bool:
@@ -200,9 +191,9 @@ def _require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
 
 
-def _finite(sample: Sequence[float], lower: float, upper: float):
-    """The sample checked to be finite and to lie in [lower, upper): a new list
-    of floats below generator._NUMPY_FROM values, else a float64 array."""
+def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = math.inf):
+    """The sample checked to be finite and, by _within, to lie in [lower, upper):
+    a new list of floats below generator._NUMPY_FROM values, else a float64 array."""
     vals = None
     if len(sample) < generator._NUMPY_FROM:
         try:
@@ -211,31 +202,34 @@ def _finite(sample: Sequence[float], lower: float, upper: float):
             pass  # the array path below refuses it with its own message
     if vals is not None:
         finite = all(map(math.isfinite, vals))
-        lo, hi = min(vals), max(vals)
     else:
         import numpy as np
 
         vals = np.asarray(sample, dtype=float)
         if vals.ndim != 1 or not vals.size:
             raise ValueError(f"sample must be a non-empty flat sequence of numbers, got shape {vals.shape}")
-        # min and max both propagate nan, so one pair of reductions checks every value
-        lo, hi = vals.min(), vals.max()
-        finite = math.isfinite(lo) and math.isfinite(hi)
+        finite = np.isfinite(vals).all()
     if not finite:
         raise ValueError("sample holds a non-finite value")
+    return _within(vals, lower, upper)
+
+
+def _within(vals, lower: float, upper: float):
+    """A list or array of finite floats, once every value lies in [lower, upper)."""
+    lo, hi = (min(vals), max(vals)) if isinstance(vals, list) else (vals.min(), vals.max())
     if lo < lower or hi >= upper:
         raise ValueError(f"sample values span [{lo}, {hi}], outside [{lower}, {upper})")
     return vals
 
 
-def _scaled(sample: Sequence[float], lower: float, upper: float):
-    """normalize's map, onto _finite's list or array. A value just below upper
-    can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a value
-    that rounded onto p_max just below it."""
+def _scaled(vals, lower: float, upper: float):
+    """normalize's map, onto finite floats that _within passes. A value just below
+    upper can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a
+    value that rounded onto p_max just below it."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
-    vals = _finite(sample, lower, upper)
+    vals = _within(vals, lower, upper)
     if isinstance(vals, list):
         out = [(v - lower) / span for v in vals]
         return out if max(out) < 1.0 else [min(v, _BELOW_ONE) for v in out]
@@ -245,7 +239,7 @@ def _scaled(sample: Sequence[float], lower: float, upper: float):
 
 def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
     """Affine map of [lower, upper) onto [0, 1), as a list of floats."""
-    out = _scaled(sample, lower, upper)
+    out = _scaled(_finite(sample), lower, upper)
     return out if isinstance(out, list) else out.tolist()
 
 
@@ -455,18 +449,10 @@ def _suite_streams(data):
     streams plus a circular pair: points and an area make a deployment, p_min,
     p_max and flatten() a traffic matrix, and anything else is a raw stream."""
     if hasattr(data, "points"):
-        # zip stops at the shortest point and drops the cells of longer ones
-        try:
-            xs, ys = zip(*data.points)
-            pairs = sum(map(len, data.points)) == 2 * len(xs)
-        except (TypeError, ValueError):
-            pairs = False
-        if not pairs:
-            raise ValueError("deployment must supply a non-empty (n, 2) point set")
-        nx, ny = _scaled(xs, 0.0, data.area), _scaled(ys, 0.0, data.area)
+        nx, ny = (_scaled(col, 0.0, data.area) for col in generator.point_columns(data))
         return {"x": nx, "y": ny}, (nx, ny)
     if hasattr(data, "p_min"):
-        flat = _scaled(data.flatten(), data.p_min, data.p_max)
+        flat = _scaled(_finite(data.flatten()), data.p_min, data.p_max)
         return {"all": flat}, (flat, flat)
     vals = _finite(data, 0, 1)
     return {"all": vals}, (vals, vals)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import oracles
 from wsngen.deployment import Deployment, deploy_nongrid
-from wsngen.generator import _BLOCK, GeneratorParams, read, write, write_document, write_text
+from wsngen.generator import (_BLOCK, GeneratorParams, _array_text, _document_head, _document_pieces, read,
+                              write, write_text)
 from wsngen.topology import build_graph, graph_to_csv, graph_to_json
 from wsngen.traffic import TrafficMatrix, traffic_uniform
 
@@ -47,6 +48,13 @@ metas = st.dictionaries(st.sampled_from(["kind", "seed", "a", "area", "mode", "r
                         st.one_of(st.none(), numbers, st.text(max_size=5)), max_size=5)
 documents = st.dictionaries(st.sampled_from(["points", "values", "degrees", "edges"]), arrays(),
                             min_size=1, max_size=3)
+
+
+def write_document(meta: dict, data: dict, path) -> None:
+    """The layout write and graph_to_json give a JSON document: meta, then each array."""
+    arrays = {key: _array_text(key, rows) for key, rows in data.items()}
+    write_text(path, _document_pieces(_document_head(meta), arrays))
+
 
 _SETTINGS = settings(max_examples=200, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -79,7 +87,7 @@ def test_traffic_csv_matches_csv_writer(tmp_path, rows):
 
 
 @_SETTINGS
-@given(points=st.lists(st.tuples(floats, floats), max_size=8))
+@given(points=st.lists(st.tuples(floats, floats), min_size=1, max_size=8))
 def test_deployment_csv_matches_csv_writer(tmp_path, points):
     dep = Deployment(points=tuple(points), area=10.0, mode="non-grid", params=PARAMS)
     _same_bytes(tmp_path, lambda p: write(dep, p, "csv"),
@@ -137,6 +145,42 @@ def test_writers_refuse_non_finite_meta_and_traffic(tmp_path):
     with pytest.raises(ValueError, match="'degrees': row 3: non-finite"):
         write_document({}, {"degrees": [0, 1, math.nan]}, tmp_path / "graph.json")
     assert list(tmp_path.iterdir()) == []
+
+
+# each record writes a file that read refuses: rows of unequal width, points
+# that are not pairs (its CSV write failed with a bare unpacking error), no
+# point, a packet range with p_min above p_max, and an area that is not positive
+_UNREADABLE = {
+    "ragged-values": (TrafficMatrix(values=((1.0, 2.0, 3.0), (4.0,)), p_min=0.0, p_max=10.0,
+                                    distribution="uniform", params=PARAMS),
+                      "'values' must be a non-empty list of equal-width rows of numbers"),
+    "3-d-points": (Deployment(points=((1.0, 2.0, 3.0),) * 3, area=10.0, mode="non-grid", params=PARAMS),
+                   "'points' must be a list of [x, y] number pairs"),
+    "no-points": (Deployment(points=(), area=10.0, mode="non-grid", params=PARAMS),
+                  "'points' must be a non-empty list of equal-width rows of numbers"),
+    "p_min-above-p_max": (TrafficMatrix(values=((3.0,),), p_min=5.0, p_max=1.0,
+                                        distribution="uniform", params=PARAMS),
+                          "p_max must be finite and exceed p_min, got 1.0"),
+    "zero-area": (Deployment(points=((1.0, 2.0),), area=0.0, mode="non-grid", params=PARAMS),
+                  "area must be positive and finite, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_writers_refuse_records_that_read_refuses(case, tmp_path):
+    record, reason = _UNREADABLE[case]
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError) as info:
+            write(record, tmp_path / f"data.{fmt}", fmt)
+        assert str(info.value) == f"cannot write {fmt.upper()}: {reason}"
+    assert list(tmp_path.iterdir()) == []
+    # csv.writer writes the rows, and read refuses them with the same description
+    schema = record.SCHEMA
+    rows = getattr(record, schema.data)
+    oracles.write_csv(tmp_path / "old.csv", schema.columns(len(rows[0]) + 1 if rows else 1),
+                      ([i, *map(repr, row)] for i, row in enumerate(rows, start=1)))
+    with pytest.raises(ValueError):
+        read(tmp_path / "old.csv", **{k: getattr(record, k) for k in schema.described})
 
 
 @pytest.mark.parametrize("value", [np.float64(1.5), True, "1.5", None])

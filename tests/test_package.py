@@ -81,9 +81,3 @@ def test_records_are_immutable_value_objects(name):
     with pytest.raises(AttributeError):
         setattr(record, fields[0], None)
     assert repr(record).startswith(f"{name}({fields[0]}=")
-
-
-def test_test_reports_built_without_details_get_their_own_dict():
-    first, second = (wsngen.TestReport("ks", 0.1, 0.5, 0.01, "Satisfied", 5) for _ in range(2))
-    first.details["stream"] = "x"
-    assert first.details == {"stream": "x"} and second.details == {}

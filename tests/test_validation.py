@@ -17,7 +17,7 @@ from oracles import interval_uniformity
 from strategies import GENERATORS, deployments, matrices
 from wsngen import generator, validation
 from wsngen.deployment import DEPLOYERS, Deployment, deploy_nongrid
-from wsngen.topology import build_graph
+from wsngen.topology import build_graph, isolated_by_range
 from wsngen.traffic import TrafficMatrix, traffic_uniform
 from wsngen.validation import (
     CHI2_CRITICAL,
@@ -259,8 +259,11 @@ def test_run_suite_on_traffic_and_raw_stream():
 
 
 # a hand-built deployment whose points are not (x, y) pairs: 3-D, 1-D, ragged,
-# empty, or an iterator, which has no len(), on both sides of the numpy
-# threshold. Its cells used to be interleaved into an "x" and a "y" stream
+# empty, an iterator, which has no len(), or a cell float() refuses, on both
+# sides of the numpy threshold. Its cells used to be interleaved into an "x"
+# and a "y" stream. A nan cell is refused too, with the row that holds it; numpy
+# reads None as nan, which gave that message for a None cell from 512 points on
+_PAIR = (1.0, 2.0)
 _NOT_PAIRS = {
     "3-d": ((1.0, 2.0, 3.0),) * 60,
     "1-d": ((0.5,),) * 60,
@@ -269,17 +272,25 @@ _NOT_PAIRS = {
     "ragged-600": ((1, 2), (3, 4, 5)) + ((1, 2),) * 598,
     "iterator": iter(((1.0, 2.0),) * 60),
     "iterator-600": iter(((1.0, 2.0),) * 600),
+    "none": (_PAIR, (1, None)) + (_PAIR,) * 58,
+    "none-600": (_PAIR, (1, None)) + (_PAIR,) * 598,
+    "abc": (_PAIR, (1, "abc")) + (_PAIR,) * 58,
+    "abc-600": (_PAIR, (1, "abc")) + (_PAIR,) * 598,
+    "nan": (_PAIR, (1, math.nan)) + (_PAIR,) * 58,
+    "nan-600": (_PAIR, (1, math.nan)) + (_PAIR,) * 598,
 }
 
 
-@pytest.mark.parametrize("points", _NOT_PAIRS.values(), ids=_NOT_PAIRS)
-def test_run_suite_refuses_points_that_are_not_pairs(points):
-    dep = Deployment(points, 10.0, mode=None, params=None)
-    line = r"^deployment must supply a non-empty \(n, 2\) point set$"
-    with pytest.raises(ValueError, match=line):
-        run_suite(dep)
-    with pytest.raises(ValueError, match=line):
-        build_graph(dep, 1.0)
+@pytest.mark.parametrize("case", _NOT_PAIRS)
+def test_run_suite_refuses_points_that_are_not_pairs(case):
+    dep = Deployment(_NOT_PAIRS[case], 10.0, mode=None, params=None)
+    line = ("points: row 2: non-finite value in [1.0, nan]" if case.startswith("nan")
+            else "deployment must supply a non-empty (n, 2) point set")
+    # the battery and both topology calls share one check, so one line at every size
+    for consume in (run_suite, lambda d: build_graph(d, 1.0), lambda d: isolated_by_range(d, (1.0,))):
+        with pytest.raises(ValueError) as info:
+            consume(dep)
+        assert str(info.value) == line
 
 
 def test_run_suite_reads_a_dataset_by_its_fields():
@@ -322,7 +333,8 @@ def test_reports_serialize():
 def test_reports_to_json_refuses_an_infinite_statistic():
     # JSON has no token for inf
     rep = validation.TestReport(test_name="autocorrelation", statistic=math.inf,
-                                critical_value=1.96, alpha=0.05, verdict="Rejected", sample_size=10)
+                                critical_value=1.96, alpha=0.05, verdict="Rejected", sample_size=10,
+                                details={})
     with pytest.raises(ValueError, match=r"^[^\n]*not JSON compliant[^\n]*$"):
         reports_to_json([rep])
 
