@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -159,13 +160,13 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
     raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
 
 
-def _require_writable(rows: Sequence[Sequence[float]], what: str) -> None:
-    """Raise ValueError unless rows hold only finite Python ints and floats, whose
-    repr is the text csv.writer and json.dumps give (a numpy float's is not)."""
+def _require_writable(rows: Sequence[Sequence[float]], where) -> None:
+    """Raise ValueError, led by where, unless rows hold only finite Python ints and
+    floats, whose repr is the text csv.writer and json.dumps give (a numpy float's is not)."""
     other = set(map(type, chain.from_iterable(rows))) - {int, float}
     if other:
-        raise ValueError(f"cannot write {what}: expected ints and floats, got {min(t.__name__ for t in other)}")
-    require_finite(rows, f"cannot write {what}")
+        raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
+    require_finite(rows, where)
 
 
 def write_text(path, chunks) -> None:
@@ -228,10 +229,10 @@ def _document_head(meta: dict) -> str:
     return json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
 
 
-def _array_text(key: str, rows):
-    """(nested, blocks) for _document_pieces of rows that _require_writable passes."""
-    nested = bool(rows) and isinstance(rows[0], (list, tuple))
-    _require_writable(rows if nested else tuple(zip(rows)), repr(key))
+def _array_text(rows):
+    """(nested, blocks) for _document_pieces of rows. It lays them out and checks
+    nothing: its callers check the cells first, with _require_writable."""
+    nested = bool(rows) and not isinstance(rows[0], (int, float))
     blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
     return nested, ([_CELL_SEP.join(map(repr, r)) for r in b] if nested else map(repr, b) for b in blocks)
 
@@ -275,44 +276,49 @@ class Schema(NamedTuple):
     check: Callable[..., None]
 
 
-def _require_table(rows, key: str, where) -> None:
-    """Raise ValueError, led by where, unless rows are a non-empty list of equal-width,
-    non-empty rows; read checks a JSON file's with it, and write every record's."""
-    if not rows or not rows[0] or len(set(map(len, rows))) != 1:
-        raise ValueError(f"{where}: {key!r} must be a non-empty list of equal-width rows of numbers")
-
-
-def _require_described(rows, schema: Schema, description, where) -> None:
-    """Raise ValueError, led by where, unless schema.check passes the finite rows."""
+def _check_rows(rows, schema: Schema, description, where) -> None:
+    """Raise ValueError, led by where, unless rows are a non-empty table of equal-width
+    rows of finite ints and floats that schema.check passes with description; read
+    and write check every record's rows with it."""
+    try:  # an iterator has no len(), nor has a row that is a number
+        widths = set(map(len, rows)) if len(rows) else {0}
+    except TypeError:
+        widths = {0}
+    if len(widths) != 1 or 0 in widths:
+        raise ValueError(f"{where}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
+    _require_writable(rows, where)
     try:
         schema.check(rows, *description)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
-    """(rows, description, provenance) of a JSON document for a record type.
-
-    Every meta field of its SCHEMA, and any other float in meta, must pass its
-    test, and be present unless the record has a default or it is a count;
-    seed, a and c may instead all be null. The data must be a non-empty list
-    of equal-width rows of numbers, node_count rows of slot_count if given.
-    """
+def _check_meta(meta: dict, record, where) -> None:
+    """Raise ValueError, led by where, unless every meta field of record.SCHEMA, and
+    any other float in meta, passes its test, and is present unless the record has a
+    default or it is a count; seed, a and c may instead all be null. read checks a
+    JSON file's meta with it, and write the meta it is about to write."""
     schema = record.SCHEMA
-    meta = doc["meta"]
-    if schema.data not in doc:
-        raise ValueError(f"{path}: expected a JSON object with 'meta' and {schema.data!r}")
-    optional = (*record._field_defaults, *_COUNTS)
-    missing = [k for k in schema.meta if k not in meta and k not in optional]
+    missing = [k for k in schema.meta if k not in meta and k not in (*record._field_defaults, *_COUNTS)]
     if missing:
-        raise ValueError(f"{path}: meta lacks field {', '.join(map(repr, missing))}")
-    params = [meta[k] for k in GeneratorParams._fields]
-    unset = params == [None] * 3
+        raise ValueError(f"{where}: meta lacks field {', '.join(map(repr, missing))}")
+    unset = [meta[k] for k in GeneratorParams._fields] == [None] * 3
     for key, value in meta.items():
         valid, wanted = schema.meta.get(key, NUMBER)
         if ((key in schema.meta or isinstance(value, float)) and not valid(value)
                 and not (unset and key in GeneratorParams._fields)):
-            raise ValueError(f"{path}: meta field {key!r} must be {wanted}, got {value!r}")
+            raise ValueError(f"{where}: meta field {key!r} must be {wanted}, got {value!r}")
+
+
+def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
+    """(rows, description, provenance) of a JSON document for a record type, once
+    _check_meta passes its meta. The rows are tuples of floats, or () where the data
+    holds a cell that is not a JSON number or a row that is not a list."""
+    schema = record.SCHEMA
+    meta = doc["meta"]
+    if schema.data not in doc:
+        raise ValueError(f"{path}: expected a JSON object with 'meta' and {schema.data!r}")
+    _check_meta(meta, record, path)
     data = doc[schema.data]
     try:
         types = set(map(type, chain.from_iterable(data)))
@@ -321,12 +327,9 @@ def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
         rows = tuple(map(tuple, floats)) if types <= {int, float} else ()
     except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
         rows = ()
-    _require_table(rows, schema.data, path)
-    for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
-        if meta.get(key, count) != count:
-            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {count}")
     provenance = {k: meta[k] for k in record._fields if k in meta and k != schema.data}
-    provenance["params"] = None if unset else GeneratorParams(*params)
+    # _check_meta lets seed be null only where a and c are null too
+    provenance["params"] = None if meta["seed"] is None else GeneratorParams(*map(meta.get, GeneratorParams._fields))
     return rows, [provenance.pop(k) for k in schema.described], provenance
 
 
@@ -342,12 +345,12 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
     """
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(64)
-    doc = None
+    doc, meta = None, {}  # a CSV has no meta
     if head.lstrip()[:1] in ("{", "["):
         doc = _load_json(path)
-        if not isinstance(doc, dict) or not isinstance(doc.get("meta"), dict):
+        if not isinstance(doc, dict) or not isinstance(meta := doc.get("meta"), dict):
             raise ValueError(f"{path}: expected a JSON object whose 'meta' is an object")
-        kind = doc["meta"].get("kind")
+        kind = meta.get("kind")
     elif head.startswith("node_id,x,y"):
         kind = "deployment"
     elif head.startswith("node_id,t"):
@@ -365,14 +368,14 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
         rows = read_csv(path, kind, schema.columns)
         description = [{"area": area, "p_min": p_min, "p_max": p_max}[k] for k in schema.described]
         if None in description:
-            raise ValueError(f"{path}: a {kind} CSV records no {' or '.join(schema.described)}; "
-                             "pass it to read")
-        provenance = dict.fromkeys(k for k in record._fields
-                                   if k != schema.data and k not in schema.described)
+            raise ValueError(f"{path}: a {kind} CSV records no {' or '.join(schema.described)}; pass it to read")
+        provenance = dict.fromkeys(k for k in record._fields if k != schema.data and k not in schema.described)
     else:
         rows, description, provenance = _document_parts(doc, path, record)
-    require_finite(rows, path)
-    _require_described(rows, schema, description, path)
+    _check_rows(rows, schema, description, path)
+    for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
+        if meta.get(key, count) != count:
+            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {count}")
     return record(**{schema.data: rows}, **dict(zip(schema.described, map(float, description))),
                   **provenance)
 
@@ -380,28 +383,30 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
 def write(record, path, fmt: str) -> None:
     """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
     its SCHEMA. A record with no provenance (params None) writes it as null. Before
-    the file is opened, _require_writable, _require_table and _require_described
-    refuse the rows, area or packet range that read would refuse."""
+    the file is opened, _check_meta refuses the JSON meta, and _check_rows the rows,
+    area or packet range, that read would refuse, with read's words."""
     schema = record.SCHEMA
     rows = getattr(record, schema.data)
-    if fmt == "csv":
-        header = schema.columns(len(rows[0]) + 1 if rows else 1)
+    where = f"cannot write {fmt.upper()}"
+    if fmt == "json":
+        meta = {}
+        for k in schema.meta:  # rows that are not a table have no count: _check_rows refuses them
+            with suppress(TypeError):
+                meta[k] = getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
+        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
+        _check_meta(meta, record, where)
+    elif fmt != "csv":
+        raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
+    _check_rows(rows, schema, [getattr(record, k) for k in schema.described], where)
+    if fmt == "json":
+        chunks = _document_pieces(head, {schema.data: _array_text(rows)})
+    else:
+        header = schema.columns(len(rows[0]) + 1)
         if len(header) == 3:  # two values a row, as in every deployment, format faster unpacked
             lines = (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(rows, start=1))
         else:
             lines = (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(rows, start=1))
-        _require_writable(rows, "CSV")
         chunks = chain((",".join(header) + "\r\n",), lines)
-    elif fmt == "json":
-        params = record.params or GeneratorParams(None, None, None)
-        meta = {k: getattr(params if k in GeneratorParams._fields else record, k) for k in schema.meta}
-        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
-        chunks = _document_pieces(head, {schema.data: _array_text(schema.data, rows)})
-    else:
-        raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
-    where = f"cannot write {fmt.upper()}"
-    _require_table(rows, schema.data, where)
-    _require_described(rows, schema, [getattr(record, k) for k in schema.described], where)
     write_text(path, chunks)
 
 

@@ -202,14 +202,15 @@ def isolated_count(graph: RadiusGraph) -> int:
     return graph.degrees.count(0)
 
 
-def _edge_text(graph: RadiusGraph, what: str, sep: str, end: str):
+def _edge_text(graph: RadiusGraph, where: str, sep: str, end: str):
     """Blocks of _BLOCK edge rows u + 1, v + 1, distance, joined by sep and ended by
-    end, once they pass _require_writable. Int ids and finite float distances, which
-    build_graph gives, pass on their types and one sum, which a nan or inf makes non-finite."""
+    end, once they pass _require_writable, led by where. Int ids and finite float
+    distances, which build_graph gives, pass on their types and one sum, which a nan
+    or inf makes non-finite."""
     edges, distances = graph.edges, graph.distances
     if not (set(map(type, chain.from_iterable(edges))) <= {int} and set(map(type, distances)) <= {float}
             and math.isfinite(sum(distances))):
-        generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], what)
+        generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], where)
     rows = zip(edges, distances)  # blocks until one is empty; an int or float formats as its repr
     return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for (u, v), d in islice(rows, generator._BLOCK)], [])
 
@@ -220,7 +221,7 @@ def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
     The rows are the graph's stored edges and distances, checked once before the
     file is opened and written in blocks; ``deployment`` is not read.
     """
-    write_text(path, chain(("u,v,distance\r\n",), map("".join, _edge_text(graph, "CSV", ",", "\r\n"))))
+    write_text(path, chain(("u,v,distance\r\n",), map("".join, _edge_text(graph, "cannot write CSV", ",", "\r\n"))))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
@@ -239,8 +240,9 @@ def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
         "isolated": isolated_count(graph),
     }
     head = generator._document_head(meta)
-    degrees = generator._array_text("degrees", graph.degrees)
-    edges = True, _edge_text(graph, "'edges'", generator._CELL_SEP, "")
+    generator._require_writable(tuple(zip(graph.degrees)), "cannot write 'degrees'")
+    degrees = generator._array_text(graph.degrees)
+    edges = True, _edge_text(graph, "cannot write 'edges'", generator._CELL_SEP, "")
     write_text(path, generator._document_pieces(head, {"degrees": degrees, "edges": edges}))
 
 

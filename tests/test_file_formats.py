@@ -5,9 +5,12 @@ the csv.writer and json.dumps(indent=2) writers they replace; the properties
 below check that both give the same bytes for drawn data.
 """
 
+import array
 import json
 import math
+import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -16,10 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import deployments, matrices
+from wsngen import __version__
 from wsngen.deployment import Deployment, deploy_nongrid
 from wsngen.generator import (_BLOCK, GeneratorParams, _array_text, _document_head, _document_pieces, read,
                               write, write_text)
-from wsngen.topology import build_graph, graph_to_csv, graph_to_json
+from wsngen.topology import RadiusGraph, build_graph, graph_to_csv, graph_to_json
 from wsngen.traffic import TrafficMatrix, traffic_uniform
 
 PARAMS = GeneratorParams(seed=1, a=3.359886, c=1.902161)
@@ -51,8 +56,9 @@ documents = st.dictionaries(st.sampled_from(["points", "values", "degrees", "edg
 
 
 def write_document(meta: dict, data: dict, path) -> None:
-    """The layout write and graph_to_json give a JSON document: meta, then each array."""
-    arrays = {key: _array_text(key, rows) for key, rows in data.items()}
+    """The layout write and graph_to_json give a JSON document: meta, then each array,
+    with no check of the cells."""
+    arrays = {key: _array_text(rows) for key, rows in data.items()}
     write_text(path, _document_pieces(_document_head(meta), arrays))
 
 
@@ -126,7 +132,7 @@ def test_writers_refuse_non_finite_points(bad, tmp_path):
     dep = Deployment(points=((1.0, 2.0), (3.0, bad)), area=10.0, mode="non-grid", params=PARAMS)
     with pytest.raises(ValueError, match=r"row 2: non-finite value") as csv_error:
         write(dep, tmp_path / "dep.csv", "csv")
-    with pytest.raises(ValueError, match=r"'points': row 2: non-finite value") as json_error:
+    with pytest.raises(ValueError, match=r"cannot write JSON: row 2: non-finite value") as json_error:
         write(dep, tmp_path / "dep.json", "json")
     assert "\n" not in str(csv_error.value) + str(json_error.value)
     assert list(tmp_path.iterdir()) == []
@@ -140,10 +146,12 @@ def test_writers_refuse_non_finite_meta_and_traffic(tmp_path):
                            distribution="uniform", params=PARAMS)
     with pytest.raises(ValueError, match="row 2: non-finite"):
         write(matrix, tmp_path / "traffic.csv", "csv")
-    with pytest.raises(ValueError, match="'values': row 2: non-finite"):
+    with pytest.raises(ValueError, match="cannot write JSON: row 2: non-finite"):
         write(matrix, tmp_path / "traffic.json", "json")
+    graph = RadiusGraph(node_count=3, transmission_range=1.0, epsilon=0.0, edges=(), distances=(),
+                        degrees=(0, 1, math.nan))
     with pytest.raises(ValueError, match="'degrees': row 3: non-finite"):
-        write_document({}, {"degrees": [0, 1, math.nan]}, tmp_path / "graph.json")
+        graph_to_json(graph, None, tmp_path / "graph.json")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -189,9 +197,144 @@ def test_writers_refuse_values_that_are_not_ints_or_floats(value, tmp_path):
     dep = Deployment(points=((1.0, 2.0), (value, 4.0)), area=10.0, mode="non-grid", params=PARAMS)
     with pytest.raises(ValueError, match=f"cannot write CSV: expected ints and floats, got {type(value).__name__}"):
         write(dep, tmp_path / "dep.csv", "csv")
-    with pytest.raises(ValueError, match="cannot write 'points': expected ints and floats"):
+    with pytest.raises(ValueError, match="cannot write JSON: expected ints and floats"):
         write(dep, tmp_path / "dep.json", "json")
     assert list(tmp_path.iterdir()) == []
+
+
+def _written_meta(record) -> dict:
+    """The meta write gives a record's JSON file, built without any check."""
+    params = record.params or GeneratorParams(None, None, None)
+    fields = {k: getattr(params if k in GeneratorParams._fields else record, k) for k in record.SCHEMA.meta}
+    return {"kind": record.SCHEMA.kind, **fields, "tool_version": __version__}
+
+
+_DEPLOYMENT, _MATRIX = deploy_nongrid(20, 10.0, 1), traffic_uniform(5, 3, 2.0, 10.0)
+
+
+# each JSON write used to succeed, and read refused the file
+@pytest.mark.parametrize("record, message", [
+    (_DEPLOYMENT._replace(mode="foo"), "meta field 'mode' must be 'grid' or 'non-grid' or null, got 'foo'"),
+    (_DEPLOYMENT._replace(y_increment="z"), "meta field 'y_increment' must be 'a' or 'c' or null, got 'z'"),
+    (_MATRIX._replace(distribution=5), "meta field 'distribution' must be a string or null, got 5"),
+    (_MATRIX._replace(rate=True), "meta field 'rate' must be null or a finite number, got True"),
+], ids=["mode", "y_increment", "distribution", "rate"])
+def test_json_writes_refuse_the_meta_read_refuses(tmp_path, record, message):
+    schema = record.SCHEMA
+    rows = getattr(record, schema.data)
+    (tmp_path / "out").mkdir()
+    with pytest.raises(ValueError) as refusal:
+        write(record, tmp_path / "out" / "data.json", "json")
+    assert str(refusal.value) == f"cannot write JSON: {message}"
+    assert list((tmp_path / "out").iterdir()) == []
+    oracles.write_document(_written_meta(record), {schema.data: rows}, tmp_path / "old.json")
+    with pytest.raises(ValueError) as read_refusal:
+        read(tmp_path / "old.json")
+    assert str(read_refusal.value) == f"{tmp_path / 'old.json'}: {message}"
+    # a CSV carries no meta
+    write(record, tmp_path / "out" / "data.csv", "csv")
+    described = {k: getattr(record, k) for k in schema.described}
+    assert getattr(read(tmp_path / "out" / "data.csv", **described), schema.data) == rows
+
+
+@pytest.mark.parametrize("points", [(1.0, 2.0), "iterator"], ids=["numbers", "iterator"])
+def test_writers_refuse_points_that_are_not_rows(tmp_path, points):
+    # each write used to raise a bare TypeError, "object of type 'float' has no len()"
+    for fmt in ("csv", "json"):
+        rows = iter(((1.0, 2.0), (3.0, 4.0))) if points == "iterator" else points
+        dep = Deployment(points=rows, area=10.0, mode=None, params=None)
+        with pytest.raises(ValueError) as refusal:
+            write(dep, tmp_path / f"dep.{fmt}", fmt)
+        assert str(refusal.value) == (f"cannot write {fmt.upper()}: "
+                                      "'points' must be a non-empty list of equal-width rows of numbers")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("row", [range(1, 3), array.array("d", [1.5, 2.5])], ids=["range", "array"])
+def test_rows_of_any_number_sequence_write_and_read_back(tmp_path, row):
+    # the CSV write wrote these rows, and the JSON write refused them ("got range")
+    dep = Deployment(points=(row, row), area=10.0, mode=None, params=None)
+    for fmt in ("csv", "json"):
+        write(dep, tmp_path / f"dep.{fmt}", fmt)
+        assert read(tmp_path / f"dep.{fmt}", area=10.0).points == (tuple(row),) * 2
+
+
+_BAD_CELLS = [math.nan, math.inf, None, "1.5", True, np.float64(1.5)]
+
+
+@st.composite
+def faulty_records(draw):
+    """A drawn deployment or traffic matrix with at most one field swapped for a bad value."""
+    record = draw(st.one_of(deployments(), matrices()))
+    schema = record.SCHEMA
+    rows = getattr(record, schema.data)
+    fault = draw(st.sampled_from([None, "ragged", "1-d", "3-d", "empty", "cell", "meta", "range", "params"]))
+    if fault == "ragged":
+        last = rows[-1]
+        return record._replace(**{schema.data: rows[:-1] + (last[:-1] if len(last) > 1 else last * 2,)})
+    if fault in ("1-d", "3-d", "empty"):
+        bad = {"1-d": tuple(r[0] for r in rows), "3-d": tuple(tuple((v,) for v in r) for r in rows), "empty": ()}
+        return record._replace(**{schema.data: bad[fault]})
+    if fault == "cell":
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        row = rows[i][:j] + (draw(st.sampled_from(_BAD_CELLS)),) + rows[i][j + 1:]
+        return record._replace(**{schema.data: rows[:i] + (row,) + rows[i + 1:]})
+    if fault == "meta":
+        field, values = draw(st.sampled_from(
+            [("mode", ["foo", 5, True]), ("y_increment", ["z", 1.5])] if schema.kind == "deployment" else
+            [("distribution", [5, True, 1.5]), ("rate", [True, "x", math.nan, math.inf])]))
+        return record._replace(**{field: draw(st.sampled_from(values))})
+    if fault == "range":
+        if schema.kind == "deployment":
+            return record._replace(area=draw(st.sampled_from([0.0, -1.0, -record.area])))
+        return record._replace(p_min=record.p_max, p_max=record.p_min)
+    if fault == "params":
+        nulls = draw(st.sets(st.integers(0, 2), min_size=1, max_size=2))
+        return record._replace(params=GeneratorParams(*[None if i in nulls else v
+                                                        for i, v in enumerate(record.params)]))
+    return record
+
+
+def _read_refuses_the_oracle_file(record, fmt: str, path) -> bool:
+    """Whether read refuses the file the unchecked oracle writers write for record.
+    write lays each cell out as its repr, JSON number text only for an int or a
+    float: the JSON oracle gets any other cell as that text in a string."""
+    schema = record.SCHEMA
+    rows = getattr(record, schema.data)
+    try:
+        if fmt == "csv":
+            oracles.write_csv(path, schema.columns(len(rows[0]) + 1 if rows else 1),
+                              ([i, *map(repr, row)] for i, row in enumerate(rows, start=1)))
+        else:
+            cells = [[v if type(v) in (int, float) else repr(v) for v in row] for row in rows]
+            oracles.write_document(_written_meta(record), {schema.data: cells}, path)
+    except TypeError:  # rows that are not rows of cells: the oracle writes no file
+        return True
+    try:
+        read(path, **({k: getattr(record, k) for k in schema.described} if fmt == "csv" else {}))
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=faulty_records())
+def test_write_refuses_exactly_what_read_refuses(tmp_path, record):
+    schema = record.SCHEMA
+    described = {k: getattr(record, k) for k in schema.described}
+    for fmt in ("csv", "json"):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            out = os.path.join(scratch, "out")
+            os.mkdir(out)
+            refused = _read_refuses_the_oracle_file(record, fmt, os.path.join(scratch, "oracle"))
+            try:
+                write(record, os.path.join(out, "data"), fmt)
+            except ValueError as exc:
+                assert refused and "\n" not in str(exc) and os.listdir(out) == [], exc
+            else:
+                assert not refused
+                back = read(os.path.join(out, "data"), **(described if fmt == "csv" else {}))
+                assert getattr(back, schema.data) == getattr(record, schema.data)
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
