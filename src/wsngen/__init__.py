@@ -45,11 +45,6 @@ _EXPORTS = {
         "SuiteConfig",
         "TestReport",
         "aggregate_verdicts",
-        "autocorrelation_test",
-        "chi2_test",
-        "circular_correlation_test",
-        "ks_test",
-        "normalize",
         "reports_to_json",
         "reports_to_text",
         "run_suite",

@@ -12,6 +12,7 @@ symmetric variant is available via y_increment="c".
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .generator import (
@@ -31,7 +32,7 @@ _COLUMNS = ("node_id", "x", "y")
 def _check_args(node_count: int, area: float, y_increment: str) -> None:
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    if not area > 0 or not math.isfinite(area):
+    if not 0 < area <= sys.float_info.max:  # exact: an int beyond the float range cannot overflow
         raise ValueError(f"area must be positive and finite, got {area}")
     if y_increment not in ("a", "c"):
         raise ValueError("y_increment must be 'a' or 'c'")

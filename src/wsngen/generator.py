@@ -153,10 +153,12 @@ def point_columns(data):
 # file formats: the CSV and JSON files of deployments, traffic matrices and graphs
 
 def require_finite(rows: Sequence[Sequence[float]], path) -> None:
-    """Raise ValueError naming the first (1-based) row that holds nan or inf."""
-    if all(map(math.isfinite, chain.from_iterable(rows))):
-        return
-    row = next(i for i, r in enumerate(rows, start=1) if not all(map(math.isfinite, r)))
+    """Raise ValueError naming the first (1-based) row that holds nan, inf or an
+    int beyond the float range, among rows of Python ints and floats."""
+    with suppress(OverflowError):  # math.isfinite overflows on such an int; the row search is exact
+        if all(map(math.isfinite, chain.from_iterable(rows))):
+            return
+    row = next(i for i, r in enumerate(rows, start=1) if not all(map(_is_finite_number, r)))
     raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
 
 

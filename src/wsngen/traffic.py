@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .generator import (
@@ -42,7 +43,7 @@ def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
         raise ValueError("n and t must be >= 1")
     if not p_min >= 0:
         raise ValueError(f"p_min must be finite and >= 0, got {p_min}")
-    if not p_max > p_min or not math.isfinite(p_max):
+    if not p_min < p_max <= sys.float_info.max:  # exact: an int beyond the float range cannot overflow
         raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
 
 

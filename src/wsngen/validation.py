@@ -38,7 +38,7 @@ from . import generator
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
 
-# The largest float below 1.0: normalize's image of a value whose map rounds
+# The largest float below 1.0: _scaled's image of a value whose map rounds
 # onto 1.0.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -205,7 +205,10 @@ def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = ma
     else:
         import numpy as np
 
-        vals = np.asarray(sample, dtype=float)
+        try:
+            vals = np.asarray(sample, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("sample holds a non-finite value") from None
         if vals.ndim != 1 or not vals.size:
             raise ValueError(f"sample must be a non-empty flat sequence of numbers, got shape {vals.shape}")
         finite = np.isfinite(vals).all()
@@ -223,9 +226,9 @@ def _within(vals, lower: float, upper: float):
 
 
 def _scaled(vals, lower: float, upper: float):
-    """normalize's map, onto finite floats that _within passes. A value just below
-    upper can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a
-    value that rounded onto p_max just below it."""
+    """The affine map of [lower, upper) onto [0, 1), of finite floats that _within
+    passes. A value just below upper can round onto 1.0; it maps to _BELOW_ONE
+    instead, as traffic keeps a value that rounded onto p_max just below it."""
     span = upper - lower
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
@@ -235,12 +238,6 @@ def _scaled(vals, lower: float, upper: float):
         return out if max(out) < 1.0 else [min(v, _BELOW_ONE) for v in out]
     out = (vals - lower) / span
     return out if out.max() < 1.0 else out.clip(max=_BELOW_ONE)
-
-
-def normalize(sample: Sequence[float], lower: float, upper: float) -> list[float]:
-    """Affine map of [lower, upper) onto [0, 1), as a list of floats."""
-    out = _scaled(_finite(sample), lower, upper)
-    return out if isinstance(out, list) else out.tolist()
 
 
 def _ascending(pieces: list):
@@ -256,29 +253,19 @@ def _ascending(pieces: list):
 
 
 def ks_critical_value(n: int, alpha: float) -> float:
-    if alpha not in KS_CRITICAL:
-        raise ValueError(f"no KS table for alpha={alpha}")
     if n <= 35:
         return KS_CRITICAL[alpha][n - 1]
     return KS_ASYMPTOTIC[alpha] / math.sqrt(n)
 
 
-def ks_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
-    """Kolmogorov-Smirnov test against the uniform distribution on [0, 1).
+def _ks(r, alpha: float) -> TestReport:
+    """Kolmogorov-Smirnov test against the uniform distribution on [0, 1), of a
+    sample r that _finite checked and _ascending sorted.
 
     D+ = max_i(i/n - r_i), D- = max_i(r_i - (i-1)/n) over the ascending
     sample, D = max(D+, D-). Satisfied when D <= critical.
     """
-    return _ks(sample, alpha, checked=False)
-
-
-def _ks(sample, alpha: float, checked: bool = True) -> TestReport:
-    """ks_test, on a sample _finite checked and _ascending sorted unless checked is False."""
-    n = len(sample)
-    if n < 5:
-        raise ValueError("KS test needs at least 5 values")
-    _require_alpha(alpha)
-    r = sample if checked else _ascending([_finite(sample, 0, 1)])
+    n = len(r)
     # i/n for i = 0..n: exact ints over n, correctly rounded on both paths; a
     # leading -0.0 gives the only -0.0 term of D-, and the builtin max keeps
     # the first of equal values
@@ -311,8 +298,6 @@ def _bin_counts(sample, classes: int) -> list[int]:
 
 
 def chi2_critical_value(nu: int, alpha: float) -> float:
-    if alpha not in CHI2_CRITICAL:
-        raise ValueError(f"no chi2 table for alpha={alpha}")
     table = CHI2_CRITICAL[alpha]
     if not 1 <= nu <= len(table):
         raise ValueError(
@@ -322,33 +307,22 @@ def chi2_critical_value(nu: int, alpha: float) -> float:
     return table[nu - 1]
 
 
-def chi2_test(sample: Sequence[float], classes: int = 10, alpha: float = 0.001) -> TestReport:
-    """Chi-square goodness of fit over equal-width bins of [0, 1).
+def _chi2(sample, classes: int, alpha: float) -> TestReport:
+    """Chi-square goodness of fit over equal-width bins of [0, 1), of a sample
+    that _finite checked and _ascending sorted.
 
     Expected count per class is N/classes; nu = classes - 1. Satisfied when
     the statistic does not exceed the critical value (standard direction).
-    Validity rule: N >= 5 * classes.
+    Validity rule: N >= 5 * classes, which run_suite's length check enforces.
     """
-    return _chi2(sample, classes, alpha, checked=False)
-
-
-def _chi2(sample, classes: int, alpha: float, checked: bool = True) -> TestReport:
-    """chi2_test, on a sample _finite checked and _ascending sorted unless checked is False."""
     n = len(sample)
-    if classes < 2:
-        raise ValueError("classes must be >= 2")
-    if n < 5 * classes:
-        raise ValueError(f"chi2 needs at least {5 * classes} values for {classes} classes")
-    _require_alpha(alpha)
-    if not checked:
-        sample = _ascending([_finite(sample, 0, 1)])
     counts = _bin_counts(sample, classes)
     expected = n / classes
     # sum (f - n/k)^2 / (n/k) == sum (k*f - n)^2 / (n*k): a ratio of integers,
     # which int/int division rounds correctly, on every Python version
     statistic = sum((classes * f - n) ** 2 for f in counts) / (n * classes)
     nu = classes - 1
-    crit = chi2_critical_value(nu, alpha)
+    crit = CHI2_CRITICAL[alpha][nu - 1]  # run_suite checked classes against the table
     return TestReport(
         test_name="chi2", statistic=statistic, critical_value=crit,
         alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
@@ -365,8 +339,8 @@ def _dot(x, y) -> float:
     return np.cumsum(x * y)[-1].item()
 
 
-def autocorrelation_test(sample: Sequence[float], alpha: float = 0.01) -> TestReport:
-    """Lag-1 autocorrelation over the whole sample.
+def _autocorrelation(vals, alpha: float) -> TestReport:
+    """Lag-1 autocorrelation over the whole of a sample that _finite checked.
 
     With M = N - 2, every neighbouring pair R[k], R[k+1] for k = 0..M enters:
 
@@ -375,17 +349,8 @@ def autocorrelation_test(sample: Sequence[float], alpha: float = 0.01) -> TestRe
     Z0 = rho_hat / sigma with sigma = sqrt((13M+7) / (12(M+1))); two-sided
     verdict on |Z0|. The -0.25 centering assumes a sample in [0, 1).
     """
-    return _autocorrelation(sample, alpha, checked=False)
-
-
-def _autocorrelation(sample, alpha: float, checked: bool = True) -> TestReport:
-    """autocorrelation_test, on a sample _finite checked unless checked is False."""
-    n = len(sample)
+    n = len(vals)
     m = n - 2
-    if m < 1:
-        raise ValueError(f"autocorrelation needs at least 3 values, got {n}")
-    _require_alpha(alpha)
-    vals = sample if checked else _finite(sample, 0, 1)
     rho = _dot(vals[:-1], vals[1:]) / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
@@ -402,28 +367,17 @@ def _autocorrelation(sample, alpha: float, checked: bool = True) -> TestReport:
     )
 
 
-def circular_correlation_test(x: Sequence[float], y: Sequence[float], alpha: float = 0.001) -> TestReport:
-    """Cross-correlation of two equal-length samples, x[k] paired with y[k].
+def _circular(x, y, alpha: float) -> TestReport:
+    """Cross-correlation of two equal-length samples that _finite checked, x[k]
+    paired with y[k].
 
     rho_hat = (1/N) * sum_k x[k] * y[k] - 0.25, with
     sigma = sqrt((13N+7)/(12(N+1))) and a two-sided verdict on |Z0|. The
     -0.25 centering mirrors the linear test, so a true-uniform pair in [0, 1)
-    scores near zero. For deployments, pass the normalized X and Y coordinate
-    sequences.
+    scores near zero. For a deployment, run_suite pairs its scaled X and Y
+    coordinate sequences.
     """
-    return _circular(x, y, alpha, checked=False)
-
-
-def _circular(x, y, alpha: float, checked: bool = True) -> TestReport:
-    """circular_correlation_test, on samples _finite checked unless checked is False."""
     n = len(x)
-    if n != len(y):
-        raise ValueError("x and y must have equal length")
-    if n < 2:
-        raise ValueError("need at least 2 values")
-    _require_alpha(alpha)
-    if not checked:
-        x, y = _finite(x, 0, 1), _finite(y, 0, 1)
     rho = _dot(x, y) / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
@@ -466,9 +420,13 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     the chi2 validity rule at the default class count). The circular test
     runs once, on the (x, y) coordinate pair for deployments and on the
     stream against itself otherwise. A test is Satisfied overall only if
-    every run of it is.
+    every run of it is. The settings are checked before the data: each alpha
+    against the tables, and classes against the chi-square table's 2..101.
     """
     cfg = config or SuiteConfig()
+    for alpha in (cfg.alpha_ks, cfg.alpha_chi2, cfg.alpha_auto, cfg.alpha_circular):
+        _require_alpha(alpha)
+    chi2_critical_value(cfg.classes - 1, cfg.alpha_chi2)
     streams, circular_pair = _suite_streams(data)
     need = max(20, 5 * cfg.classes)  # 5 values per KS quarter and per chi2 class
     reports: list[TestReport] = []

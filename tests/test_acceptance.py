@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
-from oracles import exp_inverse_transform, interval_uniformity, min_exponentials_check
+from oracles import exp_inverse_transform, interval_uniformity, min_exponentials_check, normalize
 from wsngen import _reference as ref
 from wsngen.cli import main as cli_main
 from wsngen.deployment import deploy_grid, deploy_nongrid
@@ -26,7 +26,7 @@ from wsngen.generator import derive_constants
 from wsngen.report import packet_diff_report, reference_agreement_report
 from wsngen.topology import build_graph, isolated_count
 from wsngen.traffic import traffic_uniform
-from wsngen.validation import chi2_test, ks_test, normalize
+from wsngen.validation import SuiteConfig, run_suite
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -162,23 +162,28 @@ def _law_fit(sample01, cdf, windows=10):
 
 
 def test_criterion_4_statistic_oracles():
+    # the battery's KS quarters of n values hold n // 4 or more: n = 20..143
+    # reaches every table size from 5 to 35, and the full sample the
+    # asymptotic form
     rng = random.Random(40817)
-    for _ in range(1000):
-        n = rng.randint(5, 50)
+    for i in range(372):
+        n = 20 + i % 124
+        classes = rng.randint(2, min(10, n // 5))
         sample = [rng.random() for _ in range(n)]
-        rep = ks_test(sample, 0.01)
-        assert abs(rep.statistic - _brute_force_ks(sample)) <= 1e-12
-
-    for _ in range(1000):
-        classes = rng.randint(2, 10)
-        n = rng.randint(5 * classes, 50)
-        sample = [rng.random() for _ in range(n)]
-        rep = chi2_test(sample, classes, 0.001)
+        reports = run_suite(sample, SuiteConfig(classes=classes))
+        cuts = [k * (n // 4) for k in range(4)] + [n]
+        parts = [sample[lo:hi] for lo, hi in zip(cuts, cuts[1:])] + [sample]
+        ks = [r for r in reports if r.test_name == "ks"]
+        assert [r.sample_size for r in ks] == list(map(len, parts))
+        for rep, part in zip(ks, parts):
+            assert abs(rep.statistic - _brute_force_ks(part)) <= 1e-12
+        (chi2,) = [r for r in reports if r.test_name == "chi2"]
         counts, stat = _brute_force_chi2(sample, classes)
-        assert rep.details["counts"] == counts
-        assert rep.statistic == stat
+        assert chi2.details["counts"] == counts
+        assert chi2.statistic == stat
 
-    worked = ks_test([0.05, 0.14, 0.44, 0.81, 0.93], 0.05)
+    # the worked example of test_validation, as a 20-value stream's first quarter
+    worked = run_suite([0.05, 0.14, 0.44, 0.81, 0.93] + [0.5] * 15, SuiteConfig(alpha_ks=0.05, classes=2))[0]
     assert worked.statistic == 0.26
 
 

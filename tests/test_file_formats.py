@@ -127,7 +127,8 @@ def test_arrays_longer_than_a_block_are_laid_out_as_json_dumps_does(tmp_path, co
                 lambda p: oracles.write_document({"kind": "x"}, data, p))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# an int beyond the float range used to raise a bare OverflowError
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")])
 def test_writers_refuse_non_finite_points(bad, tmp_path):
     dep = Deployment(points=((1.0, 2.0), (3.0, bad)), area=10.0, mode="non-grid", params=PARAMS)
     with pytest.raises(ValueError, match=r"row 2: non-finite value") as csv_error:
@@ -142,6 +143,9 @@ def test_writers_refuse_non_finite_meta_and_traffic(tmp_path):
     dep = Deployment(points=((1.0, 2.0),), area=math.nan, mode="non-grid", params=PARAMS)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write(dep, tmp_path / "dep.json", "json")
+    # an int beyond the float range used to raise a bare OverflowError
+    with pytest.raises(ValueError, match=r"^cannot write CSV: area must be positive and finite, got 10{400}$"):
+        write(dep._replace(area=10**400), tmp_path / "dep.csv", "csv")
     matrix = TrafficMatrix(values=((2.0, 3.0), (np.inf, 4.0)), p_min=2.0, p_max=10.0,
                            distribution="uniform", params=PARAMS)
     with pytest.raises(ValueError, match="row 2: non-finite"):
@@ -423,13 +427,15 @@ def test_read_gives_float_cells_that_write_back_as_floats(tmp_path, points, meta
     ("ragged.csv", "node_id,x,y\n1,2.0,3.0\n2,4.0,5.0\n3,6.0\n", {"area": 10.0},
      "{}: row 3: expected 3 cells, as in the header"),
     ("big-int.json", {"area": 10 ** 309}, {}, "{}: meta field 'area' must be a finite number, got 1" + "0" * 309),
+    ("big-area.csv", "node_id,x,y\n1,2.0,3.0\n", {"area": 10 ** 400},
+     "{}: area must be positive and finite, got 1" + "0" * 400),
     ("partial-null.json", {"a": None, "c": None}, {},
      "{}: meta field 'a' must be a finite number, got None"),
     ("no-area.csv", "node_id,x,y\n1,2.0,3.0\n", {}, "{}: a deployment CSV records no area; pass it to read"),
     ("no-range.csv", "node_id,t1\n1,2.0\n", {"area": 10.0},
      "{}: a traffic CSV records no p_min or p_max; pass it to read"),
-], ids=["ragged-csv-row-3", "int-beyond-float-meta", "partial-null-provenance", "csv-without-area",
-        "csv-without-range"])
+], ids=["ragged-csv-row-3", "int-beyond-float-meta", "int-beyond-float-area", "partial-null-provenance",
+        "csv-without-area", "csv-without-range"])
 def test_read_refuses_with_one_line(tmp_path, name, text, described, message):
     path = tmp_path / name
     if isinstance(text, dict):

@@ -29,6 +29,9 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises_the_standard_error():
     with pytest.raises(AttributeError, match=r"^module 'wsngen' has no attribute 'nope'$"):
         wsngen.nope
+    # the battery's one entry point is run_suite; its lone tests and their map left the package
+    for name in ("ks_test", "chi2_test", "autocorrelation_test", "circular_correlation_test", "normalize"):
+        assert not hasattr(wsngen, name), name
     assert not hasattr(wsngen, "_nope")
 
 
@@ -60,7 +63,7 @@ RECORDS = {
                     lambda: wsngen.build_graph(wsngen.deploy_grid(9, 10.0, 3), 4.0)),
     "TestReport": (("test_name", "statistic", "critical_value", "alpha", "verdict", "sample_size",
                     "details"),
-                   lambda: wsngen.ks_test([0.1, 0.3, 0.5, 0.7, 0.9])),
+                   lambda: wsngen.run_suite([(k + 0.5) / 20 for k in range(20)], wsngen.SuiteConfig(classes=2))[0]),
     "SuiteConfig": (("alpha_ks", "alpha_chi2", "alpha_auto", "alpha_circular", "classes"),
                     lambda: wsngen.SuiteConfig(classes=12)),
 }

@@ -25,18 +25,31 @@ from wsngen.validation import (
     SuiteConfig,
     Z_TWO_SIDED,
     aggregate_verdicts,
-    autocorrelation_test,
     chi2_critical_value,
-    chi2_test,
-    circular_correlation_test,
     ks_critical_value,
-    ks_test,
-    normalize,
     reports_to_json,
     reports_to_text,
     run_suite,
     suite_satisfied,
 )
+
+
+# run_suite is the battery's one entry point: these tests run it, mostly on
+# raw streams in [0, 1), with 2 chi-square classes where they need only its
+# 20-value floor, and read the report of the test at hand
+
+def _report(reports, test_name, part="full"):
+    """The one report among reports of test_name on part."""
+    (rep,) = [r for r in reports if r.test_name == test_name and r.details["part"] == part]
+    return rep
+
+
+TWO_CLASSES = SuiteConfig(classes=2)
+
+
+def _unit_square(x, y):
+    """A deployment on the unit square, whose columns the battery tests unscaled."""
+    return Deployment(tuple(zip(x, y)), 1.0, mode=None, params=None)
 
 
 # --- KS ---------------------------------------------------------------------
@@ -45,7 +58,10 @@ def test_ks_worked_example():
     # hand computation: sorted sample, D+ = max(i/n - r_i), D- = max(r_i - (i-1)/n)
     # r = (.05,.14,.44,.81,.93): D+ = max(.15,.26,.16,-.01,.07) = .26
     #                            D- = max(.05,-.06,.04,.21,.13) = .21
-    rep = ks_test([0.05, 0.14, 0.44, 0.81, 0.93], 0.05)
+    # r is the first of the four 5-value quarters of a 20-value stream
+    stream = [0.05, 0.14, 0.44, 0.81, 0.93] + [(k + 0.5) / 15 for k in range(15)]
+    rep = _report(run_suite(stream, TWO_CLASSES._replace(alpha_ks=0.05)), "ks", "quarter-0")
+    assert rep.sample_size == 5
     assert rep.statistic == 0.26
     assert rep.details["D_plus"] == 0.26
     assert rep.verdict == "Satisfied"
@@ -65,25 +81,27 @@ def test_ks_critical_table_monotone_in_alpha_and_n():
 
 
 def test_ks_rejects_too_small_sample():
-    with pytest.raises(ValueError):
-        ks_test([0.1, 0.2, 0.3, 0.4], 0.05)
+    # each of the four KS quarters needs 5 values, whatever the class count
+    with pytest.raises(ValueError, match=r"^the battery needs at least 20 values per stream "
+                                         r"at 2 chi-square classes, got 19$"):
+        run_suite([(k + 0.5) / 19 for k in range(19)], TWO_CLASSES)
 
 
 def test_ks_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ks_test([0.1, 0.2, 0.3, 0.4, 1.0], 0.05)
-    with pytest.raises(ValueError):
-        ks_test([-0.1, 0.2, 0.3, 0.4, 0.5], 0.05)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)$"):
+            run_suite([0.1, 0.2, 0.3, 0.4, bad] * 4, TWO_CLASSES)
 
 
 def test_ks_unsupported_alpha_needs_fn():
-    sample = [0.1, 0.3, 0.5, 0.7, 0.9]
     with pytest.raises(ValueError, match="not table-backed"):
-        ks_test(sample, 0.2)
+        run_suite([(k + 0.5) / 20 for k in range(20)], TWO_CLASSES._replace(alpha_ks=0.2))
 
 
 def test_ks_detects_clustered_sample():
-    rep = ks_test([0.01, 0.02, 0.03, 0.04, 0.05, 0.06], 0.05)
+    stream = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06] + [(k + 0.5) / 18 for k in range(18)]
+    rep = _report(run_suite(stream, TWO_CLASSES._replace(alpha_ks=0.05)), "ks", "quarter-0")
+    assert rep.sample_size == 6
     assert rep.verdict == "Rejected"
 
 
@@ -93,9 +111,9 @@ def test_chi2_statistic_exactly_rational():
     rng = random.Random(11)
     for _ in range(30):
         classes = rng.randint(2, 10)
-        n = rng.randint(5 * classes, 120)
+        n = rng.randint(max(20, 5 * classes), 120)
         sample = [rng.random() for _ in range(n)]
-        rep = chi2_test(sample, classes, 0.001)
+        rep = _report(run_suite(sample, SuiteConfig(classes=classes)), "chi2")
         counts = [0] * classes
         for v in sample:
             counts[min(int(Fraction(v) * classes), classes - 1)] += 1
@@ -106,21 +124,22 @@ def test_chi2_statistic_exactly_rational():
 
 
 def test_chi2_validity_rule():
-    with pytest.raises(ValueError):
-        chi2_test([0.5] * 49, 10, 0.001)
-    with pytest.raises(ValueError):
-        chi2_test([0.5] * 100, 1, 0.001)
+    # 5 values a class, and a class count the chi-square table covers
+    with pytest.raises(ValueError, match=r"needs at least 50 values per stream at 10 chi-square classes, got 49$"):
+        run_suite([0.5] * 49)
+    with pytest.raises(ValueError, match=r"^no chi2 table for nu=0: "):
+        run_suite([0.5] * 100, SuiteConfig(classes=1))
 
 
 def test_chi2_rejects_skewed_sample():
-    rep = chi2_test([0.05] * 50, 10, 0.001)
+    rep = _report(run_suite([0.05] * 50), "chi2")
     assert rep.verdict == "Rejected"
     assert rep.statistic == 450.0  # (50-5)^2/5 + 9 * 5
 
 
 def test_chi2_uniform_counts_score_zero():
     sample = [(k + 0.5) / 50 for k in range(50)]
-    rep = chi2_test(sample, 10, 0.001)
+    rep = _report(run_suite(sample), "chi2")
     assert rep.statistic == 0.0
     assert rep.verdict == "Satisfied"
 
@@ -139,17 +158,39 @@ def test_chi2_critical_value_outside_table_raises(nu):
         chi2_critical_value(nu, 0.05)
 
 
+# one bad setting among valid ones: an alpha off the tables, or a class count
+# off the chi-square table. The class count used to be refused in two places,
+# in two words ("classes must be >= 2" and "(--classes 2..101)"), and after
+# the stream's length ("the battery needs at least 1000 values" at 200)
+_BAD_SETTINGS = {"alpha": (0.2, math.nan, True), "classes": (-1, 0, 1, 102, 200, 10**400)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SuiteConfig._fields), st.integers(20, 600), st.integers(0, 2**32), st.data())
+def test_each_bad_suite_setting_gives_its_one_line(field, n, seed, data):
+    kind = "classes" if field == "classes" else "alpha"
+    bad = data.draw(st.sampled_from(_BAD_SETTINGS[kind]))
+    rng = random.Random(seed)
+    stream = [rng.random() for _ in range(n)]
+    with pytest.raises(ValueError) as info:
+        run_suite(stream, TWO_CLASSES._replace(**{field: bad}))
+    if kind == "alpha":
+        assert str(info.value) == f"alpha {bad} is not table-backed; use one of {SUPPORTED_ALPHAS}"
+    else:
+        assert str(info.value) == (f"no chi2 table for nu={bad - 1}: degrees of freedom must be in 1..100 "
+                                   "(--classes 2..101)")
+
+
 # --- autocorrelation ----------------------------------------------------------
 
 def test_autocorrelation_small_sample_details():
-    sample = [0.3, 0.7, 0.1, 0.9, 0.5, 0.2]
-    rep = autocorrelation_test(sample, alpha=0.05)
-    assert rep.details["M"] == 4
-    assert rep.details["sigma"] == math.sqrt(59 / 60)
-    prods = [0.3 * 0.7, 0.7 * 0.1, 0.1 * 0.9, 0.9 * 0.5, 0.5 * 0.2]
-    rho = sum(prods) / 5 - 0.25
+    sample = [0.3, 0.7, 0.1, 0.9, 0.5, 0.2] * 3 + [0.4, 0.6]
+    rep = _report(run_suite(sample, TWO_CLASSES._replace(alpha_auto=0.05)), "autocorrelation")
+    assert rep.details["M"] == 18
+    assert rep.details["sigma"] == math.sqrt(241 / 228)
+    rho = sum(a * b for a, b in zip(sample, sample[1:])) / 19 - 0.25
     assert abs(rep.details["rho"] - rho) <= 1e-15
-    assert rep.statistic == abs(rho / math.sqrt(59 / 60))
+    assert rep.statistic == abs(rep.details["rho"] / math.sqrt(241 / 228))
 
 
 UNIT_VALUES = st.one_of(st.sampled_from((0.0, math.nextafter(1.0, 0.0))),
@@ -162,11 +203,13 @@ def test_autocorrelation_ratio_form_never_rejects(sample, data):
     # rho lies in [-0.25, 0.75) on [0, 1) and the ratio sigma is smallest at
     # the shortest sample: sqrt(20/24) at M = 1 for the autocorrelation and
     # sqrt(33/36) at N = 2 for the circular test, so |Z0| stays below
-    # 0.75 / sigma (0.82158 and 0.78335) and below every critical value
+    # 0.75 / sigma (0.82158 and 0.78335) and below every critical value.
+    # Those lengths are below the battery's 20 values, so the lone tests run
+    # on the checked lists of floats run_suite would hand them
     other = data.draw(st.lists(UNIT_VALUES, min_size=len(sample), max_size=len(sample)))
-    tests = [(circular_correlation_test, (sample, other), 0.7834)]
+    tests = [(validation._circular, (sample, other), 0.7834)]
     if len(sample) >= 3:
-        tests.append((autocorrelation_test, (sample,), 0.822))
+        tests.append((validation._autocorrelation, (sample,), 0.822))
     for test, samples, bound in tests:
         for alpha in SUPPORTED_ALPHAS:
             rep = test(*samples, alpha)
@@ -176,15 +219,18 @@ def test_autocorrelation_ratio_form_never_rejects(sample, data):
 
 
 def test_autocorrelation_too_short():
-    with pytest.raises(ValueError, match=r"^autocorrelation needs at least 3 values, got 2$"):
-        autocorrelation_test([0.5, 0.5])
+    # the autocorrelation alone needs 3 values; the battery's floor is 20 on
+    # each coordinate stream of a deployment
+    column = [k / 19 for k in range(19)]
+    with pytest.raises(ValueError, match=r"^the battery needs at least 20 values per stream "
+                                         r"at 2 chi-square classes, got 19$"):
+        run_suite(_unit_square(column, column), TWO_CLASSES)
 
 
 # --- circular -----------------------------------------------------------------
 
 def test_circular_constant_half_scores_zero():
-    x = [0.5] * 16
-    rep = circular_correlation_test(x, x, alpha=0.001)
+    rep = _report(run_suite([0.5] * 20, TWO_CLASSES), "circular")
     assert rep.details["rho"] == 0.0
     assert rep.statistic == 0.0
     assert rep.verdict == "Satisfied"
@@ -194,7 +240,7 @@ def test_circular_matches_brute_convolution():
     rng = random.Random(99)
     x = [rng.random() for _ in range(24)]
     y = [rng.random() for _ in range(24)]
-    rep = circular_correlation_test(x, y, alpha=0.001)
+    rep = _report(run_suite(_unit_square(x, y), TWO_CLASSES), "circular")
     expect = float(np.dot(np.asarray(x), np.asarray(y)) / 24 - 0.25)
     assert abs(rep.details["rho"] - expect) <= 1e-12
     assert rep.details["sigma"] == math.sqrt((13 * 24 + 7) / (12 * 25))
@@ -202,22 +248,26 @@ def test_circular_matches_brute_convolution():
 
 
 def test_circular_argument_validation():
-    with pytest.raises(ValueError):
-        circular_correlation_test([0.5] * 4, [0.5] * 5)
-    with pytest.raises(ValueError):
-        circular_correlation_test([0.5], [0.5])
+    # the point check gives the pair equal lengths; the circular alpha is
+    # refused before the data are read
+    with pytest.raises(ValueError, match="not table-backed"):
+        run_suite([], TWO_CLASSES._replace(alpha_circular=0.2))
 
 
 # --- helpers ------------------------------------------------------------------
 
+def _matrix(values, p_min, p_max):
+    """A traffic matrix whose one row is values, built without a check."""
+    return TrafficMatrix(values=(tuple(values),), p_min=p_min, p_max=p_max, distribution=None, params=None)
+
+
 def test_normalize_maps_and_validates():
-    assert normalize([2.0, 6.0, 9.9], 2.0, 10.0) == [0.0, 0.5, 0.9875]
-    with pytest.raises(ValueError):
-        normalize([10.0], 2.0, 10.0)
-    with pytest.raises(ValueError):
-        normalize([1.0], 2.0, 10.0)
-    with pytest.raises(ValueError):
-        normalize([0.5], 1.0, 1.0)
+    # the battery maps a traffic matrix's [p_min, p_max) onto [0, 1)
+    assert (run_suite(_matrix([2.0, 6.0, 9.9] * 7, 2.0, 10.0), TWO_CLASSES)
+            == run_suite([0.0, 0.5, 0.9875] * 7, TWO_CLASSES))
+    for values, lower, upper in (([10.0], 2.0, 10.0), ([1.0], 2.0, 10.0), ([0.5], 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            run_suite(_matrix(values * 20, lower, upper), TWO_CLASSES)
 
 
 @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
@@ -225,7 +275,7 @@ def test_normalize_maps_and_validates():
 def test_normalize_rejects_non_finite_bounds(lower, upper):
     # an infinite span used to map every value to 0.0
     with pytest.raises(ValueError, match="bounds must be finite"):
-        normalize([0.5], lower, upper)
+        run_suite(_matrix([0.5] * 20, lower, upper), TWO_CLASSES)
 
 
 # --- suite --------------------------------------------------------------------
@@ -353,40 +403,49 @@ def _raises_one_line(fn, *args):
 @NON_FINITE
 def test_ks_rejects_non_finite(bad):
     # a nan used to sort into the middle and pass as Satisfied with D = 0.6
-    _raises_one_line(ks_test, [0.1, 0.2, bad, 0.3, 0.4])
-    _raises_one_line(ks_test, [bad, 0.1, 0.2, 0.3, 0.4])
+    stream = [0.1, 0.2, 0.3, 0.4, 0.5] * 4
+    _raises_one_line(run_suite, stream[:2] + [bad] + stream[3:], TWO_CLASSES)
+    _raises_one_line(run_suite, [bad] + stream[1:], TWO_CLASSES)
 
 
 @NON_FINITE
 def test_chi2_rejects_non_finite(bad):
-    _raises_one_line(chi2_test, [0.5] * 49 + [bad], 10)
+    _raises_one_line(run_suite, _matrix([0.5] * 49 + [bad], 0.0, 1.0))
 
 
 @NON_FINITE
 def test_autocorrelation_rejects_non_finite(bad):
-    _raises_one_line(autocorrelation_test, [bad] * 10)
-    _raises_one_line(autocorrelation_test, [0.5] * 9 + [bad])
+    # on both sides of the numpy threshold
+    _raises_one_line(run_suite, [bad] * 600, TWO_CLASSES)
+    _raises_one_line(run_suite, [0.5] * 19 + [bad], TWO_CLASSES)
 
 
 @NON_FINITE
 def test_circular_rejects_non_finite(bad):
-    _raises_one_line(circular_correlation_test, [0.5, bad, 0.5], [0.5] * 3)
-    _raises_one_line(circular_correlation_test, [0.5] * 3, [0.5, 0.5, bad])
+    column = [bad] + [0.5] * 19
+    for dep in (_unit_square([0.5] * 20, column), _unit_square(column, [0.5] * 20)):
+        _raises_one_line(run_suite, dep, TWO_CLASSES)
 
 
-@NON_FINITE
+# an int beyond the float range used to raise a bare OverflowError
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")])
 def test_run_suite_rejects_non_finite_raw_stream(bad):
     _raises_one_line(run_suite, [k / 100 for k in range(99)] + [bad])
 
 
-@pytest.mark.parametrize("test, args", [
-    (ks_test, ()), (chi2_test, (2,)), (autocorrelation_test, ()),
-    (circular_correlation_test, ([0.5] * 20,)), (run_suite, ()),
+# the ids are the names these cases had when each test of the battery had an
+# entry point of its own; every case now goes through run_suite
+@pytest.mark.parametrize("data, config", [
+    pytest.param([[0.1, 0.2]] * 20, TWO_CLASSES, id="ks_test-args0"),
+    pytest.param(np.array([[0.1, 0.2]] * 20), TWO_CLASSES, id="chi2_test-args1"),
+    pytest.param(((0.1, 0.2),) * 20, TWO_CLASSES, id="autocorrelation_test-args2"),
+    pytest.param(_matrix([[0.1, 0.2]] * 20, 0.0, 1.0), TWO_CLASSES, id="circular_correlation_test-args3"),
+    pytest.param([[0.1, 0.2]] * 20, None, id="run_suite-args4"),
 ])
-def test_nested_samples_rejected(test, args):
+def test_nested_samples_rejected(data, config):
     # the list loops failed on float(row); an array would broadcast the rows
     with pytest.raises(ValueError, match=r"flat sequence of numbers, got shape \(20, 2\)$"):
-        test([[0.1, 0.2]] * 20, *args)
+        run_suite(data, config)
 
 
 # --- the array battery against the list oracle --------------------------------
@@ -395,47 +454,40 @@ SPECIAL = (0.0, -0.0, math.nextafter(1.0, 0.0), 0)
 
 
 @st.composite
-def unit_samples(draw, min_size=5):
-    """min_size..2000 values in [0, 1), with repeats, signed zeros, the largest
-    float below 1 and the int 0 among them."""
+def unit_samples(draw):
+    """20..2000 values in [0, 1), with repeats, signed zeros, the largest float
+    below 1 and the int 0 among them."""
     value = st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0, exclude_max=True))
     if draw(st.booleans()):
-        return draw(st.lists(value, min_size=min_size, max_size=300))
+        return draw(st.lists(value, min_size=20, max_size=300))
     # long samples are seeded, with drawn values spliced in
     rng = random.Random(draw(st.integers(0, 2**32)))
-    sample = [rng.random() for _ in range(draw(st.integers(min_size, 2000)))]
+    sample = [rng.random() for _ in range(draw(st.integers(20, 2000)))]
     for i in draw(st.lists(st.integers(0, len(sample) - 1), max_size=40)):
         sample[i] = draw(st.one_of(value, st.sampled_from(sample)))
     return sample
 
 
-def _outcome(battery, name, *args, **kwargs):
-    """The reports and their JSON bytes, or the error raised, of one test of a battery."""
+def _outcome(battery, *args):
+    """The reports and their JSON bytes, or the error raised, of a battery's run_suite."""
     try:
-        out = getattr(battery, name)(*args, **kwargs)
+        reports = battery.run_suite(*args)
     except ValueError as exc:
         return "error", str(exc)
-    reports = out if isinstance(out, list) else [out]
     return reports, validation.reports_to_json(reports)
 
 
-def _same_as_oracle(name, *args, **kwargs):
-    assert _outcome(validation, name, *args, **kwargs) == _outcome(oracles, name, *args, **kwargs)
+def _same_as_oracle(*args):
+    assert _outcome(validation, *args) == _outcome(oracles, *args)
 
 
 @settings(max_examples=200, deadline=None)
 @given(unit_samples(), st.integers(2, 12), st.sampled_from(SUPPORTED_ALPHAS), st.data())
 def test_battery_matches_list_oracle_on_drawn_samples(sample, classes, alpha, data):
-    other = data.draw(st.permutations(sample))
-    _same_as_oracle("ks_test", sample, alpha)
-    _same_as_oracle("chi2_test", sample, classes, alpha)
-    # the oracle keeps the general start, lag and circular lag; the product
-    # runs start 1, lag 1 and circular lag 0
-    assert (_outcome(validation, "autocorrelation_test", sample, alpha)
-            == _outcome(oracles, "autocorrelation_test", sample, 1, 1, alpha))
-    assert (_outcome(validation, "circular_correlation_test", sample, other, alpha)
-            == _outcome(oracles, "circular_correlation_test", sample, other, 0, alpha))
-    _same_as_oracle("run_suite", sample, SuiteConfig(alpha, alpha, alpha, alpha, classes))
+    config = SuiteConfig(alpha, alpha, alpha, alpha, classes)
+    _same_as_oracle(sample, config)
+    # a deployment pairs two different streams in the circular test
+    _same_as_oracle(_unit_square(sample, data.draw(st.permutations(sample))), config)
 
 
 @pytest.mark.parametrize("sample", [
@@ -446,8 +498,9 @@ def test_battery_matches_list_oracle_on_drawn_samples(sample, classes, alpha, da
 ])
 def test_ks_signed_zeros_match_list_oracle(sample):
     # D- is max(-0.0, 0.0, ...) here: the builtin max keeps the first of equal
-    # values, which numpy's max does not promise, and the JSON writes the sign
-    _same_as_oracle("ks_test", sample, 0.05)
+    # values, which numpy's max does not promise, and the JSON writes the sign.
+    # Four copies make each KS quarter one copy
+    _same_as_oracle(sample * 4, SuiteConfig(0.05, 0.05, 0.05, 0.05, 2))
 
 
 # finite values outside [0, 1); -0.0 is inside it
@@ -463,19 +516,16 @@ def test_correlation_tests_refuse_out_of_range_values(sample, data):
     # the -0.25 centering assumes [0, 1): one value outside it is refused in one line
     sample.insert(data.draw(st.integers(0, len(sample))), data.draw(OUT_OF_RANGE))
     other = data.draw(st.permutations(sample))
-    refusal = r"^sample values span \[[^\n]*\], outside \[0, 1\)$"
-    with pytest.raises(ValueError, match=refusal):
-        autocorrelation_test(sample)
-    with pytest.raises(ValueError, match=refusal):
-        circular_correlation_test(sample, other)
-    with pytest.raises(ValueError, match=refusal):
-        circular_correlation_test([0.5] * len(sample), sample)
+    refusal = r"^sample values span \[[^\n]*\], outside \[0(\.0)?, 1(\.0)?\)$"
+    for stream in (sample, _unit_square(sample, other), _unit_square([0.5] * len(sample), sample)):
+        with pytest.raises(ValueError, match=refusal):
+            run_suite(stream, TWO_CLASSES)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(deployments(), matrices()), st.integers(2, 20), st.sampled_from(SUPPORTED_ALPHAS))
 def test_run_suite_matches_list_oracle_on_drawn_datasets(data, classes, alpha):
-    _same_as_oracle("run_suite", data, SuiteConfig(alpha, alpha, alpha, alpha, classes))
+    _same_as_oracle(data, SuiteConfig(alpha, alpha, alpha, alpha, classes))
 
 
 @settings(max_examples=100, deadline=None)
@@ -483,14 +533,14 @@ def test_run_suite_matches_list_oracle_on_drawn_datasets(data, classes, alpha):
 def test_normalize_matches_list_oracle(lower, upper, data):
     inside = st.one_of(st.floats(lower, upper, exclude_max=True),
                        st.integers(math.ceil(lower), math.ceil(upper) - 1))
-    sample = data.draw(st.lists(inside, min_size=1, max_size=50))
-    assert repr(normalize(sample, lower, upper)) == repr(oracles.normalize(sample, lower, upper))
+    sample = data.draw(st.lists(inside, min_size=20, max_size=50))
+    _same_as_oracle(_matrix(sample, lower, upper), TWO_CLASSES)
     finite = {"allow_nan": False, "allow_infinity": False}
     sample.append(data.draw(st.one_of(st.floats(max_value=lower, exclude_max=True, **finite),
                                       st.floats(min_value=upper, **finite))))
     for battery in (oracles, validation):
         with pytest.raises(ValueError, match="outside"):
-            battery.normalize(sample, lower, upper)
+            battery.run_suite(_matrix(sample, lower, upper), TWO_CLASSES)
 
 
 # Below 512 values per stream the battery runs on lists, so most drawn samples
@@ -537,9 +587,13 @@ def test_ks_and_chi2_hold_their_size_on_a_uniform_source(n):
     rng = np.random.Generator(np.random.PCG64(n))
     ks = chi2 = 0
     for _ in range(_REPLICATES):
-        sample = rng.random(n).tolist()
-        ks += not ks_test(sample, 0.01).satisfied
-        chi2 += not chi2_test(sample, _CLASSES[n], 0.001).satisfied
+        # the battery's other tests would add nothing to the counts, so these
+        # two run alone, on the sorted sample run_suite hands them: a list
+        # below generator._NUMPY_FROM values, else an array
+        sample = rng.random(n)
+        sample = np.sort(sample, kind="stable") if n >= generator._NUMPY_FROM else sorted(sample.tolist())
+        ks += not validation._ks(sample, 0.01).satisfied
+        chi2 += not validation._chi2(sample, _CLASSES[n], 0.001).satisfied
     for rejected, alpha in ((ks, 0.01), (chi2, 0.001)):
         law = scipy_stats.binom(_REPLICATES, alpha)
         assert law.ppf(1e-6) <= rejected <= law.isf(1e-6), (rejected, alpha)
@@ -550,7 +604,7 @@ def test_normalize_rejects_non_finite_sample():
     assert oracles.normalize([0.5, math.nan], 0.0, 1.0)[0] == 0.5
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            normalize([0.5, bad], 0.0, 1.0)
+            run_suite(_matrix([0.5] * 19 + [bad], 0.0, 1.0), TWO_CLASSES)
 
 
 # bounds under which the largest value of a traffic CSV, below upper, mapped
@@ -580,11 +634,13 @@ def test_normalize_stays_below_one(lower, upper, fractions):
     # the largest value the bounds admit, then drawn ones between the bounds
     top = math.nextafter(upper, -math.inf)
     sample = [top, lower] + [min(lower + f * (upper - lower), top) for f in fractions]
+    sample *= 10  # the battery's 20 values at least
     for numpy_from in (0, 10**6):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator, "_NUMPY_FROM", numpy_from)
-            out = normalize(sample, lower, upper)
-        assert all(0.0 <= v < 1.0 for v in out)
+            chi2 = _report(run_suite(_matrix(sample, lower, upper), TWO_CLASSES), "chi2")
+        # a value mapped onto 1.0 would fall past the last bin
+        assert sum(chi2.details["counts"]) == len(sample)
     assert all(0.0 <= v < 1.0 for v in oracles.normalize(sample, lower, upper))
 
 
