@@ -12,14 +12,15 @@ symmetric variant is available via y_increment="c".
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .generator import (
     DEFAULT_TABLE,
     NUMBER,
+    POSITIVE,
     GeneratorParams,
     Schema,
+    _float_arg,
     derive_constants,
     read,
     stream,
@@ -32,8 +33,7 @@ _COLUMNS = ("node_id", "x", "y")
 def _check_args(node_count: int, area: float, y_increment: str) -> None:
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    if not 0 < area <= sys.float_info.max:  # exact: an int beyond the float range cannot overflow
-        raise ValueError(f"area must be positive and finite, got {area}")
+    _float_arg(area, "area", POSITIVE)
     if y_increment not in ("a", "c"):
         raise ValueError("y_increment must be 'a' or 'c'")
 

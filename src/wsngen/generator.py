@@ -12,7 +12,9 @@ and ``derive_constants`` the only code that indexes the table; deployments
 and traffic matrices are their special cases.
 
 Results are reproducible on any IEEE-754 platform evaluating in double
-precision. The mod is x - floor(x/m)*m with the result in [0, m), which is
+precision, with one exception: an exponential-transform traffic cell rests
+on the platform's ``math.log``, which C does not require to be correctly
+rounded. The mod is x - floor(x/m)*m with the result in [0, m), which is
 exactly Python's float ``%``.
 """
 
@@ -83,12 +85,11 @@ def validate_table(table: Sequence[float]) -> tuple[float, ...]:
     # a list, not a generator: tuple() of a generator resizes a 10-slot
     # tuple, which parks one 14-slot tuple per call on CPython's free list
     # (up to 2000 of them, about 300 KB, in a long in-process sweep)
-    values = tuple([float(v) for v in table])
+    values = tuple([_float_arg(v, "constant table entries") for v in table])
     if len(values) < 2:
         raise ValueError("constant table needs at least 2 entries")
-    for v in values:
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"constant table entries must be positive and finite, got {v}")
+    for v in values:  # the message quotes the float
+        _float_arg(v, "constant table entries", POSITIVE)
     if len(set(values)) != len(values):
         raise ValueError("constant table entries must be distinct")
     return values
@@ -100,6 +101,31 @@ def load_table(path) -> tuple[float, ...]:
     if not isinstance(data, list) or not all(map(_is_finite_number, data)):
         raise ValueError("constants file must contain a JSON array of finite numbers")
     return validate_table(data)
+
+
+# a float argument's rule, as in Schema.meta: (valid, wanted)
+POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def _float_arg(value, name: str, rule=(lambda v: True, "within the float range")) -> float:
+    """The argument called name as a float, once rule, a (valid, wanted) pair,
+    passes it; the default passes nan and inf on to the caller's range rule. An
+    int, a float or another real number, such as a numpy scalar, converts; an int
+    beyond the float range passes no rule. A refusal is one line: a TypeError for
+    a value that is not a real number, such as a str or a Decimal, else a
+    ValueError "{name} must be {wanted}, got {value}", the value quoted as given."""
+    if not isinstance(value, (int, float)):
+        import numbers  # loaded on the first argument of another type only
+
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        number = float(value)
+        if rule[0](number):
+            return number
+    except OverflowError:  # an int beyond the float range passes no rule
+        pass
+    raise ValueError(f"{name} must be {rule[1]}, got {value}")
 
 
 def _is_finite_number(value) -> bool:
@@ -278,17 +304,22 @@ class Schema(NamedTuple):
     check: Callable[..., None]
 
 
-def _check_rows(rows, schema: Schema, description, where) -> None:
-    """Raise ValueError, led by where, unless rows are a non-empty table of equal-width
-    rows of finite ints and floats that schema.check passes with description; read
-    and write check every record's rows with it."""
+def _check_table(rows, schema: Schema, where) -> None:
+    """Raise ValueError, led by where, unless rows are a non-empty table of
+    equal-width rows. write checks its rows with it, and _document_parts a JSON
+    file's; read_csv's rows always are such a table."""
     try:  # an iterator has no len(), nor has a row that is a number
         widths = set(map(len, rows)) if len(rows) else {0}
     except TypeError:
         widths = {0}
     if len(widths) != 1 or 0 in widths:
         raise ValueError(f"{where}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
-    _require_writable(rows, where)
+
+
+def _check_rows(rows, schema: Schema, description, where) -> None:
+    """Raise ValueError, led by where, unless schema.check passes the table rows with
+    description; read and write check every record's rows with it, once its cells
+    are known to be finite ints and floats."""
     try:
         schema.check(rows, *description)
     except ValueError as exc:
@@ -314,8 +345,8 @@ def _check_meta(meta: dict, record, where) -> None:
 
 def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
     """(rows, description, provenance) of a JSON document for a record type, once
-    _check_meta passes its meta. The rows are tuples of floats, or () where the data
-    holds a cell that is not a JSON number or a row that is not a list."""
+    _check_meta passes its meta and _check_table its rows, tuples of floats. A cell
+    that is not a JSON number, or a row that is not a list, leaves no rows."""
     schema = record.SCHEMA
     meta = doc["meta"]
     if schema.data not in doc:
@@ -329,6 +360,7 @@ def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
         rows = tuple(map(tuple, floats)) if types <= {int, float} else ()
     except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
         rows = ()
+    _check_table(rows, schema, path)
     provenance = {k: meta[k] for k in record._fields if k in meta and k != schema.data}
     # _check_meta lets seed be null only where a and c are null too
     provenance["params"] = None if meta["seed"] is None else GeneratorParams(*map(meta.get, GeneratorParams._fields))
@@ -374,6 +406,8 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
         provenance = dict.fromkeys(k for k in record._fields if k != schema.data and k not in schema.described)
     else:
         rows, description, provenance = _document_parts(doc, path, record)
+    # read_csv and _document_parts give a table of floats: their cells need only be finite
+    require_finite(rows, path)
     _check_rows(rows, schema, description, path)
     for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
         if meta.get(key, count) != count:
@@ -385,20 +419,23 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
 def write(record, path, fmt: str) -> None:
     """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
     its SCHEMA. A record with no provenance (params None) writes it as null. Before
-    the file is opened, _check_meta refuses the JSON meta, and _check_rows the rows,
-    area or packet range, that read would refuse, with read's words."""
+    the file is opened, _check_meta refuses the JSON meta, and _check_table,
+    _require_writable and _check_rows the rows, area or packet range, that read
+    would refuse, with read's words."""
     schema = record.SCHEMA
     rows = getattr(record, schema.data)
     where = f"cannot write {fmt.upper()}"
     if fmt == "json":
         meta = {}
-        for k in schema.meta:  # rows that are not a table have no count: _check_rows refuses them
+        for k in schema.meta:  # rows that are not a table have no count: _check_table refuses them
             with suppress(TypeError):
                 meta[k] = getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
         head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
         _check_meta(meta, record, where)
     elif fmt != "csv":
         raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
+    _check_table(rows, schema, where)
+    _require_writable(rows, where)
     _check_rows(rows, schema, [getattr(record, k) for k in schema.described], where)
     if fmt == "json":
         chunks = _document_pieces(head, {schema.data: _array_text(rows)})
@@ -450,12 +487,14 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
 
     Raises ValueError if a*x + c overflows: inf % modulus is nan, and nan
     stays nan at every later step, so checking the final state catches an
-    overflow at any step.
+    overflow at any step. Each float argument passes _float_arg first, so
+    the values are Python floats whatever real numbers the arguments are.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    x, a, c, modulus, scale, offset = map(_float_arg, (x0, a, c, modulus, scale, offset),
+                                          ("x0", "a", "c", "modulus", "scale", "offset"))
     out = []
-    x = float(x0)
     for _ in range(count):
         x = (scale * (a * x + c)) % modulus + offset
         out.append(x)

@@ -27,7 +27,7 @@ from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 from . import generator
-from .generator import point_columns, write_text
+from .generator import _float_arg, point_columns, write_text
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -50,12 +50,14 @@ class RadiusGraph(NamedTuple):
     degrees: tuple[int, ...]
 
 
-def _reach(tr: float, epsilon: float) -> float:
+def _reach(tr, epsilon) -> tuple[float, float]:
+    """(tr, tr + epsilon) as floats; tr = inf is a valid range."""
+    tr, epsilon = _float_arg(tr, "tr"), _float_arg(epsilon, "epsilon")
     if not tr > 0:
         raise ValueError("tr must be positive")
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    return tr + epsilon
+    return tr, tr + epsilon
 
 
 def _grid(xs, ys, reach: float):
@@ -170,7 +172,7 @@ def _candidates(cols, reach: float):
 
 def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     """Radius graph: edge (u, v) iff distance(u, v) <= tr + epsilon, u != v."""
-    reach = _reach(tr, epsilon)
+    tr, reach = _reach(tr, epsilon)
     cols = point_columns(deployment)
     n = len(cols[0])
     if isinstance(cols, list):
@@ -192,7 +194,7 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
         edges = zip(u[by_pair].tolist(), v[by_pair].tolist())
         distances = d[by_pair].tolist()
         degrees = np.bincount(np.concatenate([u, v]), minlength=n).tolist()
-    return RadiusGraph(node_count=n, transmission_range=float(tr),
+    return RadiusGraph(node_count=n, transmission_range=tr,
                        epsilon=float(epsilon), edges=tuple(edges),
                        distances=tuple(distances), degrees=tuple(degrees))
 
@@ -253,7 +255,7 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
     neighbour distance; a node is isolated at tr iff that distance exceeds
     tr + epsilon, the same test build_graph applies to each pair.
     """
-    reaches = {float(tr): _reach(tr, epsilon) for tr in trs}
+    reaches = dict(_reach(tr, epsilon) for tr in trs)
     if not reaches:
         return {}
     cols = point_columns(deployment)

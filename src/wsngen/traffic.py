@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .generator import (
     DEFAULT_TABLE,
     NUMBER,
+    POSITIVE,
     GeneratorParams,
     Schema,
+    _float_arg,
     _is_finite_number,
     derive_constants,
     read,
@@ -41,10 +42,9 @@ DISTRIBUTIONS = ("uniform", "exponential-transform", "exponential-recurrence")
 def _check_traffic_args(n: int, t: int, p_min: float, p_max: float) -> None:
     if n < 1 or t < 1:
         raise ValueError("n and t must be >= 1")
-    if not p_min >= 0:
-        raise ValueError(f"p_min must be finite and >= 0, got {p_min}")
-    if not p_min < p_max <= sys.float_info.max:  # exact: an int beyond the float range cannot overflow
-        raise ValueError(f"p_max must be finite and exceed p_min, got {p_max}")
+    # p_min may be inf here: no p_max exceeds it, and the p_max rule words that
+    low = _float_arg(p_min, "p_min", (lambda v: v >= 0, "finite and >= 0"))
+    _float_arg(p_max, "p_max", (lambda v: low < v < math.inf, "finite and exceed p_min"))
 
 
 def _columns(width: int) -> list[str]:
@@ -154,8 +154,7 @@ def traffic_exponential_transform(
     chain value, so the driver state is identical to traffic_uniform's.
     """
     _check_traffic_args(n, t, p_min, p_max)
-    if not rate > 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    _float_arg(rate, "rate", POSITIVE)
     params, chain = _uniform_driver(n, t, p_min, p_max, table)
     flat = [exp_entry_from_uniform(x, p_min, p_max, rate) for x in chain]
     if not all(map(math.isfinite, flat)):

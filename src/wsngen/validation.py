@@ -225,11 +225,12 @@ def _within(vals, lower: float, upper: float):
     return vals
 
 
-def _scaled(vals, lower: float, upper: float):
+def _scaled(vals, lower, upper, names: tuple[str, str]):
     """The affine map of [lower, upper) onto [0, 1), of finite floats that _within
-    passes. A value just below upper can round onto 1.0; it maps to _BELOW_ONE
-    instead, as traffic keeps a value that rounded onto p_max just below it."""
-    span = upper - lower
+    passes; names are the bounds' names, for _float_arg. A value just below upper
+    can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a value
+    that rounded onto p_max just below it."""
+    span = generator._float_arg(upper, names[1]) - generator._float_arg(lower, names[0])
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
     vals = _within(vals, lower, upper)
@@ -403,10 +404,10 @@ def _suite_streams(data):
     streams plus a circular pair: points and an area make a deployment, p_min,
     p_max and flatten() a traffic matrix, and anything else is a raw stream."""
     if hasattr(data, "points"):
-        nx, ny = (_scaled(col, 0.0, data.area) for col in generator.point_columns(data))
+        nx, ny = (_scaled(col, 0.0, data.area, ("origin", "area")) for col in generator.point_columns(data))
         return {"x": nx, "y": ny}, (nx, ny)
     if hasattr(data, "p_min"):
-        flat = _scaled(_finite(data.flatten()), data.p_min, data.p_max)
+        flat = _scaled(_finite(data.flatten()), data.p_min, data.p_max, ("p_min", "p_max"))
         return {"all": flat}, (flat, flat)
     vals = _finite(data, 0, 1)
     return {"all": vals}, (vals, vals)

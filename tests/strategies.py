@@ -29,10 +29,12 @@ def deployments(draw):
 
 @st.composite
 def matrices(draw):
-    """A 1..40 x 1..12 traffic matrix of any distribution over a drawn [p_min, p_max)."""
+    """A 1..40 x 1..12 traffic matrix of any distribution over a drawn [p_min, p_max),
+    an exponential-transform one at a drawn rate."""
     distribution = draw(st.sampled_from(sorted(GENERATORS)))
     n, t = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     p_min = draw(st.floats(min_value=0.0, max_value=1e6))
     p_max = p_min + draw(st.floats(min_value=1e-3, max_value=1e6))
     assume(p_max > p_min)
-    return GENERATORS[distribution](n, t, p_min, p_max)
+    rate = (draw(st.floats(min_value=1e-2, max_value=1e3)),) if distribution == "exponential-transform" else ()
+    return GENERATORS[distribution](n, t, p_min, p_max, *rate)

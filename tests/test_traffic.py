@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import exp_inverse_transform, min_exponentials_check
-from strategies import matrices
+from strategies import GENERATORS, matrices
 from wsngen.generator import DEFAULT_TABLE, EXTENDED_TABLE, read, stream, write
 from wsngen.traffic import (
     TrafficMatrix,
@@ -95,6 +95,42 @@ def test_exp_recurrence_range_and_determinism():
     assert m1.values == m2.values
     for v in m1.flatten():
         assert 2.0 <= v < 10.0
+
+
+# any float, or an int of either sign in the float range
+_NUMBERS = st.one_of(st.floats(), st.integers(-2**60, 2**60), st.sampled_from([0, 1, 2.0, 10.0]))
+
+
+@st.composite
+def _traffic_args(draw):
+    """A generator and its arguments, wild or valid: p_max is often p_min plus a
+    span, so both outcomes are drawn often."""
+    distribution = draw(st.sampled_from(sorted(GENERATORS)))
+    n, t = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    p_min = draw(_NUMBERS)
+    p_max = draw(st.one_of(_NUMBERS, st.floats(min_value=0.0, max_value=1e6).map(lambda s: p_min + s)))
+    rate = (draw(_NUMBERS),) if distribution == "exponential-transform" else ()
+    return distribution, (n, t, p_min, p_max, *rate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_traffic_args())
+@example(("exponential-transform", (3, 4, 2, 10, 1e-300)))
+@example(("uniform", (3, 4, 0.0, 1e308)))
+@example(("exponential-recurrence", (3, 4, 2**53, 2**53 + 1)))
+def test_traffic_generators_are_contained_and_deterministic(drawn):
+    # every cell lies in [p_min, p_max) and a second call gives the same record,
+    # or the call is refused in one line
+    distribution, args = drawn
+    generate = GENERATORS[distribution]
+    try:
+        matrix = generate(*args)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert (matrix.node_count, matrix.slot_count) == args[:2]
+    assert all(matrix.p_min <= v < matrix.p_max for v in matrix.flatten())
+    assert generate(*args) == matrix
 
 
 @st.composite
