@@ -113,7 +113,8 @@ def _float_arg(value, name: str, rule=(lambda v: True, "within the float range")
     int, a float or another real number, such as a numpy scalar, converts; an int
     beyond the float range passes no rule. A refusal is one line: a TypeError for
     a value that is not a real number, such as a str or a Decimal, else a
-    ValueError "{name} must be {wanted}, got {value}", the value quoted as given."""
+    ValueError "{name} must be {wanted}, got {value}", the value quoted as given,
+    or as "an int of more than {limit} digits" past sys.get_int_max_str_digits()."""
     if not isinstance(value, (int, float)):
         import numbers  # loaded on the first argument of another type only
 
@@ -125,7 +126,11 @@ def _float_arg(value, name: str, rule=(lambda v: True, "within the float range")
             return number
     except OverflowError:  # an int beyond the float range passes no rule
         pass
-    raise ValueError(f"{name} must be {rule[1]}, got {value}")
+    try:
+        shown = f"{value}"
+    except ValueError:  # str() refuses an int past the digit limit
+        shown = f"an int of more than {sys.get_int_max_str_digits()} digits"
+    raise ValueError(f"{name} must be {rule[1]}, got {shown}")
 
 
 def _is_finite_number(value) -> bool:
@@ -488,12 +493,15 @@ def stream(x0: float, a: float, c: float, modulus: float, count: int, *,
     Raises ValueError if a*x + c overflows: inf % modulus is nan, and nan
     stays nan at every later step, so checking the final state catches an
     overflow at any step. Each float argument passes _float_arg first, so
-    the values are Python floats whatever real numbers the arguments are.
+    the values are Python floats whatever real numbers the arguments are;
+    then modulus must be positive and finite, since a zero modulus has no
+    remainder and a negative one gives values in (modulus, 0].
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    x, a, c, modulus, scale, offset = map(_float_arg, (x0, a, c, modulus, scale, offset),
-                                          ("x0", "a", "c", "modulus", "scale", "offset"))
+    x, a, c, _, scale, offset = map(_float_arg, (x0, a, c, modulus, scale, offset),
+                                    ("x0", "a", "c", "modulus", "scale", "offset"))
+    modulus = _float_arg(modulus, "modulus", POSITIVE)
     out = []
     for _ in range(count):
         x = (scale * (a * x + c)) % modulus + offset

@@ -17,14 +17,16 @@ pass, so a process that only meets small deployments never imports it.
 From there on the pass is numpy. Both paths share the cells and the
 power-of-two rescale of a distance whose square left the normal range,
 compute every other distance with the same expression and sort the edges
-by (u, v), so they give the same graph.
+by (u, v), so they give the same graph. Either keeps the edges as two int
+columns behind EdgePairs, not as one tuple per edge.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import chain, islice
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import generator
 from .generator import _float_arg, point_columns, write_text
@@ -41,11 +43,46 @@ _MAX_CELLS = 2 ** 30
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
+class EdgePairs(Sequence):
+    """A read-only sequence of (u, v) int pairs kept as two array('q') columns
+    rather than one tuple per pair. It compares equal to, and hashes as, the
+    tuple of its pairs; an index gives a pair and a slice a tuple of pairs."""
+
+    __slots__ = ("_us", "_vs")
+
+    def __init__(self, us, vs):
+        self._us, self._vs = us, vs
+
+    def __len__(self) -> int:
+        return len(self._us)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(zip(self._us[k], self._vs[k]))
+        return self._us[k], self._vs[k]
+
+    def __iter__(self):
+        return zip(self._us, self._vs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgePairs):
+            return self._us == other._us and self._vs == other._vs
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class RadiusGraph(NamedTuple):
     node_count: int
     transmission_range: float
     epsilon: float
-    edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, 0-based ids, sorted
+    edges: Sequence[tuple[int, int]]  # (u, v) with u < v, 0-based ids, sorted: EdgePairs from build_graph
     distances: tuple[float, ...]  # aligned with edges
     degrees: tuple[int, ...]
 
@@ -60,14 +97,14 @@ def _reach(tr, epsilon) -> tuple[float, float]:
     return tr, tr + epsilon
 
 
-def _grid(xs, ys, reach: float):
-    """(lo, side, rows): the lower-left corner of the cells, their side, which is
-    inf when one cell holds every point, and the rows of a cell column."""
-    lo = (min(xs), min(ys))
-    span = (max(xs) - lo[0], max(ys) - lo[1])
+def _grid(lo, hi, reach: float):
+    """(side, rows) of the cells from lo, the points' lowest x and y, to hi, their
+    highest: the side, which is inf when one cell holds every point, and the
+    rows of a cell column."""
+    span = (hi[0] - lo[0], hi[1] - lo[1])
     side = max(reach * _CELL_PAD, max(span) / _MAX_CELLS)
     # a margin row on each side keeps neighbour offsets inside one column
-    return lo, side, 3 if side == math.inf else int(span[1] / side) + 3
+    return side, 3 if side == math.inf else int(span[1] / side) + 3
 
 
 def _rescaled(dx: float, dy: float, d: float) -> float:
@@ -102,7 +139,8 @@ def _square_limit(reach: float) -> float:
 def _near_pairs(xs: list, ys: list, reach: float) -> list:
     """The list path of the neighbour pass: (u, v, d) with u < v for every
     pair within reach, in no set order, each distance as _candidates has it."""
-    (x0, y0), side, per_column = _grid(xs, ys, reach)
+    x0, y0 = min(xs), min(ys)
+    side, per_column = _grid((x0, y0), (max(xs), max(ys)), reach)
     cells: dict = {}
     for i, (x, y) in enumerate(zip(xs, ys)):
         key = 0 if side == math.inf else (
@@ -132,17 +170,18 @@ def _near_pairs(xs: list, ys: list, reach: float) -> list:
 
 def _candidates(cols, reach: float):
     """Candidate pairs (u, v) of the (2, n) point columns, with distances d, each
-    pair once and in no set order. Every pair within reach is among them; d is a
-    row-wise scan's expression wherever its squares stay normal, so ties agree."""
+    pair once and in no set order. Every pair within reach is among them; d is the
+    list path's expression wherever its squares stay normal, so ties agree."""
     import numpy as np
 
-    lo, side, rows = _grid(*cols.tolist(), reach)
-    pts = cols.T
+    xs, ys = cols
+    lo = cols.min(axis=1).tolist()
+    side, rows = _grid(lo, cols.max(axis=1).tolist(), reach)
     if side == math.inf:  # one cell: every pair is a candidate
-        cell = np.zeros_like(pts, dtype=np.int64)
+        key = np.full(len(xs), rows + 1, dtype=np.int64)
     else:
-        cell = np.floor((pts - lo) / side).astype(np.int64)
-    key = (cell[:, 0] + 1) * rows + cell[:, 1] + 1
+        key = ((np.floor((xs - lo[0]) / side).astype(np.int64) + 1) * rows
+               + np.floor((ys - lo[1]) / side).astype(np.int64) + 1)
     order = np.argsort(key, kind="stable")
     key = key[order]
     # point k (in cell order) pairs with the later points of its own cell
@@ -161,28 +200,30 @@ def _candidates(cols, reach: float):
     j = np.repeat(np.concatenate(first) - np.cumsum(size) + size, size) + np.arange(len(i))
     u, v = order[i], order[j]
     with np.errstate(over="ignore"):  # past the float range is inf: _rescaled redoes it
-        diff = pts[u] - pts[v]
-        d = np.sqrt((diff ** 2).sum(axis=-1))
+        dx = xs[u] - xs[v]
+        dy = ys[u] - ys[v]
+        d = np.sqrt(dx * dx + dy * dy)
     # a square outside the normal range lost the distance; equal points keep 0
     redo = np.flatnonzero((d < 2.0 ** -510) | (d == math.inf))
-    for k in redo[diff[redo].any(axis=-1)].tolist():
-        d[k] = _rescaled(*diff[k].tolist(), float(d[k]))
+    for k in redo[(dx[redo] != 0) | (dy[redo] != 0)].tolist():
+        d[k] = _rescaled(float(dx[k]), float(dy[k]), float(d[k]))
     return u, v, d
 
 
 def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     """Radius graph: edge (u, v) iff distance(u, v) <= tr + epsilon, u != v."""
+    from array import array  # an extension module: isolated_by_range alone never loads it
+
     tr, reach = _reach(tr, epsilon)
     cols = point_columns(deployment)
     n = len(cols[0])
     if isinstance(cols, list):
         near = sorted(_near_pairs(*cols, reach))
-        edges = [(u, v) for u, v, _ in near]
-        distances = [d for _, _, d in near]
+        us, vs, distances = zip(*near) if near else ((), (), ())
         degrees = [0] * n
-        for u, v in edges:
+        for u in us + vs:
             degrees[u] += 1
-            degrees[v] += 1
+        us, vs = array("q", us), array("q", vs)
     else:
         import numpy as np
 
@@ -191,11 +232,11 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
         a, b, d = a[near], b[near], d[near]
         u, v = np.minimum(a, b), np.maximum(a, b)
         by_pair = np.argsort(u * n + v, kind="stable")
-        edges = zip(u[by_pair].tolist(), v[by_pair].tolist())
+        us, vs = (array("q", c[by_pair].astype(np.int64, copy=False).tobytes()) for c in (u, v))
         distances = d[by_pair].tolist()
         degrees = np.bincount(np.concatenate([u, v]), minlength=n).tolist()
     return RadiusGraph(node_count=n, transmission_range=tr,
-                       epsilon=float(epsilon), edges=tuple(edges),
+                       epsilon=float(epsilon), edges=EdgePairs(us, vs),
                        distances=tuple(distances), degrees=tuple(degrees))
 
 
@@ -208,13 +249,15 @@ def _edge_text(graph: RadiusGraph, where: str, sep: str, end: str):
     """Blocks of _BLOCK edge rows u + 1, v + 1, distance, joined by sep and ended by
     end, once they pass _require_writable, led by where. Int ids and finite float
     distances, which build_graph gives, pass on their types and one sum, which a nan
-    or inf makes non-finite."""
+    or inf makes non-finite; the ids of EdgePairs are ints by their columns' type."""
     edges, distances = graph.edges, graph.distances
-    if not (set(map(type, chain.from_iterable(edges))) <= {int} and set(map(type, distances)) <= {float}
-            and math.isfinite(sum(distances))):
+    columns = isinstance(edges, EdgePairs)
+    if not ((columns or set(map(type, chain.from_iterable(edges))) <= {int})
+            and set(map(type, distances)) <= {float} and math.isfinite(sum(distances))):
         generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], where)
-    rows = zip(edges, distances)  # blocks until one is empty; an int or float formats as its repr
-    return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for (u, v), d in islice(rows, generator._BLOCK)], [])
+    # blocks until one is empty; an int or float formats as its repr
+    rows = zip(edges._us, edges._vs, distances) if columns else ((u, v, d) for (u, v), d in zip(edges, distances))
+    return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for u, v, d in islice(rows, generator._BLOCK)], [])
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:

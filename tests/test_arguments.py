@@ -4,7 +4,7 @@ Each float parameter of each public call gets each wild value below, one at a
 time, with its other arguments valid. The call either returns a result that
 meets the call's own containment property, or raises a one-line ValueError or
 TypeError. It never raises OverflowError, and it leaves no file in the working
-directory. The six values are all tried for every parameter, so the property
+directory. The seven values are all tried for every parameter, so the property
 is checked exhaustively rather than drawn.
 
 Counts and seeds are not among these parameters: their rules are ">= 1" and
@@ -12,6 +12,7 @@ Counts and seeds are not among these parameters: their rules are ">= 1" and
 """
 
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -37,6 +38,7 @@ from wsngen import (
 WILD = {
     "int-beyond-float": 10**400,
     "negative-int-beyond-float": -10**400,
+    "int-beyond-str-digits": 10**5000,
     "bool": True,
     "numpy-nan": np.float64("nan"),
     "decimal-beyond-float": Decimal("1e999"),
@@ -195,6 +197,34 @@ def test_an_int_beyond_the_float_range_is_refused_naming_the_argument(call, rule
     with pytest.raises(ValueError) as refusal:
         call()
     assert str(refusal.value) == f"{rule}, got {10**400}"
+
+
+def _shown(value):
+    """How a refusal quotes an int: its digits, unless str() refuses it past the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an int of more than {sys.get_int_max_str_digits()} digits"
+
+
+# each of these raised Python's own digit-limit line, which names no argument
+@pytest.mark.parametrize("call, rule", [
+    (lambda: deploy_nongrid(10, 10**5000, 1), "area must be positive and finite"),
+    (lambda: build_graph(DEP, 10**5000), "tr must be within the float range"),
+    (lambda: validate_table([1.0, 10**5000]), "constant table entries must be within the float range"),
+], ids=["deploy_nongrid-area", "build_graph-tr", "validate_table"])
+def test_an_int_past_the_digit_limit_is_refused_naming_the_argument(call, rule):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == f"{rule}, got {_shown(10**5000)}"
+
+
+# a zero modulus has no remainder, and a negative one gives values in (modulus, 0]
+@pytest.mark.parametrize("modulus", [0.0, 0, -5.0, math.nan, math.inf, -math.inf])
+def test_stream_refuses_a_modulus_that_is_not_positive_and_finite(modulus):
+    with pytest.raises(ValueError) as refusal:
+        stream(0.5, 2.0, 1.0, modulus, 3)
+    assert str(refusal.value) == f"modulus must be positive and finite, got {modulus}"
 
 
 @pytest.mark.parametrize("bad", [Decimal("1e999"), "1", np.array(2.0)], ids=["decimal", "str", "array"])

@@ -17,6 +17,7 @@ import oracles
 from wsngen import generator
 from wsngen.deployment import DEPLOYERS, deploy_grid, deploy_nongrid
 from wsngen.topology import (
+    EdgePairs,
     RadiusGraph,
     build_graph,
     graph_to_csv,
@@ -380,6 +381,45 @@ def test_exports_refuse_what_json_and_csv_cannot_hold(tmp_path, edges, distances
 def test_exports_write_other_ints_and_floats_as_their_rows(tmp_path, edges, distances):
     rows = [[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)]
     _assert_exports_match_oracles(_hand_built(edges, distances), rows, tmp_path)
+
+
+@st.composite
+def _graphs(draw):
+    """A radius graph of a drawn deployment with fewer points than
+    generator._NUMPY_FROM (the list path) or at least that many (numpy)."""
+    low = draw(st.booleans())
+    n = draw(st.integers(1, generator._NUMPY_FROM - 1) if low else
+             st.integers(generator._NUMPY_FROM, generator._NUMPY_FROM + 200))
+    deploy = DEPLOYERS[draw(st.sampled_from(sorted(DEPLOYERS)))]
+    dep = deploy(n, 10.0 * math.sqrt(n), draw(st.integers(0, 10**6)))
+    return build_graph(dep, draw(st.sampled_from([1.0, 10.0, 20.0])))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_graphs(), st.data())
+def test_edges_are_a_sequence_of_pairs_equal_to_their_tuple(tmp_path, g, data):
+    pairs = tuple(g.edges)
+    assert isinstance(g.edges, EdgePairs)  # two int columns, not a tuple per edge
+    assert all(type(u) is int and type(v) is int for u, v in pairs)
+    assert g.edges == pairs and pairs == g.edges and hash(g.edges) == hash(pairs)
+    assert len(g.edges) == len(pairs) and repr(g.edges) == repr(pairs)
+    if pairs:
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        assert g.edges[k] == pairs[k] and g.edges[-k - 1] == pairs[-k - 1]
+    for index in (len(pairs), -len(pairs) - 1):
+        with pytest.raises(IndexError):
+            g.edges[index]
+    with pytest.raises(TypeError):
+        g.edges[0] = (0, 1)
+    cut = slice(*data.draw(st.tuples(st.none() | st.integers(-9, 9), st.none() | st.integers(-9, 9),
+                                     st.sampled_from([None, 1, 2, -1, -3]))))
+    assert g.edges[cut] == pairs[cut]
+    plain = g._replace(edges=pairs)
+    assert g == plain and hash(g) == hash(plain)
+    for export, suffix in ((graph_to_csv, "csv"), (graph_to_json, "json")):
+        export(g, None, tmp_path / f"columns.{suffix}")
+        export(plain, None, tmp_path / f"plain.{suffix}")
+        assert (tmp_path / f"columns.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
 
 
 def test_hundred_thousand_nodes():
