@@ -56,13 +56,8 @@ def _generate_deployment(args) -> Deployment:
 def _suite_config(args):
     from .validation import SuiteConfig
 
-    return SuiteConfig(
-        alpha_ks=args.alpha_ks,
-        alpha_chi2=args.alpha_chi2,
-        alpha_auto=args.alpha_auto,
-        alpha_circular=args.alpha_circular,
-        classes=args.classes,
-    )
+    # each --alpha-*/--classes flag is named after its SuiteConfig field
+    return SuiteConfig(*[getattr(args, field) for field in SuiteConfig._fields])
 
 
 # ---------------------------------------------------------------------------

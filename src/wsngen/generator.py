@@ -113,8 +113,7 @@ def _float_arg(value, name: str, rule=(lambda v: True, "within the float range")
     int, a float or another real number, such as a numpy scalar, converts; an int
     beyond the float range passes no rule. A refusal is one line: a TypeError for
     a value that is not a real number, such as a str or a Decimal, else a
-    ValueError "{name} must be {wanted}, got {value}", the value quoted as given,
-    or as "an int of more than {limit} digits" past sys.get_int_max_str_digits()."""
+    ValueError "{name} must be {wanted}, got {value}", the value as _quoted gives it."""
     if not isinstance(value, (int, float)):
         import numbers  # loaded on the first argument of another type only
 
@@ -126,11 +125,16 @@ def _float_arg(value, name: str, rule=(lambda v: True, "within the float range")
             return number
     except OverflowError:  # an int beyond the float range passes no rule
         pass
+    raise ValueError(f"{name} must be {rule[1]}, got {_quoted(value, str)}")
+
+
+def _quoted(value, form=repr) -> str:
+    """form(value), as a refusal quotes value, or "an int of more than {limit} digits"
+    for an int past sys.get_int_max_str_digits(), whose str() and repr() raise."""
     try:
-        shown = f"{value}"
-    except ValueError:  # str() refuses an int past the digit limit
-        shown = f"an int of more than {sys.get_int_max_str_digits()} digits"
-    raise ValueError(f"{name} must be {rule[1]}, got {shown}")
+        return form(value)
+    except ValueError:
+        return f"an int of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _is_finite_number(value) -> bool:
@@ -139,12 +143,15 @@ def _is_finite_number(value) -> bool:
 
 
 def _load_json(path):
-    """The JSON value in the file at path. Nesting too deep to parse is a ValueError."""
+    """The JSON value in the file at path. Text that does not parse, or nests too
+    deep to parse, is a ValueError led by path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # Below this many points, or values in one stream, the radius graph and the
@@ -190,7 +197,7 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
         if all(map(math.isfinite, chain.from_iterable(rows))):
             return
     row = next(i for i, r in enumerate(rows, start=1) if not all(map(_is_finite_number, r)))
-    raise ValueError(f"{path}: row {row}: non-finite value in {list(rows[row - 1])!r}")
+    raise ValueError(f"{path}: row {row}: non-finite value in [{', '.join(map(_quoted, rows[row - 1]))}]")
 
 
 def _require_writable(rows: Sequence[Sequence[float]], where) -> None:
@@ -345,7 +352,7 @@ def _check_meta(meta: dict, record, where) -> None:
         valid, wanted = schema.meta.get(key, NUMBER)
         if ((key in schema.meta or isinstance(value, float)) and not valid(value)
                 and not (unset and key in GeneratorParams._fields)):
-            raise ValueError(f"{where}: meta field {key!r} must be {wanted}, got {value!r}")
+            raise ValueError(f"{where}: meta field {key!r} must be {wanted}, got {_quoted(value)}")
 
 
 def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
@@ -424,9 +431,9 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
 def write(record, path, fmt: str) -> None:
     """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
     its SCHEMA. A record with no provenance (params None) writes it as null. Before
-    the file is opened, _check_meta refuses the JSON meta, and _check_table,
-    _require_writable and _check_rows the rows, area or packet range, that read
-    would refuse, with read's words."""
+    the JSON meta is laid out, _check_meta refuses one that read would refuse; then,
+    before the file is opened, _check_table, _require_writable and _check_rows refuse
+    the rows, area or packet range that read would refuse, with read's words."""
     schema = record.SCHEMA
     rows = getattr(record, schema.data)
     where = f"cannot write {fmt.upper()}"
@@ -435,8 +442,8 @@ def write(record, path, fmt: str) -> None:
         for k in schema.meta:  # rows that are not a table have no count: _check_table refuses them
             with suppress(TypeError):
                 meta[k] = getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
-        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
         _check_meta(meta, record, where)
+        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
     elif fmt != "csv":
         raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
     _check_table(rows, schema, where)

@@ -38,17 +38,17 @@ def batch_row(
     table: Sequence[float] = DEFAULT_TABLE,
     epsilon: float = 0.0,
 ) -> dict:
-    """One row: seed, derived constants, per-mode counts and verdicts."""
-    a, c = derive_constants(seed, table)
-    row: dict = {"seed": seed, "a": a, "c": c, "modes": {}}
+    """One row: seed, derived constants, per-mode counts and verdicts. The
+    constants are the ones every deployment of the row records in its params."""
+    modes = {}
     for mode in MODES:
         dep = DEPLOYERS[mode](node_count, area, seed, table=table)
         counts = isolated_by_range(dep, ranges, epsilon)
-        row["modes"][mode] = {
+        modes[mode] = {
             "isolated": tuple([counts[float(tr)] for tr in ranges]),
             **aggregate_verdicts(run_suite(dep, config)),
         }
-    return row
+    return {"seed": seed, "a": dep.params.a, "c": dep.params.c, "modes": modes}
 
 
 def batch_report(

@@ -38,7 +38,7 @@ from . import generator
 
 SUPPORTED_ALPHAS = (0.001, 0.01, 0.05)
 
-# The largest float below 1.0: _scaled's image of a value whose map rounds
+# The largest float below 1.0: _unit's image of a value whose map rounds
 # onto 1.0.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -182,18 +182,18 @@ class TestReport(NamedTuple):
         return self.verdict == "Satisfied"
 
 
-def _verdict(statistic: float, critical: float) -> str:
-    return "Satisfied" if statistic <= critical else "Rejected"
-
-
 def _require_alpha(alpha: float) -> None:
     if alpha not in SUPPORTED_ALPHAS:
         raise ValueError(f"alpha {alpha} is not table-backed; use one of {SUPPORTED_ALPHAS}")
 
 
-def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = math.inf):
-    """The sample checked to be finite and, by _within, to lie in [lower, upper):
-    a new list of floats below generator._NUMPY_FROM values, else a float64 array."""
+def _unit(sample, lower, upper, names: tuple[str, str] = ("lower", "upper")):
+    """The sample mapped from [lower, upper) onto [0, 1): a new list of floats below
+    generator._NUMPY_FROM values, else a float64 array. It must be a non-empty flat
+    sequence of finite values; then the bounds, called names, must pass _float_arg
+    with 0 < upper - lower < inf, and every value lie in [lower, upper). A value
+    just below upper can round onto 1.0; it maps to _BELOW_ONE instead, as traffic
+    keeps a value that rounded onto p_max just below it."""
     vals = None
     if len(sample) < generator._NUMPY_FROM:
         try:
@@ -214,31 +214,25 @@ def _finite(sample: Sequence[float], lower: float = -math.inf, upper: float = ma
         finite = np.isfinite(vals).all()
     if not finite:
         raise ValueError("sample holds a non-finite value")
-    return _within(vals, lower, upper)
-
-
-def _within(vals, lower: float, upper: float):
-    """A list or array of finite floats, once every value lies in [lower, upper)."""
-    lo, hi = (min(vals), max(vals)) if isinstance(vals, list) else (vals.min(), vals.max())
-    if lo < lower or hi >= upper:
-        raise ValueError(f"sample values span [{lo}, {hi}], outside [{lower}, {upper})")
-    return vals
-
-
-def _scaled(vals, lower, upper, names: tuple[str, str]):
-    """The affine map of [lower, upper) onto [0, 1), of finite floats that _within
-    passes; names are the bounds' names, for _float_arg. A value just below upper
-    can round onto 1.0; it maps to _BELOW_ONE instead, as traffic keeps a value
-    that rounded onto p_max just below it."""
     span = generator._float_arg(upper, names[1]) - generator._float_arg(lower, names[0])
     if not 0 < span < math.inf:
         raise ValueError(f"bounds must be finite with upper > lower, got [{lower}, {upper})")
-    vals = _within(vals, lower, upper)
-    if isinstance(vals, list):
+    listed = isinstance(vals, list)
+    lo, hi = (min(vals), max(vals)) if listed else (vals.min(), vals.max())
+    if lo < lower or hi >= upper:
+        raise ValueError(f"sample values span [{lo}, {hi}], outside [{lower}, {upper})")
+    if listed:
         out = [(v - lower) / span for v in vals]
         return out if max(out) < 1.0 else [min(v, _BELOW_ONE) for v in out]
     out = (vals - lower) / span
     return out if out.max() < 1.0 else out.clip(max=_BELOW_ONE)
+
+
+def _report(test_name: str, statistic: float, critical: float, alpha: float, n: int,
+            details: dict) -> TestReport:
+    """The report of one test run: Satisfied when statistic does not exceed critical."""
+    verdict = "Satisfied" if statistic <= critical else "Rejected"
+    return TestReport(test_name, statistic, critical, alpha, verdict, n, details)
 
 
 def _ascending(pieces: list):
@@ -261,7 +255,7 @@ def ks_critical_value(n: int, alpha: float) -> float:
 
 def _ks(r, alpha: float) -> TestReport:
     """Kolmogorov-Smirnov test against the uniform distribution on [0, 1), of a
-    sample r that _finite checked and _ascending sorted.
+    sample r that _unit mapped and _ascending sorted.
 
     D+ = max_i(i/n - r_i), D- = max_i(r_i - (i-1)/n) over the ascending
     sample, D = max(D+, D-). Satisfied when D <= critical.
@@ -281,13 +275,8 @@ def _ks(r, alpha: float) -> TestReport:
         d_plus = (grid[1:] - r).max().item()
         below = r - grid[:-1]
         d_minus = max(below[0].item(), below[1:].max().item())
-    d = max(d_plus, d_minus)
-    crit = ks_critical_value(n, alpha)
-    return TestReport(
-        test_name="ks", statistic=d, critical_value=crit, alpha=alpha,
-        verdict=_verdict(d, crit), sample_size=n,
-        details={"D_plus": d_plus, "D_minus": d_minus},
-    )
+    return _report("ks", max(d_plus, d_minus), ks_critical_value(n, alpha), alpha, n,
+                   {"D_plus": d_plus, "D_minus": d_minus})
 
 
 def _bin_counts(sample, classes: int) -> list[int]:
@@ -310,7 +299,7 @@ def chi2_critical_value(nu: int, alpha: float) -> float:
 
 def _chi2(sample, classes: int, alpha: float) -> TestReport:
     """Chi-square goodness of fit over equal-width bins of [0, 1), of a sample
-    that _finite checked and _ascending sorted.
+    that _unit mapped and _ascending sorted.
 
     Expected count per class is N/classes; nu = classes - 1. Satisfied when
     the statistic does not exceed the critical value (standard direction).
@@ -324,11 +313,7 @@ def _chi2(sample, classes: int, alpha: float) -> TestReport:
     statistic = sum((classes * f - n) ** 2 for f in counts) / (n * classes)
     nu = classes - 1
     crit = CHI2_CRITICAL[alpha][nu - 1]  # run_suite checked classes against the table
-    return TestReport(
-        test_name="chi2", statistic=statistic, critical_value=crit,
-        alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
-        details={"counts": counts, "expected": expected, "nu": nu},
-    )
+    return _report("chi2", statistic, crit, alpha, n, {"counts": counts, "expected": expected, "nu": nu})
 
 
 def _dot(x, y) -> float:
@@ -341,7 +326,7 @@ def _dot(x, y) -> float:
 
 
 def _autocorrelation(vals, alpha: float) -> TestReport:
-    """Lag-1 autocorrelation over the whole of a sample that _finite checked.
+    """Lag-1 autocorrelation over the whole of a sample that _unit mapped.
 
     With M = N - 2, every neighbouring pair R[k], R[k+1] for k = 0..M enters:
 
@@ -355,21 +340,14 @@ def _autocorrelation(vals, alpha: float) -> TestReport:
     rho = _dot(vals[:-1], vals[1:]) / (m + 1) - 0.25
     sigma = math.sqrt((13 * m + 7) / (12 * (m + 1)))
     z0 = rho / sigma
-    crit = Z_TWO_SIDED[alpha]
-    statistic = abs(z0)
     # "start", "lag" and "sigma_form" name the one setting left, so the
     # report JSON keeps its keys
-    return TestReport(
-        test_name="autocorrelation", statistic=statistic,
-        critical_value=crit, alpha=alpha,
-        verdict=_verdict(statistic, crit), sample_size=n,
-        details={"rho": rho, "sigma": sigma, "Z0": z0, "M": m,
-                 "start": 1, "lag": 1, "sigma_form": "ratio"},
-    )
+    return _report("autocorrelation", abs(z0), Z_TWO_SIDED[alpha], alpha, n,
+                   {"rho": rho, "sigma": sigma, "Z0": z0, "M": m, "start": 1, "lag": 1, "sigma_form": "ratio"})
 
 
 def _circular(x, y, alpha: float) -> TestReport:
-    """Cross-correlation of two equal-length samples that _finite checked, x[k]
+    """Cross-correlation of two equal-length samples that _unit mapped, x[k]
     paired with y[k].
 
     rho_hat = (1/N) * sum_k x[k] * y[k] - 0.25, with
@@ -382,13 +360,8 @@ def _circular(x, y, alpha: float) -> TestReport:
     rho = _dot(x, y) / n - 0.25
     sigma = math.sqrt((13 * n + 7) / (12 * (n + 1)))
     z0 = rho / sigma
-    crit = Z_TWO_SIDED[alpha]
-    statistic = abs(z0)
-    return TestReport(
-        test_name="circular", statistic=statistic, critical_value=crit,
-        alpha=alpha, verdict=_verdict(statistic, crit), sample_size=n,
-        details={"rho": rho, "sigma": sigma, "Z0": z0, "lag": 0},
-    )
+    return _report("circular", abs(z0), Z_TWO_SIDED[alpha], alpha, n,
+                   {"rho": rho, "sigma": sigma, "Z0": z0, "lag": 0})
 
 
 class SuiteConfig(NamedTuple):
@@ -404,12 +377,12 @@ def _suite_streams(data):
     streams plus a circular pair: points and an area make a deployment, p_min,
     p_max and flatten() a traffic matrix, and anything else is a raw stream."""
     if hasattr(data, "points"):
-        nx, ny = (_scaled(col, 0.0, data.area, ("origin", "area")) for col in generator.point_columns(data))
+        nx, ny = (_unit(col, 0.0, data.area, ("origin", "area")) for col in generator.point_columns(data))
         return {"x": nx, "y": ny}, (nx, ny)
     if hasattr(data, "p_min"):
-        flat = _scaled(_finite(data.flatten()), data.p_min, data.p_max, ("p_min", "p_max"))
+        flat = _unit(data.flatten(), data.p_min, data.p_max, ("p_min", "p_max"))
         return {"all": flat}, (flat, flat)
-    vals = _finite(data, 0, 1)
+    vals = _unit(data, 0, 1)
     return {"all": vals}, (vals, vals)
 
 
@@ -431,6 +404,11 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
     streams, circular_pair = _suite_streams(data)
     need = max(20, 5 * cfg.classes)  # 5 values per KS quarter and per chi2 class
     reports: list[TestReport] = []
+
+    def add(report: TestReport, stream: str, part: str = "full") -> None:
+        report.details.update(stream=stream, part=part)
+        reports.append(report)
+
     for name, vals in streams.items():
         n = len(vals)
         if n < need:
@@ -441,22 +419,12 @@ def run_suite(data, config: Optional[SuiteConfig] = None) -> list[TestReport]:
         cuts = [i * (n // 4) for i in range(4)] + [n]
         quarters = [_ascending([vals[lo:hi]]) for lo, hi in zip(cuts, cuts[1:])]
         full = _ascending(quarters)
-        parts = [(f"quarter-{i}", q) for i, q in enumerate(quarters)]
-        parts.append(("full", full))
-        for part_name, part in parts:
-            rep = _ks(part, cfg.alpha_ks)
-            rep.details.update(stream=name, part=part_name)
-            reports.append(rep)
-        # bin counting needs the sample ascending
-        rep = _chi2(full, cfg.classes, cfg.alpha_chi2)
-        rep.details.update(stream=name, part="full")
-        reports.append(rep)
-        rep = _autocorrelation(vals, cfg.alpha_auto)
-        rep.details.update(stream=name, part="full")
-        reports.append(rep)
-    rep = _circular(*circular_pair, alpha=cfg.alpha_circular)
-    rep.details.update(stream="pair", part="full")
-    reports.append(rep)
+        for i, quarter in enumerate(quarters):
+            add(_ks(quarter, cfg.alpha_ks), name, f"quarter-{i}")
+        add(_ks(full, cfg.alpha_ks), name)
+        add(_chi2(full, cfg.classes, cfg.alpha_chi2), name)  # bin counting needs the sample ascending
+        add(_autocorrelation(vals, cfg.alpha_auto), name)
+    add(_circular(*circular_pair, alpha=cfg.alpha_circular), "pair")
     return reports
 
 

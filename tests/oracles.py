@@ -27,10 +27,13 @@ from wsngen.validation import (
     SuiteConfig,
     TestReport,
     _require_alpha,
-    _verdict,
     chi2_critical_value,
     ks_critical_value,
 )
+
+
+def _verdict(statistic: float, critical: float) -> str:
+    return "Satisfied" if statistic <= critical else "Rejected"
 
 
 def exp_inverse_transform(r, rate: float):

@@ -641,6 +641,16 @@ def test_deeply_nested_constants_file_errors(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [table]
 
 
+@pytest.mark.parametrize("flag", ["--in", "--constants-file"])
+def test_json_input_that_does_not_parse_names_its_file(flag, tmp_path, capsys):
+    # json's line used to come alone: "wsngen: error: Expecting value: line 1 column 10 (char 9)"
+    data = tmp_path / "trunc.json"
+    data.write_text('{"meta": ')
+    assert main(["analyze" if flag == "--in" else "deploy", flag, str(data)]) == EXIT_ERROR
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"wsngen: error: {data}: Expecting value: line 1 column 10 (char 9)\n")
+
+
 def test_output_files_get_the_mode_open_gives(tmp_path, capsys):
     # the temp file used to come from mkstemp, whose 0600 mode the rename kept
     with open(tmp_path / "plain", "w"):

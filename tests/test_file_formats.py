@@ -12,6 +12,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -141,8 +142,13 @@ def test_writers_refuse_non_finite_points(bad, tmp_path):
 
 def test_writers_refuse_non_finite_meta_and_traffic(tmp_path):
     dep = Deployment(points=((1.0, 2.0),), area=math.nan, mode="non-grid", params=PARAMS)
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    # json.dumps used to refuse the meta first, in its own words: "... not JSON compliant: nan"
+    with pytest.raises(ValueError, match=r"^cannot write JSON: meta field 'area' must be a finite number, got nan$"):
         write(dep, tmp_path / "dep.json", "json")
+    # json.dumps raised a bare TypeError: "Object of type Decimal is not JSON serializable"
+    with pytest.raises(ValueError, match=r"^cannot write JSON: meta field 'area' must be a finite number, "
+                                         r"got Decimal\('10'\)$"):
+        write(dep._replace(area=Decimal(10)), tmp_path / "dep.json", "json")
     # an int beyond the float range used to raise a bare OverflowError
     with pytest.raises(ValueError, match=r"^cannot write CSV: area must be positive and finite, got 10{400}$"):
         write(dep._replace(area=10**400), tmp_path / "dep.csv", "csv")
@@ -222,7 +228,9 @@ _DEPLOYMENT, _MATRIX = deploy_nongrid(20, 10.0, 1), traffic_uniform(5, 3, 2.0, 1
     (_DEPLOYMENT._replace(y_increment="z"), "meta field 'y_increment' must be 'a' or 'c' or null, got 'z'"),
     (_MATRIX._replace(distribution=5), "meta field 'distribution' must be a string or null, got 5"),
     (_MATRIX._replace(rate=True), "meta field 'rate' must be null or a finite number, got True"),
-], ids=["mode", "y_increment", "distribution", "rate"])
+    # json.dumps refused this one first: "Out of range float values are not JSON compliant: inf"
+    (_MATRIX._replace(rate=math.inf), "meta field 'rate' must be null or a finite number, got inf"),
+], ids=["mode", "y_increment", "distribution", "rate", "rate-inf"])
 def test_json_writes_refuse_the_meta_read_refuses(tmp_path, record, message):
     schema = record.SCHEMA
     rows = getattr(record, schema.data)
@@ -251,6 +259,26 @@ def test_writers_refuse_points_that_are_not_rows(tmp_path, points):
             write(dep, tmp_path / f"dep.{fmt}", fmt)
         assert str(refusal.value) == (f"cannot write {fmt.upper()}: "
                                       "'points' must be a non-empty list of equal-width rows of numbers")
+    assert list(tmp_path.iterdir()) == []
+
+
+_HUGE = 10**5000  # past sys.get_int_max_str_digits(), so str() and repr() refuse it
+
+
+# each write raised Python's "Exceeds the limit (4300 digits) for integer string
+# conversion", with no lead, while quoting the value
+@pytest.mark.parametrize("record, fmt, message", [
+    (Deployment(points=((_HUGE, 1.0),), area=10.0, mode=None, params=None), "csv",
+     "cannot write CSV: row 1: non-finite value in [an int of more than 4300 digits, 1.0]"),
+    (Deployment(points=((_HUGE, 1.0),), area=10.0, mode=None, params=None), "json",
+     "cannot write JSON: row 1: non-finite value in [an int of more than 4300 digits, 1.0]"),
+    (_DEPLOYMENT._replace(area=_HUGE), "json",
+     "cannot write JSON: meta field 'area' must be a finite number, got an int of more than 4300 digits"),
+], ids=["cell-csv", "cell-json", "meta-json"])
+def test_writers_quote_an_int_past_the_digit_limit(tmp_path, record, fmt, message):
+    with pytest.raises(ValueError) as refusal:
+        write(record, tmp_path / f"data.{fmt}", fmt)
+    assert str(refusal.value) == message
     assert list(tmp_path.iterdir()) == []
 
 
@@ -285,8 +313,9 @@ def faulty_records(draw):
         return record._replace(**{schema.data: rows[:i] + (row,) + rows[i + 1:]})
     if fault == "meta":
         field, values = draw(st.sampled_from(
-            [("mode", ["foo", 5, True]), ("y_increment", ["z", 1.5])] if schema.kind == "deployment" else
-            [("distribution", [5, True, 1.5]), ("rate", [True, "x", math.nan, math.inf])]))
+            [("mode", ["foo", 5, True]), ("y_increment", ["z", 1.5]), ("area", [math.nan, math.inf, Decimal(10)])]
+            if schema.kind == "deployment" else
+            [("distribution", [5, True, 1.5]), ("rate", [True, "x", math.nan, math.inf]), ("p_min", [math.nan])]))
         return record._replace(**{field: draw(st.sampled_from(values))})
     if fault == "range":
         if schema.kind == "deployment":
@@ -316,7 +345,7 @@ def _read_refuses_the_oracle_file(record, fmt: str, path) -> bool:
         return True
     try:
         read(path, **({k: getattr(record, k) for k in schema.described} if fmt == "csv" else {}))
-    except ValueError:
+    except (TypeError, ValueError):  # a TypeError for a described value that is not a real number
         return True
     return False
 
@@ -333,8 +362,12 @@ def test_write_refuses_exactly_what_read_refuses(tmp_path, record):
             refused = _read_refuses_the_oracle_file(record, fmt, os.path.join(scratch, "oracle"))
             try:
                 write(record, os.path.join(out, "data"), fmt)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 assert refused and "\n" not in str(exc) and os.listdir(out) == [], exc
+                # a CSV's Decimal area is not a real number, a TypeError in write and read alike;
+                # a JSON meta is checked first, so every JSON refusal is led by where
+                assert isinstance(exc, ValueError) or str(exc) == "area must be a real number, got Decimal", exc
+                assert fmt == "csv" or str(exc).startswith("cannot write JSON: "), exc
             else:
                 assert not refused
                 back = read(os.path.join(out, "data"), **(described if fmt == "csv" else {}))
@@ -434,8 +467,13 @@ def test_read_gives_float_cells_that_write_back_as_floats(tmp_path, points, meta
     ("no-area.csv", "node_id,x,y\n1,2.0,3.0\n", {}, "{}: a deployment CSV records no area; pass it to read"),
     ("no-range.csv", "node_id,t1\n1,2.0\n", {"area": 10.0},
      "{}: a traffic CSV records no p_min or p_max; pass it to read"),
+    # json's own line used to come with no path
+    ("trunc.json", '{"meta": ', {}, "{}: Expecting value: line 1 column 10 (char 9)"),
+    ("huge-int.json", '{"meta": {"area": ' + "1" * 5000 + "}}", {},
+     "{}: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
 ], ids=["ragged-csv-row-3", "int-beyond-float-meta", "int-beyond-float-area", "partial-null-provenance",
-        "csv-without-area", "csv-without-range"])
+        "csv-without-area", "csv-without-range", "truncated-json", "json-int-past-the-digit-limit"])
 def test_read_refuses_with_one_line(tmp_path, name, text, described, message):
     path = tmp_path / name
     if isinstance(text, dict):
