@@ -19,8 +19,10 @@ from .generator import (
     NUMBER,
     POSITIVE,
     GeneratorParams,
+    Rows,
     Schema,
     _float_arg,
+    _pairs,
     derive_constants,
     read,
     stream,
@@ -47,7 +49,7 @@ def _check_points(points, area: float) -> None:
 class Deployment(NamedTuple):
     """Ordered node coordinates plus the provenance needed to regenerate."""
 
-    points: tuple[tuple[float, float], ...]
+    points: Sequence[tuple[float, float]]  # Rows over an array('d') from the deployers and read
     area: float
     # provenance: None for points read from CSV, which records none
     mode: Optional[str]  # "grid" or "non-grid"
@@ -98,8 +100,7 @@ def deploy_nongrid(
     _check_args(node_count, area, y_increment)
     params = _resolve_params(seed, table)
     xs, ys = _coordinate_streams(params, float(area), node_count, y_increment)
-    points = tuple(zip(xs, ys))
-    return Deployment(points=points, area=float(area), mode="non-grid",
+    return Deployment(points=_pairs("d", xs, ys), area=float(area), mode="non-grid",
                       params=params, y_increment=y_increment)
 
 
@@ -129,14 +130,11 @@ def deploy_grid(
     top = m1
     while top + m1 >= area:
         top = math.nextafter(top, 0.0)
-    base = [(min(x, top), min(y, top)) for x, y in zip(xs, ys)]
-    blocks = [
-        base,
-        [(x + m1, y + m1) for x, y in base],
-        [(x + m1, y) for x, y in base],
-        [(x, y + m1) for x, y in base],
-    ]
-    points = tuple(p for block in blocks for p in block)[:node_count]
+    xs, ys = [min(x, top) for x in xs], [min(y, top) for y in ys]
+    # the quadrants in order: base, shifted by (m1, m1), by (m1, 0) and by (0, m1)
+    shifted_xs, shifted_ys = [x + m1 for x in xs], [y + m1 for y in ys]
+    points = _pairs("d", (xs + shifted_xs + shifted_xs + xs)[:node_count],
+                    (ys + shifted_ys + ys + shifted_ys)[:node_count])
     return Deployment(points=points, area=float(area), mode="grid",
                       params=params, y_increment=y_increment)
 
@@ -161,6 +159,6 @@ def deployment_from_json(path) -> Deployment:
     return read(path, ("deployment",))
 
 
-def points_from_csv(path) -> tuple[tuple[float, float], ...]:
+def points_from_csv(path) -> Rows:
     # any valid area will do: only the points are returned
     return read(path, ("deployment",), area=1.0).points

@@ -8,14 +8,21 @@ where a and c are drawn from a fixed table of mathematical constants and the
 modulus m is a real number (the deployment area side, or the packet-size
 range). The seed picks the constants: a = table[seed % 14] and
 c = table[(seed + 7) % 14]. ``stream`` is the only loop that advances it,
-and ``derive_constants`` the only code that indexes the table; deployments
-and traffic matrices are their special cases.
+and ``derive_constants`` the only code that indexes the table (through
+``_constants_of``, which a generator deriving several seeds calls to check its
+table once); deployments and traffic matrices are their special cases.
 
 Results are reproducible on any IEEE-754 platform evaluating in double
 precision, with one exception: an exponential-transform traffic cell rests
 on the platform's ``math.log``, which C does not require to be correctly
 rounded. The mod is x - floor(x/m)*m with the result in [0, m), which is
 exactly Python's float ``%``.
+
+A dataset keeps its table of cells in one flat row-major ``array``: a
+deployment's points and a traffic matrix's values are ``Rows`` over an
+``array('d')``, a radius graph's edges ``Rows`` over an ``array('q')``. The
+readers fill the array and the writers, the radius graph and the battery read
+it, so no stage holds a Python tuple per row.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ import json
 import math
 import os
 import sys
+from array import array
+from collections.abc import Sequence
 from contextlib import suppress
-from itertools import chain, repeat
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import __version__
 
@@ -154,6 +163,51 @@ def _load_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+class Rows(Sequence):
+    """A read-only sequence of rows of `width` cells kept in one flat row-major
+    array, `flat`, rather than as one tuple per row. An index gives a row as a
+    tuple, a slice a tuple of rows, and iteration each row in turn; it compares
+    equal to, and hashes as, the tuple of its rows. Its consumers read `flat`
+    directly; no code changes it."""
+
+    __slots__ = ("flat", "width")
+
+    def __init__(self, flat: array, width: int):
+        self.flat, self.width = flat, width
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.width
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # an index from either end, or the rows of a slice
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
+        return tuple(self.flat[k * self.width:(k + 1) * self.width])
+
+    def __iter__(self):
+        return zip(*[iter(self.flat)] * self.width)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Rows):  # two Rows holding no row are equal whatever their widths
+            return self.flat == other.flat and (self.width == other.width or not self.flat)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _pairs(typecode: str, xs, ys) -> Rows:
+    """The Rows of the pairs (xs[k], ys[k]), kept in an array of typecode."""
+    flat = array(typecode, [0]) * (2 * len(xs))
+    flat[0::2], flat[1::2] = array(typecode, xs), array(typecode, ys)
+    return Rows(flat, 2)
+
+
 # Below this many points, or values in one stream, the radius graph and the
 # uniformity battery run on Python lists and numpy is never imported; from it
 # on they run on numpy. Importing numpy takes longer than either computation
@@ -165,19 +219,24 @@ _NUMPY_FROM = 512
 def point_columns(data):
     """The x and y columns of a dataset's points, or of a point sequence: two lists
     of floats below _NUMPY_FROM points, else a (2, n) float64 array, the points'
-    transpose. A cell float() refuses, a row that is not a pair, no point or an
-    iterator gives one message at every size, a nan or inf require_finite's."""
+    transpose (a view of the array of points that are Rows of pairs). A cell
+    float() refuses, a row that is not a pair, no point or an iterator gives one
+    message at every size, a nan or inf require_finite's."""
     points = getattr(data, "points", data)
+    flat = points.flat if isinstance(points, Rows) and points.width == 2 else None
     try:  # an iterator has no len(); a row that is not a number sequence raises
         if len(points) >= _NUMPY_FROM:
             import numpy as np
 
-            cols = np.asarray(points, dtype=float).T
+            cols = (np.asarray(points, dtype=float) if flat is None else
+                    np.asarray(flat, dtype=float).reshape(-1, 2)).T
             if cols.ndim == 2 and len(cols) == 2 and np.isfinite(cols).all():
                 return cols
-        # numpy reads None as nan: the lists word every fault as below _NUMPY_FROM
-        xs, ys = zip(*points)  # stops at the shortest row; the sum counts every cell
-        cols = [list(map(float, xs)), list(map(float, ys))] if sum(map(len, points)) == 2 * len(xs) else []
+        if flat is not None:
+            cols = [list(map(float, flat[0::2])), list(map(float, flat[1::2]))]
+        else:  # numpy reads None as nan: the lists word every fault as below _NUMPY_FROM
+            xs, ys = zip(*points)  # stops at the shortest row; the sum counts every cell
+            cols = [list(map(float, xs)), list(map(float, ys))] if sum(map(len, points)) == 2 * len(xs) else []
     except (TypeError, ValueError, OverflowError):
         cols = []
     if not cols:
@@ -193,8 +252,9 @@ def point_columns(data):
 def require_finite(rows: Sequence[Sequence[float]], path) -> None:
     """Raise ValueError naming the first (1-based) row that holds nan, inf or an
     int beyond the float range, among rows of Python ints and floats."""
+    cells = rows.flat if isinstance(rows, Rows) else chain.from_iterable(rows)
     with suppress(OverflowError):  # math.isfinite overflows on such an int; the row search is exact
-        if all(map(math.isfinite, chain.from_iterable(rows))):
+        if all(map(math.isfinite, cells)):
             return
     row = next(i for i, r in enumerate(rows, start=1) if not all(map(_is_finite_number, r)))
     raise ValueError(f"{path}: row {row}: non-finite value in [{', '.join(map(_quoted, rows[row - 1]))}]")
@@ -202,8 +262,9 @@ def require_finite(rows: Sequence[Sequence[float]], path) -> None:
 
 def _require_writable(rows: Sequence[Sequence[float]], where) -> None:
     """Raise ValueError, led by where, unless rows hold only finite Python ints and
-    floats, whose repr is the text csv.writer and json.dumps give (a numpy float's is not)."""
-    other = set(map(type, chain.from_iterable(rows))) - {int, float}
+    floats, whose repr is the text csv.writer and json.dumps give (a numpy float's is
+    not). The cells of Rows are ints or floats by their array's type."""
+    other = set() if isinstance(rows, Rows) else set(map(type, chain.from_iterable(rows))) - {int, float}
     if other:
         raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
     require_finite(rows, where)
@@ -231,7 +292,7 @@ def write_text(path, chunks) -> None:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
-def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
+def read_csv(path, kind: str, columns) -> Rows:
     """The float cells of each row of a `kind` CSV. The header must be exactly
     columns(width), width >= 2 being its cell count, and at least one row of
     width cells follow: a node id, which is not read, then floats."""
@@ -241,19 +302,19 @@ def read_csv(path, kind: str, columns) -> tuple[tuple[float, ...], ...]:
             header = next(reader, [])
             expected = list(columns(max(len(header), 2)))
             if header == expected:
-                # rows of two floats (every deployment) build faster without the slice
-                values = tuple([(float(r[1]), float(r[2])) if len(r) == 3 else () for r in reader]
-                               if len(header) == 3 else [tuple(map(float, r[1:])) for r in reader])
+                flat, size = array("d"), len(header)
+                for row, cells in enumerate(reader, start=1):
+                    if len(cells) != size:
+                        raise ValueError(f"row {row}: expected {size} cells, as in the header")
+                    del cells[0]  # the node id
+                    flat.extend(map(float, cells))
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if header != expected:
         raise ValueError(f"{path}: not a {kind} CSV (expected header {','.join(expected)})")
-    if not values:
+    if not flat:
         raise ValueError(f"{path}: {kind} CSV holds no rows")
-    if set(map(len, values)) != {len(header) - 1}:
-        row = next(i for i, r in enumerate(values, start=1) if len(r) != len(header) - 1)
-        raise ValueError(f"{path}: row {row}: expected {len(header)} cells, as in the header")
-    return values
+    return Rows(flat, size - 1)
 
 
 # rows per joined piece of a JSON array or a graph CSV: one piece per row costs
@@ -271,7 +332,13 @@ def _document_head(meta: dict) -> str:
 
 def _array_text(rows):
     """(nested, blocks) for _document_pieces of rows. It lays them out and checks
-    nothing: its callers check the cells first, with _require_writable."""
+    nothing: its callers check the cells first, with _require_writable. Rows lay
+    out each block of cells straight from their array."""
+    if isinstance(rows, Rows):
+        width, flat = rows.width, rows.flat
+        step = _BLOCK * width
+        return True, (map(_CELL_SEP.join, zip(*[map(repr, flat[i:i + step])] * width))
+                      for i in range(0, len(flat), step))
     nested = bool(rows) and not isinstance(rows[0], (int, float))
     blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
     return nested, ([_CELL_SEP.join(map(repr, r)) for r in b] if nested else map(repr, b) for b in blocks)
@@ -320,8 +387,8 @@ def _check_table(rows, schema: Schema, where) -> None:
     """Raise ValueError, led by where, unless rows are a non-empty table of
     equal-width rows. write checks its rows with it, and _document_parts a JSON
     file's; read_csv's rows always are such a table."""
-    try:  # an iterator has no len(), nor has a row that is a number
-        widths = set(map(len, rows)) if len(rows) else {0}
+    try:  # an iterator has no len(), nor has a row that is a number; Rows are a table
+        widths = ({rows.width} if isinstance(rows, Rows) else set(map(len, rows))) if len(rows) else {0}
     except TypeError:
         widths = {0}
     if len(widths) != 1 or 0 in widths:
@@ -329,13 +396,13 @@ def _check_table(rows, schema: Schema, where) -> None:
 
 
 def _check_rows(rows, schema: Schema, description, where) -> None:
-    """Raise ValueError, led by where, unless schema.check passes the table rows with
-    description; read and write check every record's rows with it, once its cells
+    """Raise ValueError, or TypeError, led by where, unless schema.check passes the table
+    rows with description; read and write check every record's rows with it, once its cells
     are known to be finite ints and floats."""
     try:
         schema.check(rows, *description)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:  # a TypeError for a description that is not a real number
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _check_meta(meta: dict, record, where) -> None:
@@ -355,9 +422,9 @@ def _check_meta(meta: dict, record, where) -> None:
             raise ValueError(f"{where}: meta field {key!r} must be {wanted}, got {_quoted(value)}")
 
 
-def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
+def _document_parts(doc: dict, path, record) -> tuple[Rows, list, dict]:
     """(rows, description, provenance) of a JSON document for a record type, once
-    _check_meta passes its meta and _check_table its rows, tuples of floats. A cell
+    _check_meta passes its meta and _check_table its rows, Rows of floats. A cell
     that is not a JSON number, or a row that is not a list, leaves no rows."""
     schema = record.SCHEMA
     meta = doc["meta"]
@@ -365,14 +432,12 @@ def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
         raise ValueError(f"{path}: expected a JSON object with 'meta' and {schema.data!r}")
     _check_meta(meta, record, path)
     data = doc[schema.data]
-    try:
-        types = set(map(type, chain.from_iterable(data)))
-        # json.load gives floats already; only ints need converting
-        floats = data if types == {float} else map(map, repeat(float), data)
-        rows = tuple(map(tuple, floats)) if types <= {int, float} else ()
-    except (TypeError, OverflowError):  # a row that is not a list, an int beyond the float range
-        rows = ()
-    _check_table(rows, schema, path)
+    flat = array("d")
+    with suppress(TypeError, OverflowError):  # data that are not a list, an int beyond the float range
+        if set(map(type, data)) == {list} and set(map(type, chain.from_iterable(data))) <= {int, float}:
+            flat = array("d", chain.from_iterable(data))
+    _check_table(data if flat else (), schema, path)
+    rows = Rows(flat, len(data[0]))
     provenance = {k: meta[k] for k in record._fields if k in meta and k != schema.data}
     # _check_meta lets seed be null only where a and c are null too
     provenance["params"] = None if meta["seed"] is None else GeneratorParams(*map(meta.get, GeneratorParams._fields))
@@ -381,7 +446,8 @@ def _document_parts(doc: dict, path, record) -> tuple[tuple, list, dict]:
 
 def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "read", *,
          area=None, p_min=None, p_max=None):
-    """The Deployment or TrafficMatrix in the CSV or JSON file at path.
+    """The Deployment or TrafficMatrix in the CSV or JSON file at path, its cells
+    Rows over an array('d').
 
     A JSON file's meta.kind gives its kind, a CSV file's header does; a kind
     not in kinds, a subset of the two, is refused, naming `reader`. Provenance
@@ -389,8 +455,11 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
     records no area or packet range either: area, or p_min and p_max, describe
     it, checked as generation checks them.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(64)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fh.read(64)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     doc, meta = None, {}  # a CSV has no meta
     if head.lstrip()[:1] in ("{", "["):
         doc = _load_json(path)
@@ -418,7 +487,7 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
         provenance = dict.fromkeys(k for k in record._fields if k != schema.data and k not in schema.described)
     else:
         rows, description, provenance = _document_parts(doc, path, record)
-    # read_csv and _document_parts give a table of floats: their cells need only be finite
+    # read_csv and _document_parts give Rows of floats: their cells need only be finite
     require_finite(rows, path)
     _check_rows(rows, schema, description, path)
     for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
@@ -468,14 +537,21 @@ def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple
     With the canonical 14-entry table the offset is 7, which is odd, so the
     two indices always differ and a != c holds for every seed.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    return _constants_of(table)(seed)
+
+
+def _constants_of(table: Sequence[float]) -> Callable[[int], tuple[float, float]]:
+    """derive_constants for one table, checked here once: a generator that derives
+    the constants of several seeds checks its table once."""
     values = validate_table(table)
     size = len(values)
-    offset = size // 2
-    a = values[seed % size]
-    c = values[(seed + offset) % size]
-    return a, c
+
+    def derive(seed: int) -> tuple[float, float]:
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        return values[seed % size], values[(seed + size // 2) % size]
+
+    return derive
 
 
 class GeneratorParams(NamedTuple):

@@ -17,19 +17,21 @@ pass, so a process that only meets small deployments never imports it.
 From there on the pass is numpy. Both paths share the cells and the
 power-of-two rescale of a distance whose square left the normal range,
 compute every other distance with the same expression and sort the edges
-by (u, v), so they give the same graph. Either keeps the edges as two int
-columns behind EdgePairs, not as one tuple per edge.
+by (u, v), so they give the same graph. Either keeps the edges as
+generator.Rows of (u, v) pairs over one array('q'), not as one tuple per
+edge.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from itertools import chain, islice
 from typing import NamedTuple
 
 from . import generator
-from .generator import _float_arg, point_columns, write_text
+from .generator import Rows, _float_arg, _pairs, point_columns, write_text
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -43,46 +45,11 @@ _MAX_CELLS = 2 ** 30
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-class EdgePairs(Sequence):
-    """A read-only sequence of (u, v) int pairs kept as two array('q') columns
-    rather than one tuple per pair. It compares equal to, and hashes as, the
-    tuple of its pairs; an index gives a pair and a slice a tuple of pairs."""
-
-    __slots__ = ("_us", "_vs")
-
-    def __init__(self, us, vs):
-        self._us, self._vs = us, vs
-
-    def __len__(self) -> int:
-        return len(self._us)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(zip(self._us[k], self._vs[k]))
-        return self._us[k], self._vs[k]
-
-    def __iter__(self):
-        return zip(self._us, self._vs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EdgePairs):
-            return self._us == other._us and self._vs == other._vs
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class RadiusGraph(NamedTuple):
     node_count: int
     transmission_range: float
     epsilon: float
-    edges: Sequence[tuple[int, int]]  # (u, v) with u < v, 0-based ids, sorted: EdgePairs from build_graph
+    edges: Sequence[tuple[int, int]]  # (u, v) with u < v, 0-based ids, sorted: Rows from build_graph
     distances: tuple[float, ...]  # aligned with edges
     degrees: tuple[int, ...]
 
@@ -212,8 +179,6 @@ def _candidates(cols, reach: float):
 
 def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     """Radius graph: edge (u, v) iff distance(u, v) <= tr + epsilon, u != v."""
-    from array import array  # an extension module: isolated_by_range alone never loads it
-
     tr, reach = _reach(tr, epsilon)
     cols = point_columns(deployment)
     n = len(cols[0])
@@ -223,7 +188,7 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
         degrees = [0] * n
         for u in us + vs:
             degrees[u] += 1
-        us, vs = array("q", us), array("q", vs)
+        edges = _pairs("q", us, vs)
     else:
         import numpy as np
 
@@ -232,11 +197,13 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
         a, b, d = a[near], b[near], d[near]
         u, v = np.minimum(a, b), np.maximum(a, b)
         by_pair = np.argsort(u * n + v, kind="stable")
-        us, vs = (array("q", c[by_pair].astype(np.int64, copy=False).tobytes()) for c in (u, v))
+        edges = Rows(array("q", [0]) * (2 * len(by_pair)), 2)
+        pairs = np.frombuffer(edges.flat, dtype=np.int64).reshape(-1, 2)  # a view: filling it fills edges
+        pairs[:, 0], pairs[:, 1] = u[by_pair], v[by_pair]
         distances = d[by_pair].tolist()
         degrees = np.bincount(np.concatenate([u, v]), minlength=n).tolist()
     return RadiusGraph(node_count=n, transmission_range=tr,
-                       epsilon=float(epsilon), edges=EdgePairs(us, vs),
+                       epsilon=float(epsilon), edges=edges,
                        distances=tuple(distances), degrees=tuple(degrees))
 
 
@@ -249,14 +216,14 @@ def _edge_text(graph: RadiusGraph, where: str, sep: str, end: str):
     """Blocks of _BLOCK edge rows u + 1, v + 1, distance, joined by sep and ended by
     end, once they pass _require_writable, led by where. Int ids and finite float
     distances, which build_graph gives, pass on their types and one sum, which a nan
-    or inf makes non-finite; the ids of EdgePairs are ints by their columns' type."""
+    or inf makes non-finite; the ids of Rows over an array('q') are ints by its type."""
     edges, distances = graph.edges, graph.distances
-    columns = isinstance(edges, EdgePairs)
-    if not ((columns or set(map(type, chain.from_iterable(edges))) <= {int})
+    ids = edges.flat if isinstance(edges, Rows) and edges.flat.typecode == "q" else None
+    if not ((ids is not None or set(map(type, chain.from_iterable(edges))) <= {int})
             and set(map(type, distances)) <= {float} and math.isfinite(sum(distances))):
         generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], where)
     # blocks until one is empty; an int or float formats as its repr
-    rows = zip(edges._us, edges._vs, distances) if columns else ((u, v, d) for (u, v), d in zip(edges, distances))
+    rows = ((u, v, d) for (u, v), d in zip(edges, distances)) if ids is None else zip(*[iter(ids)] * 2, distances)
     return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for u, v, d in islice(rows, generator._BLOCK)], [])
 
 

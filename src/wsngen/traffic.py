@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import NamedTuple, Optional, Sequence
 
 from .generator import (
@@ -27,10 +28,11 @@ from .generator import (
     NUMBER,
     POSITIVE,
     GeneratorParams,
+    Rows,
     Schema,
+    _constants_of,
     _float_arg,
     _is_finite_number,
-    derive_constants,
     read,
     stream,
     write,
@@ -52,7 +54,7 @@ def _columns(width: int) -> list[str]:
 
 
 class TrafficMatrix(NamedTuple):
-    values: tuple[tuple[float, ...], ...]
+    values: Sequence[tuple[float, ...]]  # Rows over an array('d') from the generators and read
     p_min: float
     p_max: float
     # provenance: None for a matrix read from CSV, which records none
@@ -68,7 +70,10 @@ class TrafficMatrix(NamedTuple):
     def slot_count(self) -> int:
         return len(self.values[0]) if self.values else 0
 
-    def flatten(self) -> tuple[float, ...]:
+    def flatten(self) -> Sequence[float]:
+        """The values row-major: the array that Rows keep, not a copy, else a tuple."""
+        if isinstance(self.values, Rows):
+            return self.values.flat
         return tuple(itertools.chain.from_iterable(self.values))
 
     # the file format: node_id,t1,...,tT rows, or a JSON document of values
@@ -88,19 +93,20 @@ def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[
     The seed is x0 = table[floor(p_max) % L]; the constants then derive from
     the floored seed value itself.
     """
-    x0 = derive_constants(int(math.floor(p_max)), table)[0]
-    a, c = derive_constants(int(math.floor(x0)), table)
+    derive = _constants_of(table)
+    x0 = derive(int(math.floor(p_max)))[0]
+    a, c = derive(int(math.floor(x0)))
     params = GeneratorParams(seed=x0, a=a, c=c)
     return params, stream(x0, a, c, p_max - p_min, n * t, scale=a, offset=p_min)
 
 
-def _rows(flat: list, t: int, p_max: float) -> tuple[tuple[float, ...], ...]:
-    """The row-major values as rows of t, each value that rounded onto p_max
+def _rows(flat: list, t: int, p_max: float) -> Rows:
+    """The row-major values as Rows of t, each value that rounded onto p_max
     (or above) replaced by the float just below it."""
     if max(flat) >= p_max:
         top = math.nextafter(p_max, -math.inf)
         flat = [min(v, top) for v in flat]
-    return tuple([tuple(flat[i:i + t]) for i in range(0, len(flat), t)])
+    return Rows(array("d", flat), t)
 
 
 def traffic_uniform(
@@ -182,9 +188,10 @@ def traffic_exponential_recurrence(
     """
     _check_traffic_args(n, t, p_min, p_max)
     span = p_max - p_min
-    x00 = derive_constants(int(math.floor(p_max)), table)[0]
-    a = derive_constants(int(math.floor(p_min)), table)[0]
-    c = derive_constants(int(math.floor(x00)), table)[1]
+    derive = _constants_of(table)
+    x00 = derive(int(math.floor(p_max)))[0]
+    a = derive(int(math.floor(p_min)))[0]
+    c = derive(int(math.floor(x00)))[1]
     params = GeneratorParams(seed=x00, a=a, c=c)
     diagonal = stream(x00, a, c, span, n, offset=p_min)
     rest = stream(0.0, a, c, span, n, offset=p_min) if t > 1 else diagonal
@@ -213,6 +220,6 @@ def traffic_from_json(path) -> TrafficMatrix:
     return read(path, ("traffic",))
 
 
-def matrix_from_csv(path) -> tuple[tuple[float, ...], ...]:
+def matrix_from_csv(path) -> Rows:
     # any valid range will do: only the values are returned
     return read(path, ("traffic",), p_min=0.0, p_max=1.0).values

@@ -1,6 +1,7 @@
 """Deployment generation and serialization."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import deployments
-from wsngen.deployment import deploy_grid, deploy_nongrid
+from wsngen.deployment import DEPLOYERS, deploy_grid, deploy_nongrid
 from wsngen.generator import derive_constants, read, write
 
 
@@ -186,7 +187,7 @@ def test_grid_base_value_below_m1_stays_inside_area(area):
 def test_deployments_contained_and_grid_congruent(seed, n, area, y_increment):
     grid = deploy_grid(n, area, seed, y_increment=y_increment)
     nongrid = deploy_nongrid(n, area, seed, y_increment=y_increment)
-    for x, y in grid.points + nongrid.points:
+    for x, y in (*grid.points, *nongrid.points):
         assert 0.0 <= x < area and 0.0 <= y < area
     q, m1 = math.ceil(n / 4), area / 2.0
     base = grid.points[:q]
@@ -204,3 +205,11 @@ def test_files_round_trip_drawn_deployments(tmp_path, dep):
     assert read(tmp_path / "dep.csv", area=dep.area).points == dep.points
     # the record compares points, area, mode, y_increment and (seed, a, c)
     assert read(tmp_path / "dep.json") == dep
+
+
+@pytest.mark.parametrize("mode", DEPLOYERS)
+def test_a_deployment_keeps_its_points_in_one_float_array(mode):
+    # 16 bytes a point, where a tuple of two floats took 104
+    points = DEPLOYERS[mode](10**5, 3162.0, 1).points
+    assert type(points.flat) is array and points.flat.typecode == "d" and len(points.flat) == 2 * 10**5
+    assert points.width == 2 and len(points) == 10**5

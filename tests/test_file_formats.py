@@ -20,10 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import deployments, matrices
+from strategies import GENERATORS, check_rows, deployments, matrices
 from wsngen import __version__
-from wsngen.deployment import Deployment, deploy_nongrid
-from wsngen.generator import (_BLOCK, GeneratorParams, _array_text, _document_head, _document_pieces, read,
+from wsngen.deployment import DEPLOYERS, Deployment, deploy_nongrid
+from wsngen.generator import (_BLOCK, GeneratorParams, Rows, _array_text, _document_head, _document_pieces, read,
                               write, write_text)
 from wsngen.topology import RadiusGraph, build_graph, graph_to_csv, graph_to_json
 from wsngen.traffic import TrafficMatrix, traffic_uniform
@@ -123,9 +123,10 @@ def test_edge_cases_are_laid_out_as_json_dumps_does(tmp_path):
 
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_arrays_longer_than_a_block_are_laid_out_as_json_dumps_does(tmp_path, count):
-    data = {"points": [[i / 7, -i] for i in range(count)], "degrees": list(range(count))}
+    data = {"points": [[i / 7, -i] for i in range(count)], "degrees": list(range(count)),
+            "values": Rows(array.array("d", [i / 3 for i in range(3 * count)]), 3)}
     _same_bytes(tmp_path, lambda p: write_document({"kind": "x"}, data, p),
-                lambda p: oracles.write_document({"kind": "x"}, data, p))
+                lambda p: oracles.write_document({"kind": "x"}, {**data, "values": tuple(data["values"])}, p))
 
 
 # an int beyond the float range used to raise a bare OverflowError
@@ -239,7 +240,7 @@ def test_json_writes_refuse_the_meta_read_refuses(tmp_path, record, message):
         write(record, tmp_path / "out" / "data.json", "json")
     assert str(refusal.value) == f"cannot write JSON: {message}"
     assert list((tmp_path / "out").iterdir()) == []
-    oracles.write_document(_written_meta(record), {schema.data: rows}, tmp_path / "old.json")
+    oracles.write_document(_written_meta(record), {schema.data: tuple(rows)}, tmp_path / "old.json")
     with pytest.raises(ValueError) as read_refusal:
         read(tmp_path / "old.json")
     assert str(read_refusal.value) == f"{tmp_path / 'old.json'}: {message}"
@@ -366,7 +367,8 @@ def test_write_refuses_exactly_what_read_refuses(tmp_path, record):
                 assert refused and "\n" not in str(exc) and os.listdir(out) == [], exc
                 # a CSV's Decimal area is not a real number, a TypeError in write and read alike;
                 # a JSON meta is checked first, so every JSON refusal is led by where
-                assert isinstance(exc, ValueError) or str(exc) == "area must be a real number, got Decimal", exc
+                led = "cannot write CSV: area must be a real number, got Decimal"
+                assert isinstance(exc, ValueError) or str(exc) == led, exc
                 assert fmt == "csv" or str(exc).startswith("cannot write JSON: "), exc
             else:
                 assert not refused
@@ -469,20 +471,53 @@ def test_read_gives_float_cells_that_write_back_as_floats(tmp_path, points, meta
      "{}: a traffic CSV records no p_min or p_max; pass it to read"),
     # json's own line used to come with no path
     ("trunc.json", '{"meta": ', {}, "{}: Expecting value: line 1 column 10 (char 9)"),
+    # the head that picks the format used to give the codec's line with no path
+    ("bad-head.json", b'\xff\xfe{"meta": {}}', {},
+     "{}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("bad-cell.csv", b"node_id,x,y\n\xff,2.0,3.0\n", {"area": 10.0},
+     "{}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
     ("huge-int.json", '{"meta": {"area": ' + "1" * 5000 + "}}", {},
      "{}: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
      "use sys.set_int_max_str_digits() to increase the limit"),
 ], ids=["ragged-csv-row-3", "int-beyond-float-meta", "int-beyond-float-area", "partial-null-provenance",
-        "csv-without-area", "csv-without-range", "truncated-json", "json-int-past-the-digit-limit"])
+        "csv-without-area", "csv-without-range", "truncated-json", "json-head-not-utf-8", "csv-first-cell-not-utf-8",
+        "json-int-past-the-digit-limit"])
 def test_read_refuses_with_one_line(tmp_path, name, text, described, message):
     path = tmp_path / name
     if isinstance(text, dict):
         _deployment_document(path, [[1.0, 2.0]], **text)
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
     else:
         path.write_text(text)
     with pytest.raises(ValueError) as refusal:
         read(path, **described)
     assert str(refusal.value) == message.format(path)
+
+
+@pytest.mark.parametrize("producer", [*DEPLOYERS, *GENERATORS, "deployment.csv", "deployment.json",
+                                      "traffic.csv", "traffic.json"])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_dataset_producer_gives_rows_equal_to_their_tuple(tmp_path, producer, data):
+    # the cells are one array('d'), written as the tuple of their rows is
+    kind, _, fmt = producer.partition(".")
+    if producer in DEPLOYERS:
+        n = data.draw(st.integers(1, 600))  # JSON lays out 256 rows a block
+        record = DEPLOYERS[producer](n, 10.0 * math.sqrt(n), data.draw(st.integers(0, 10**6)))
+    elif producer in GENERATORS:
+        record = GENERATORS[producer](data.draw(st.integers(1, 300)), data.draw(st.integers(1, 12)), 2.0, 10.0)
+    else:
+        record = data.draw(deployments() if kind == "deployment" else matrices())
+        write(record, tmp_path / producer, fmt)
+        record = read(tmp_path / producer, **{k: getattr(record, k) for k in record.SCHEMA.described})
+    rows = getattr(record, record.SCHEMA.data)
+    check_rows(rows, data)
+    assert rows.flat.typecode == "d"
+    plain = record._replace(**{record.SCHEMA.data: tuple(rows)})
+    assert record == plain and hash(record) == hash(plain)
+    for out in ("csv", "json"):
+        _same_bytes(tmp_path, lambda p: write(record, p, out), lambda p: write(plain, p, out))
 
 
 def test_write_refuses_an_unknown_format(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from wsngen import generator
+from wsngen.deployment import DEPLOYERS
 from wsngen.generator import (
     DEFAULT_TABLE,
     EXTENDED_TABLE,
@@ -13,6 +15,7 @@ from wsngen.generator import (
     stream,
     validate_table,
 )
+from wsngen.traffic import traffic_exponential_recurrence, traffic_exponential_transform, traffic_uniform
 
 
 def test_default_table_shape():
@@ -109,3 +112,18 @@ def test_load_table_rejects_non_array(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="^constants file must contain a JSON array of finite numbers$"):
             load_table(path)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: traffic_uniform(5, 3, 2.0, 10.0),
+    lambda: traffic_exponential_transform(5, 3, 2.0, 10.0),
+    lambda: traffic_exponential_recurrence(5, 3, 2.0, 10.0),
+    *(lambda deploy=deploy: deploy(10, 10.0, 1) for deploy in DEPLOYERS.values()),
+], ids=["uniform", "exponential-transform", "exponential-recurrence", *DEPLOYERS])
+def test_each_generator_checks_its_table_once(monkeypatch, generate):
+    # the exponential recurrence used to check it three times, the uniform driver twice
+    checked = []
+    check = generator.validate_table
+    monkeypatch.setattr(generator, "validate_table", lambda table: checked.append(table) or check(table))
+    generate()
+    assert checked == [DEFAULT_TABLE]

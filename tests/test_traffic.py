@@ -182,7 +182,7 @@ def test_uniform_value_rounding_onto_p_max_is_clamped():
     a, c = m.params.a, m.params.c
     raw = stream(m.params.seed, a, c, p_max - p_min, 5, scale=a, offset=p_min)
     assert raw[0] == p_max
-    assert m.flatten() == _clamped(raw, p_max)
+    assert tuple(m.flatten()) == _clamped(raw, p_max)
     assert all(p_min <= v < p_max for v in m.flatten())
 
 
@@ -193,7 +193,7 @@ def test_exp_transform_value_rounding_onto_p_max_is_clamped():
     chain = stream(u.seed, u.a, u.c, p_max - p_min, 5, scale=u.a, offset=p_min)
     raw = [exp_entry_from_uniform(x, p_min, p_max, 1.0) for x in chain]
     assert raw.count(p_max) == 5
-    assert m.flatten() == _clamped(raw, p_max)
+    assert tuple(m.flatten()) == _clamped(raw, p_max)
     assert all(p_min <= v < p_max for v in m.flatten())
 
 
@@ -202,7 +202,7 @@ def test_exp_recurrence_value_rounding_onto_p_max_is_clamped():
     m = traffic_exponential_recurrence(1, 5, p_min, p_max)
     raw = oracles.traffic_exponential_recurrence(1, 5, p_min, p_max).flatten()
     assert raw.count(p_max) == 4
-    assert m.flatten() == _clamped(raw, p_max)
+    assert tuple(m.flatten()) == _clamped(raw, p_max)
     assert all(p_min <= v < p_max for v in m.flatten())
 
 
@@ -250,7 +250,8 @@ def test_min_exponentials_check_small_run():
 
 def test_flatten_matches_row_major():
     m = traffic_uniform(3, 4, 2.0, 10.0)
-    assert m.flatten() == tuple(v for row in m.values for v in row)
+    assert tuple(m.flatten()) == tuple(v for row in m.values for v in row)
+    assert m.flatten() is m.values.flat  # the battery reads the array, not a copy
 
 
 def test_csv_round_trip_exact(tmp_path):
