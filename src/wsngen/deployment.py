@@ -21,9 +21,9 @@ from .generator import (
     GeneratorParams,
     Rows,
     Schema,
+    _constants_of,
     _float_arg,
     _pairs,
-    derive_constants,
     read,
     stream,
     write,
@@ -76,7 +76,7 @@ def _resolve_params(seed: int, table: Sequence[float]) -> GeneratorParams:
     if not seed < 2 ** 53:
         raise ValueError("seed must be below 2**53: past it the float range does not "
                          "hold every integer, so two seeds would name one dataset")
-    return GeneratorParams(seed, *derive_constants(seed, table))
+    return _constants_of(table)(seed)
 
 
 def _coordinate_streams(params: GeneratorParams, modulus: float, count: int, y_increment: str):

@@ -22,7 +22,12 @@ A dataset keeps its table of cells in one flat row-major ``array``: a
 deployment's points and a traffic matrix's values are ``Rows`` over an
 ``array('d')``, a radius graph's edges ``Rows`` over an ``array('q')``. The
 readers fill the array and the writers, the radius graph and the battery read
-it, so no stage holds a Python tuple per row.
+it, so no stage holds a Python tuple per row. ``_as_rows`` is the one shape
+check of a table: a table built by hand, of any equal-width number sequences,
+becomes ``Rows`` over a list of its cells there, once, and every later check
+and layout reads only ``flat`` and ``width``. ``_csv_text`` and ``_json_text``
+are the one CSV and one JSON writer, of records and of the radius graph alike;
+both join rows of cell texts into blocks with ``_blocks``.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from array import array
 from collections.abc import Sequence
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, count, islice
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -216,57 +222,70 @@ def _pairs(typecode: str, xs, ys) -> Rows:
 _NUMPY_FROM = 512
 
 
+def _as_rows(rows, refusal: str) -> Rows:
+    """The one shape check of a table: a non-empty Rows as it is, any other non-empty
+    sequence of equal-width sequences as Rows over a list of its cells, each cell as
+    given. Anything else is refused with the ValueError refusal."""
+    if isinstance(rows, Rows) and rows.flat:
+        return rows
+    with suppress(TypeError, LookupError):  # no len(), no row 0 (as in empty Rows), or a row that is a number
+        width = len(rows[0])
+        if width and all(len(row) == width for row in rows):
+            return Rows(list(chain.from_iterable(rows)), width)
+    raise ValueError(refusal)
+
+
 def point_columns(data):
     """The x and y columns of a dataset's points, or of a point sequence: two lists
     of floats below _NUMPY_FROM points, else a (2, n) float64 array, the points'
-    transpose (a view of the array of points that are Rows of pairs). A cell
-    float() refuses, a row that is not a pair, no point or an iterator gives one
-    message at every size, a nan or inf require_finite's."""
-    points = getattr(data, "points", data)
-    flat = points.flat if isinstance(points, Rows) and points.width == 2 else None
-    try:  # an iterator has no len(); a row that is not a number sequence raises
-        if len(points) >= _NUMPY_FROM:
+    transpose (a view of an array('d') of points). A cell float() refuses, a row
+    that is not a pair, no point or an iterator gives one message at every size,
+    a nan or inf require_finite's."""
+    refusal = "deployment must supply a non-empty (n, 2) point set"
+    points = _as_rows(getattr(data, "points", data), refusal)
+    flat = points.flat
+    try:
+        if points.width != 2:
+            raise ValueError
+        if len(flat) >= 2 * _NUMPY_FROM:
             import numpy as np
 
-            cols = (np.asarray(points, dtype=float) if flat is None else
-                    np.asarray(flat, dtype=float).reshape(-1, 2)).T
-            if cols.ndim == 2 and len(cols) == 2 and np.isfinite(cols).all():
-                return cols
-        if flat is not None:
-            cols = [list(map(float, flat[0::2])), list(map(float, flat[1::2]))]
-        else:  # numpy reads None as nan: the lists word every fault as below _NUMPY_FROM
-            xs, ys = zip(*points)  # stops at the shortest row; the sum counts every cell
-            cols = [list(map(float, xs)), list(map(float, ys))] if sum(map(len, points)) == 2 * len(xs) else []
+            cells = np.asarray(flat, dtype=float)
+            if cells.ndim == 1 and np.isfinite(cells).all():  # a cell that is a sequence adds a dimension
+                return cells.reshape(-1, 2).T
+        # numpy reads None as nan: the lists word every fault as below _NUMPY_FROM
+        cols = [list(map(float, flat[0::2])), list(map(float, flat[1::2]))]
     except (TypeError, ValueError, OverflowError):
-        cols = []
-    if not cols:
-        raise ValueError("deployment must supply a non-empty (n, 2) point set")
+        raise ValueError(refusal) from None
     if not all(map(math.isfinite, chain(*cols))):
-        require_finite(list(zip(*cols)), "points")
+        require_finite(_pairs("d", *cols), "points")
     return cols
 
 
 # ---------------------------------------------------------------------------
 # file formats: the CSV and JSON files of deployments, traffic matrices and graphs
 
-def require_finite(rows: Sequence[Sequence[float]], path) -> None:
+def require_finite(rows: Rows, path) -> None:
     """Raise ValueError naming the first (1-based) row that holds nan, inf or an
-    int beyond the float range, among rows of Python ints and floats."""
-    cells = rows.flat if isinstance(rows, Rows) else chain.from_iterable(rows)
+    int beyond the float range, among Rows of Python ints and floats."""
     with suppress(OverflowError):  # math.isfinite overflows on such an int; the row search is exact
-        if all(map(math.isfinite, cells)):
+        if all(map(math.isfinite, rows.flat)):
             return
     row = next(i for i, r in enumerate(rows, start=1) if not all(map(_is_finite_number, r)))
     raise ValueError(f"{path}: row {row}: non-finite value in [{', '.join(map(_quoted, rows[row - 1]))}]")
 
 
-def _require_writable(rows: Sequence[Sequence[float]], where) -> None:
+def _require_writable(rows: Rows, where) -> None:
     """Raise ValueError, led by where, unless rows hold only finite Python ints and
     floats, whose repr is the text csv.writer and json.dumps give (a numpy float's is
-    not). The cells of Rows are ints or floats by their array's type."""
-    other = set() if isinstance(rows, Rows) else set(map(type, chain.from_iterable(rows))) - {int, float}
-    if other:
-        raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
+    not). The cells of an array are ints or floats by its type; a flat whose `finite`
+    is true vouches that its cells are finite ints and floats."""
+    if getattr(rows.flat, "finite", False):
+        return
+    if not isinstance(rows.flat, array):
+        other = set(map(type, rows.flat)) - {int, float}
+        if other:
+            raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
     require_finite(rows, where)
 
 
@@ -317,46 +336,52 @@ def read_csv(path, kind: str, columns) -> Rows:
     return Rows(flat, size - 1)
 
 
-# rows per joined piece of a JSON array or a graph CSV: one piece per row costs
-# more time, one piece per array keeps the whole array's text in memory
+# rows per joined piece of a file: one piece per row costs more time, one piece
+# per file keeps the whole file's text in memory
 _BLOCK = 256
 # the opening, separator and closing of a JSON array of numbers, and of rows
 _LAYOUTS = (("[\n    ", ",\n    ", "\n  ]"), ("[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"))
 _CELL_SEP = ",\n      "  # between the cells of a row
 
 
-def _document_head(meta: dict) -> str:
-    """json.dumps({"meta": meta}, indent=2) less its closing "\n}"; meta must be finite."""
-    return json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2]
+def _blocks(rows, sep: str):
+    """Lists of the texts of up to _BLOCK rows at a time: each of rows, a sequence of
+    cell texts, joined by sep. An int or a float's text is its repr."""
+    texts = map(sep.join, rows)
+    return iter(lambda: list(islice(texts, _BLOCK)), [])
 
 
-def _array_text(rows):
-    """(nested, blocks) for _document_pieces of rows. It lays them out and checks
-    nothing: its callers check the cells first, with _require_writable. Rows lay
-    out each block of cells straight from their array."""
-    if isinstance(rows, Rows):
-        width, flat = rows.width, rows.flat
-        step = _BLOCK * width
-        return True, (map(_CELL_SEP.join, zip(*[map(repr, flat[i:i + step])] * width))
-                      for i in range(0, len(flat), step))
-    nested = bool(rows) and not isinstance(rows[0], (int, float))
-    blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
-    return nested, ([_CELL_SEP.join(map(repr, r)) for r in b] if nested else map(repr, b) for b in blocks)
+def _csv_text(header, rows: Rows, where, numbered: bool):
+    """The text of a CSV: header, then a line per row of rows, its cells led by its
+    1-based number where numbered. _require_writable checks rows, led by where,
+    before any text is laid out."""
+    _require_writable(rows, where)
+    cells = [map(str, count(1))] * numbered + [map(repr, rows.flat)] * rows.width
+    return chain([",".join(header) + "\r\n"], ("\r\n".join(b) + "\r\n" for b in _blocks(zip(*cells), ",")))
 
 
-def _document_pieces(head: str, arrays: dict):
-    """The text of a document: its meta head, then each array from (nested, blocks),
-    each block the text of _BLOCK elements (a row's cells joined by _CELL_SEP)."""
-    yield head
-    for key, (nested, blocks) in arrays.items():
-        start, sep, end = _LAYOUTS[nested]
-        yield f",\n  {json.dumps(key)}: "
-        gap = start
-        for block in blocks:
-            yield gap + sep.join(block)
-            gap = sep
-        yield end if gap == sep else "[]"
-    yield "\n}\n"
+def _json_text(meta: dict, arrays: dict, where, record=None):
+    """The text of the document {"meta": meta, **arrays}, laid out as json.dumps(...,
+    indent=2) lays it out, and a newline. arrays maps each key to (nested, rows, at):
+    Rows laid out as an array of rows where nested, else as an array of their cells.
+    _check_meta checks meta with record's rules, led by where, and _require_writable
+    each rows, led by its at, before any text is laid out."""
+    _check_meta(meta, record, where)
+    for _, rows, at in arrays.values():
+        _require_writable(rows, at)
+    return chain([json.dumps({"meta": meta}, indent=2)[:-2]],
+                 *(_json_array(key, nested, rows) for key, (nested, rows, _) in arrays.items()), ["\n}\n"])
+
+
+def _json_array(key: str, nested: bool, rows: Rows):
+    """The text of one member of a document: its key, then rows in blocks."""
+    start, sep, end = _LAYOUTS[nested]
+    yield f",\n  {json.dumps(key)}: "
+    gap = start
+    for block in _blocks(zip(*[map(repr, rows.flat)] * rows.width), _CELL_SEP):
+        yield gap + sep.join(block)
+        gap = sep
+    yield end if gap == sep else "[]"
 
 
 # a meta field's test of its JSON value, and what that value must be
@@ -383,18 +408,6 @@ class Schema(NamedTuple):
     check: Callable[..., None]
 
 
-def _check_table(rows, schema: Schema, where) -> None:
-    """Raise ValueError, led by where, unless rows are a non-empty table of
-    equal-width rows. write checks its rows with it, and _document_parts a JSON
-    file's; read_csv's rows always are such a table."""
-    try:  # an iterator has no len(), nor has a row that is a number; Rows are a table
-        widths = ({rows.width} if isinstance(rows, Rows) else set(map(len, rows))) if len(rows) else {0}
-    except TypeError:
-        widths = {0}
-    if len(widths) != 1 or 0 in widths:
-        raise ValueError(f"{where}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
-
-
 def _check_rows(rows, schema: Schema, description, where) -> None:
     """Raise ValueError, or TypeError, led by where, unless schema.check passes the table
     rows with description; read and write check every record's rows with it, once its cells
@@ -408,36 +421,39 @@ def _check_rows(rows, schema: Schema, description, where) -> None:
 def _check_meta(meta: dict, record, where) -> None:
     """Raise ValueError, led by where, unless every meta field of record.SCHEMA, and
     any other float in meta, passes its test, and is present unless the record has a
-    default or it is a count; seed, a and c may instead all be null. read checks a
-    JSON file's meta with it, and write the meta it is about to write."""
-    schema = record.SCHEMA
-    missing = [k for k in schema.meta if k not in meta and k not in (*record._field_defaults, *_COUNTS)]
+    default or it is a count; seed, a and c may instead all be null. A record of None
+    has no fields: every float must be finite. read checks a JSON file's meta with
+    it, and _json_text the meta it is about to write."""
+    fields = record.SCHEMA.meta if record else {}
+    missing = [k for k in fields if k not in meta and k not in (*record._field_defaults, *_COUNTS)]
     if missing:
         raise ValueError(f"{where}: meta lacks field {', '.join(map(repr, missing))}")
-    unset = [meta[k] for k in GeneratorParams._fields] == [None] * 3
+    unset = [meta.get(k) for k in GeneratorParams._fields] == [None] * 3
     for key, value in meta.items():
-        valid, wanted = schema.meta.get(key, NUMBER)
-        if ((key in schema.meta or isinstance(value, float)) and not valid(value)
+        valid, wanted = fields.get(key, NUMBER)
+        if ((key in fields or isinstance(value, float)) and not valid(value)
                 and not (unset and key in GeneratorParams._fields)):
             raise ValueError(f"{where}: meta field {key!r} must be {wanted}, got {_quoted(value)}")
 
 
 def _document_parts(doc: dict, path, record) -> tuple[Rows, list, dict]:
     """(rows, description, provenance) of a JSON document for a record type, once
-    _check_meta passes its meta and _check_table its rows, Rows of floats. A cell
-    that is not a JSON number, or a row that is not a list, leaves no rows."""
+    _check_meta passes its meta and _as_rows its rows, Rows of floats. Rows whose
+    cells are not all JSON numbers within the float range are refused as rows that
+    are not a table: a row that is not a list has no number cells."""
     schema = record.SCHEMA
     meta = doc["meta"]
     if schema.data not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'meta' and {schema.data!r}")
     _check_meta(meta, record, path)
-    data = doc[schema.data]
-    flat = array("d")
-    with suppress(TypeError, OverflowError):  # data that are not a list, an int beyond the float range
-        if set(map(type, data)) == {list} and set(map(type, chain.from_iterable(data))) <= {int, float}:
-            flat = array("d", chain.from_iterable(data))
-    _check_table(data if flat else (), schema, path)
-    rows = Rows(flat, len(data[0]))
+    refusal = f"{path}: {schema.data!r} must be a non-empty list of equal-width rows of numbers"
+    cells = _as_rows(doc[schema.data], refusal)
+    try:
+        if not set(map(type, cells.flat)) <= {int, float}:  # array("d") would take a bool
+            raise TypeError
+        rows = Rows(array("d", cells.flat), cells.width)
+    except (TypeError, OverflowError):  # a cell that is not a number, an int beyond the float range
+        raise ValueError(refusal) from None
     provenance = {k: meta[k] for k in record._fields if k in meta and k != schema.data}
     # _check_meta lets seed be null only where a and c are null too
     provenance["params"] = None if meta["seed"] is None else GeneratorParams(*map(meta.get, GeneratorParams._fields))
@@ -490,44 +506,34 @@ def read(path, kinds: Sequence[str] = ("deployment", "traffic"), reader: str = "
     # read_csv and _document_parts give Rows of floats: their cells need only be finite
     require_finite(rows, path)
     _check_rows(rows, schema, description, path)
-    for key, count in zip(_COUNTS, (len(rows), len(rows[0]))):
-        if meta.get(key, count) != count:
-            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {count}")
+    for key, size in zip(_COUNTS, (len(rows), len(rows[0]))):
+        if meta.get(key, size) != size:
+            raise ValueError(f"{path}: meta field {key!r} is {meta[key]!r}, but {schema.data!r} gives {size}")
     return record(**{schema.data: rows}, **dict(zip(schema.described, map(float, description))),
                   **provenance)
 
 
 def write(record, path, fmt: str) -> None:
     """Write a Deployment or TrafficMatrix to path as "csv" or "json", laid out by
-    its SCHEMA. A record with no provenance (params None) writes it as null. Before
-    the JSON meta is laid out, _check_meta refuses one that read would refuse; then,
-    before the file is opened, _check_table, _require_writable and _check_rows refuse
-    the rows, area or packet range that read would refuse, with read's words."""
+    its SCHEMA. A record with no provenance (params None) writes it as null. Its
+    rows become Rows once, by _as_rows; then, before the file is opened, the JSON
+    meta, the cells and the area or packet range (by _check_rows) that read would
+    refuse are refused, with read's words."""
     schema = record.SCHEMA
-    rows = getattr(record, schema.data)
     where = f"cannot write {fmt.upper()}"
-    if fmt == "json":
-        meta = {}
-        for k in schema.meta:  # rows that are not a table have no count: _check_table refuses them
-            with suppress(TypeError):
-                meta[k] = getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
-        _check_meta(meta, record, where)
-        head = _document_head({"kind": schema.kind, **meta, "tool_version": __version__})
-    elif fmt != "csv":
+    if fmt not in ("csv", "json"):
         raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
-    _check_table(rows, schema, where)
-    _require_writable(rows, where)
-    _check_rows(rows, schema, [getattr(record, k) for k in schema.described], where)
-    if fmt == "json":
-        chunks = _document_pieces(head, {schema.data: _array_text(rows)})
+    rows = _as_rows(getattr(record, schema.data),
+                    f"{where}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
+    if fmt == "csv":
+        text = _csv_text(schema.columns(rows.width + 1), rows, where, numbered=True)
     else:
-        header = schema.columns(len(rows[0]) + 1)
-        if len(header) == 3:  # two values a row, as in every deployment, format faster unpacked
-            lines = (f"{i},{x!r},{y!r}\r\n" for i, (x, y) in enumerate(rows, start=1))
-        else:
-            lines = (f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(rows, start=1))
-        chunks = chain((",".join(header) + "\r\n",), lines)
-    write_text(path, chunks)
+        meta = {k: getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
+                for k in schema.meta}
+        text = _json_text({"kind": schema.kind, **meta, "tool_version": __version__},
+                          {schema.data: (True, rows, where)}, where, record)
+    _check_rows(rows, schema, [getattr(record, k) for k in schema.described], where)
+    write_text(path, text)
 
 
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:
@@ -537,19 +543,22 @@ def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple
     With the canonical 14-entry table the offset is 7, which is odd, so the
     two indices always differ and a != c holds for every seed.
     """
-    return _constants_of(table)(seed)
+    return _constants_of(table)(seed)[1:]
 
 
-def _constants_of(table: Sequence[float]) -> Callable[[int], tuple[float, float]]:
-    """derive_constants for one table, checked here once: a generator that derives
-    the constants of several seeds checks its table once."""
+def _constants_of(table: Sequence[float]) -> Callable[[int], "GeneratorParams"]:
+    """The GeneratorParams of a seed under one table, checked here once: a generator
+    that derives the constants of several seeds checks its table once. This is the
+    one seed rule: a seed is an int or has __index__ (a numpy int does), and the
+    params hold it as a Python int; a float seed is a TypeError."""
     values = validate_table(table)
     size = len(values)
 
-    def derive(seed: int) -> tuple[float, float]:
+    def derive(seed: int) -> GeneratorParams:
+        seed = operator.index(seed)
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        return values[seed % size], values[(seed + size // 2) % size]
+        return GeneratorParams(seed, values[seed % size], values[(seed + size // 2) % size])
 
     return derive
 

@@ -38,8 +38,9 @@ def batch_row(
     table: Sequence[float] = DEFAULT_TABLE,
     epsilon: float = 0.0,
 ) -> dict:
-    """One row: seed, derived constants, per-mode counts and verdicts. The
-    constants are the ones every deployment of the row records in its params."""
+    """One row: seed, derived constants, per-mode counts and verdicts. The seed
+    and constants are the ones every deployment of the row records in its params:
+    the seed a Python int, whatever int type it is given as."""
     modes = {}
     for mode in MODES:
         dep = DEPLOYERS[mode](node_count, area, seed, table=table)
@@ -48,7 +49,7 @@ def batch_row(
             "isolated": tuple([counts[float(tr)] for tr in ranges]),
             **aggregate_verdicts(run_suite(dep, config)),
         }
-    return {"seed": seed, "a": dep.params.a, "c": dep.params.c, "modes": modes}
+    return {"seed": dep.params.seed, "a": dep.params.a, "c": dep.params.c, "modes": modes}
 
 
 def batch_report(

@@ -20,6 +20,10 @@ compute every other distance with the same expression and sort the edges
 by (u, v), so they give the same graph. Either keeps the edges as
 generator.Rows of (u, v) pairs over one array('q'), not as one tuple per
 edge.
+
+The exports hand their rows (1-based ids, then the distance) to the codec's
+CSV and JSON writers as Rows over _Cells, which makes each cell as it is read,
+so an export keeps no list of its rows.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import add
 from typing import NamedTuple
 
-from . import generator
-from .generator import Rows, _float_arg, _pairs, point_columns, write_text
+from .generator import Rows, _as_rows, _csv_text, _float_arg, _json_text, _pairs, point_columns, write_text
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -212,36 +216,56 @@ def isolated_count(graph: RadiusGraph) -> int:
     return graph.degrees.count(0)
 
 
-def _edge_text(graph: RadiusGraph, where: str, sep: str, end: str):
-    """Blocks of _BLOCK edge rows u + 1, v + 1, distance, joined by sep and ended by
-    end, once they pass _require_writable, led by where. Int ids and finite float
-    distances, which build_graph gives, pass on their types and one sum, which a nan
-    or inf makes non-finite; the ids of Rows over an array('q') are ints by its type."""
-    edges, distances = graph.edges, graph.distances
-    ids = edges.flat if isinstance(edges, Rows) and edges.flat.typecode == "q" else None
-    if not ((ids is not None or set(map(type, chain.from_iterable(edges))) <= {int})
-            and set(map(type, distances)) <= {float} and math.isfinite(sum(distances))):
-        generator._require_writable([[u + 1, v + 1, d] for (u, v), d in zip(edges, distances)], where)
-    # blocks until one is empty; an int or float formats as its repr
-    rows = ((u, v, d) for (u, v), d in zip(edges, distances)) if ids is None else zip(*[iter(ids)] * 2, distances)
-    return iter(lambda: [f"{u + 1}{sep}{v + 1}{sep}{d!r}{end}" for u, v, d in islice(rows, generator._BLOCK)], [])
+class _Cells(Sequence):
+    """The cells of a graph's export rows, row-major, made as they are read: each
+    edge's ids u + 1 and v + 1 (1-based), then its distance. No list of them is kept,
+    so an export's memory stays a block of rows whatever the edge count. `finite`
+    vouches for the cells of build_graph's edges: int ids by their array's type, and
+    float distances with a finite sum, which a nan or inf would make non-finite."""
+
+    __slots__ = ("ids", "distances", "finite")
+
+    def __init__(self, ids, distances):
+        self.ids, self.distances = ids, distances
+        self.finite = (isinstance(ids, array) and ids.typecode == "q"
+                       and set(map(type, distances)) <= {float} and math.isfinite(sum(distances)))
+
+    def __len__(self) -> int:
+        return 3 * min(len(self.ids) // 2, len(self.distances))
+
+    def __iter__(self):
+        ids = map(add, self.ids, repeat(1))
+        return chain.from_iterable(zip(ids, ids, self.distances))
+
+    def __getitem__(self, k: slice) -> list:  # Rows reads a row as a slice of its cells
+        return list(islice(self, *k.indices(len(self))))
+
+
+def _rows(graph: RadiusGraph, where: str) -> Rows:
+    """The rows of graph's exports, Rows over _Cells. Edges that are not (u, v) pairs
+    are refused, led by where."""
+    refusal = f"{where}: 'edges' must be a list of (u, v) pairs"
+    edges = _as_rows(graph.edges, refusal) if len(graph.edges) else Rows((), 2)  # a graph may have no edge
+    if edges.width != 2:
+        raise ValueError(refusal)
+    return Rows(_Cells(edges.flat, graph.distances), 3)
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
     """Edge list as u,v,distance (1-based node ids).
 
-    The rows are the graph's stored edges and distances, checked once before the
-    file is opened and written in blocks; ``deployment`` is not read.
+    The rows are the graph's stored edges and distances, checked as write checks
+    a record's before the file is opened; ``deployment`` is not read.
     """
-    write_text(path, chain(("u,v,distance\r\n",), map("".join, _edge_text(graph, "cannot write CSV", ",", "\r\n"))))
+    write_text(path, _csv_text(("u", "v", "distance"), _rows(graph, "cannot write CSV"), "cannot write CSV",
+                               numbered=False))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
     """Graph document: meta, degree list and [u, v, distance] triples (1-based ids).
 
-    The edge rows are the graph's stored edges and distances, checked once after
-    meta and degrees and written in blocks, laid out as write lays out a
-    record's rows; ``deployment`` is not read.
+    The meta, degrees and edge rows are checked in that order before the file is
+    opened and laid out as write lays out a record; ``deployment`` is not read.
     """
     meta = {
         "kind": "radius-graph",
@@ -251,11 +275,9 @@ def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
         "edge_count": len(graph.edges),
         "isolated": isolated_count(graph),
     }
-    head = generator._document_head(meta)
-    generator._require_writable(tuple(zip(graph.degrees)), "cannot write 'degrees'")
-    degrees = generator._array_text(graph.degrees)
-    edges = True, _edge_text(graph, "cannot write 'edges'", generator._CELL_SEP, "")
-    write_text(path, generator._document_pieces(head, {"degrees": degrees, "edges": edges}))
+    arrays = {"degrees": (False, Rows(graph.degrees, 1), "cannot write 'degrees'"),
+              "edges": (True, _rows(graph, "cannot write 'edges'"), "cannot write 'edges'")}
+    write_text(path, _json_text(meta, arrays, "cannot write JSON"))
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

@@ -18,7 +18,6 @@ unclamped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from typing import NamedTuple, Optional, Sequence
@@ -30,6 +29,7 @@ from .generator import (
     GeneratorParams,
     Rows,
     Schema,
+    _as_rows,
     _constants_of,
     _float_arg,
     _is_finite_number,
@@ -71,10 +71,10 @@ class TrafficMatrix(NamedTuple):
         return len(self.values[0]) if self.values else 0
 
     def flatten(self) -> Sequence[float]:
-        """The values row-major: the array that Rows keep, not a copy, else a tuple."""
-        if isinstance(self.values, Rows):
-            return self.values.flat
-        return tuple(itertools.chain.from_iterable(self.values))
+        """The values row-major: the array that Rows keep, not a copy, else a list of
+        the cells of hand-built rows. Values that are not a table are refused as write
+        refuses them."""
+        return _as_rows(self.values, "'values' must be a non-empty list of equal-width rows of numbers").flat
 
     # the file format: node_id,t1,...,tT rows, or a JSON document of values
     SCHEMA = Schema(
@@ -94,10 +94,9 @@ def _uniform_driver(n: int, t: int, p_min: float, p_max: float, table: Sequence[
     the floored seed value itself.
     """
     derive = _constants_of(table)
-    x0 = derive(int(math.floor(p_max)))[0]
-    a, c = derive(int(math.floor(x0)))
-    params = GeneratorParams(seed=x0, a=a, c=c)
-    return params, stream(x0, a, c, p_max - p_min, n * t, scale=a, offset=p_min)
+    x0 = derive(int(math.floor(p_max))).a
+    params = derive(int(math.floor(x0)))._replace(seed=x0)
+    return params, stream(x0, params.a, params.c, p_max - p_min, n * t, scale=params.a, offset=p_min)
 
 
 def _rows(flat: list, t: int, p_max: float) -> Rows:
@@ -189,9 +188,9 @@ def traffic_exponential_recurrence(
     _check_traffic_args(n, t, p_min, p_max)
     span = p_max - p_min
     derive = _constants_of(table)
-    x00 = derive(int(math.floor(p_max)))[0]
-    a = derive(int(math.floor(p_min)))[0]
-    c = derive(int(math.floor(x00)))[1]
+    x00 = derive(int(math.floor(p_max))).a
+    a = derive(int(math.floor(p_min))).a
+    c = derive(int(math.floor(x00))).c
     params = GeneratorParams(seed=x00, a=a, c=c)
     diagonal = stream(x00, a, c, span, n, offset=p_min)
     rest = stream(0.0, a, c, span, n, offset=p_min) if t > 1 else diagonal

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import GENERATORS, check_rows, deployments, matrices
-from wsngen import __version__
+from wsngen import __version__, generator
 from wsngen.deployment import DEPLOYERS, Deployment, deploy_nongrid
-from wsngen.generator import (_BLOCK, GeneratorParams, Rows, _array_text, _document_head, _document_pieces, read,
-                              write, write_text)
-from wsngen.topology import RadiusGraph, build_graph, graph_to_csv, graph_to_json
+from wsngen.generator import _BLOCK, GeneratorParams, Rows, _as_rows, _json_text, read, write, write_text
+from wsngen.topology import RadiusGraph, build_graph, graph_to_csv, graph_to_json, isolated_by_range
 from wsngen.traffic import TrafficMatrix, traffic_uniform
+from wsngen.validation import run_suite
 
 PARAMS = GeneratorParams(seed=1, a=3.359886, c=1.902161)
 EXTREMES = [5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0,
@@ -58,9 +58,12 @@ documents = st.dictionaries(st.sampled_from(["points", "values", "degrees", "edg
 
 def write_document(meta: dict, data: dict, path) -> None:
     """The layout write and graph_to_json give a JSON document: meta, then each array,
-    with no check of the cells."""
-    arrays = {key: _array_text(rows) for key, rows in data.items()}
-    write_text(path, _document_pieces(_document_head(meta), arrays))
+    an array of rows as Rows, an array of numbers as Rows of width 1."""
+    arrays = {}
+    for key, rows in data.items():
+        nested = bool(rows) and not isinstance(rows[0], (int, float))
+        arrays[key] = nested, _as_rows(rows, key) if nested else Rows(list(rows), 1), key
+    write_text(path, _json_text(meta, arrays, "meta"))
 
 
 _SETTINGS = settings(max_examples=200, deadline=None,
@@ -544,3 +547,49 @@ def test_the_former_codec_names_call_read_and_write(tmp_path):
     assert dm.deployment_from_json(tmp_path / "d.json") == dep
     assert tm.matrix_from_csv(tmp_path / "t.csv") == matrix.values
     assert tm.traffic_from_json(tmp_path / "t.json") == matrix
+
+
+def _forms(cells: list, width: int) -> dict:
+    """The table of cells, width a row, built by hand as tuple, list and array('d') rows."""
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    return {"tuple": tuple(map(tuple, rows)), "list": rows,
+            "array": [array.array("d", r) for r in rows]}
+
+
+def _points(n: int) -> list:
+    """2n deployment cells in [0, 100): every third a float, the rest ints."""
+    return [(i * 0.618034) % 100 if i % 3 == 0 else i * 7 % 97 for i in range(2 * n)]
+
+
+@pytest.mark.parametrize("numpy_from", [0, 10**6], ids=["numpy", "lists"])
+@pytest.mark.parametrize("n", [60, 600])
+def test_hand_built_tables_act_as_their_rows_twins(tmp_path, monkeypatch, numpy_from, n):
+    # a hand-built table becomes Rows over a list of its cells, each kept as given:
+    # an int cell still writes 3, and every consumer sees what the twin gives
+    monkeypatch.setattr(generator, "_NUMPY_FROM", numpy_from)
+    forms = _forms(_points(n), 2)
+    forms["range"] = tuple(range(k, k + 2) for k in range(0, 2 * n, 2))
+    for name, points in forms.items():
+        dep = Deployment(points=points, area=2.0 * n + 100.0, mode=None, params=None)
+        twin = dep._replace(points=Rows([c for row in points for c in row], 2))
+        for fmt in ("csv", "json"):
+            _same_bytes(tmp_path, lambda p: write(dep, p, fmt), lambda p: write(twin, p, fmt))
+        assert build_graph(dep, 15.0) == build_graph(twin, 15.0), name
+        assert isolated_by_range(dep, (5.0, 15.0)) == isolated_by_range(twin, (5.0, 15.0)), name
+        assert run_suite(dep) == run_suite(twin), name
+    values = [c + 2 for c in _points(n)[:5 * (2 * n // 5)]]
+    for name, rows in {**_forms(values, 5), "range": [range(k, k + 5) for k in range(2, 97, 5)]}.items():
+        matrix = TrafficMatrix(values=rows, p_min=2.0, p_max=102.0, distribution=None, params=None)
+        twin = matrix._replace(values=Rows([c for row in rows for c in row], 5))
+        for fmt in ("csv", "json"):
+            _same_bytes(tmp_path, lambda p: write(matrix, p, fmt), lambda p: write(twin, p, fmt))
+        assert list(matrix.flatten()) == list(twin.flatten()), name
+        assert run_suite(matrix) == run_suite(twin), name
+
+
+def test_an_int_cell_writes_as_an_int(tmp_path):
+    dep = Deployment(points=((3, 1.5), [2, 0.25]), area=10.0, mode=None, params=None)
+    write(dep, tmp_path / "d.csv", "csv")
+    assert (tmp_path / "d.csv").read_bytes() == b"node_id,x,y\r\n1,3,1.5\r\n2,2,0.25\r\n"
+    write(dep, tmp_path / "d.json", "json")
+    assert json.loads((tmp_path / "d.json").read_text())["points"] == [[3, 1.5], [2, 0.25]]

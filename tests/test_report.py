@@ -189,3 +189,22 @@ def test_reference_tables_shape():
     assert set(ref.GOLDEN_CONSTANTS) == set(ref.GOLDEN_SEEDS)
     assert set(ref.GOLDEN_ISOLATED) == set(ref.GOLDEN_SEEDS)
     assert set(ref.GOLDEN_VERDICTS) == set(ref.GOLDEN_SEEDS)
+
+
+def test_a_numpy_or_bool_seed_is_kept_as_a_python_int(tmp_path):
+    # the library used to store the raw seed, which its own writer then refused
+    import numpy as np
+
+    from wsngen.generator import read, write
+    from wsngen.report import render_report_json
+
+    for seed in (np.int64(3), True):
+        dep = deploy_nongrid(10, 100.0, seed)
+        assert type(dep.params.seed) is int and dep.params.seed == int(seed)
+        write(dep, tmp_path / "d.json", "json")
+        assert type(read(tmp_path / "d.json").params.seed) is int
+    rows = batch_report([np.int64(3)])
+    assert type(rows[0]["seed"]) is int
+    assert json.loads(render_report_json(rows))["rows"][0]["seed"] == 3
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        deploy_nongrid(10, 100.0, 1.5)
