@@ -26,8 +26,12 @@ it, so no stage holds a Python tuple per row. ``_as_rows`` is the one shape
 check of a table: a table built by hand, of any equal-width number sequences,
 becomes ``Rows`` over a list of its cells there, once, and every later check
 and layout reads only ``flat`` and ``width``. ``_csv_text`` and ``_json_text``
-are the one CSV and one JSON writer, of records and of the radius graph alike;
-both join rows of cell texts into blocks with ``_blocks``.
+are the one CSV and one JSON writer, of records and of the radius graph alike.
+Both lay a table out with ``_laid_out``: up to ``_BLOCK`` rows at a time, one
+``%`` fills a row format of ``%r`` cells repeated for the block's rows with
+the block's cells, which a table hands over as one tuple sliced from its
+columns. A record's table is ``_table`` of its Rows; the radius graph slices
+its edge and distance columns itself.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from contextlib import suppress
-from itertools import chain, count, islice
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -195,7 +199,10 @@ class Rows(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rows):  # two Rows holding no row are equal whatever their widths
-            return self.flat == other.flat and (self.width == other.width or not self.flat)
+            mine, theirs = self.flat, other.flat
+            # an array never equals a list: flats of two types are compared cell by cell
+            same = mine == theirs if type(mine) is type(theirs) else list(mine) == list(theirs)
+            return same and (self.width == other.width or not mine)
         if isinstance(other, tuple):
             return len(other) == len(self) and tuple(self) == other
         return NotImplemented
@@ -275,20 +282,6 @@ def require_finite(rows: Rows, path) -> None:
     raise ValueError(f"{path}: row {row}: non-finite value in [{', '.join(map(_quoted, rows[row - 1]))}]")
 
 
-def _require_writable(rows: Rows, where) -> None:
-    """Raise ValueError, led by where, unless rows hold only finite Python ints and
-    floats, whose repr is the text csv.writer and json.dumps give (a numpy float's is
-    not). The cells of an array are ints or floats by its type; a flat whose `finite`
-    is true vouches that its cells are finite ints and floats."""
-    if getattr(rows.flat, "finite", False):
-        return
-    if not isinstance(rows.flat, array):
-        other = set(map(type, rows.flat)) - {int, float}
-        if other:
-            raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
-    require_finite(rows, where)
-
-
 def write_text(path, chunks) -> None:
     """Write the str chunks to path as UTF-8 with no newline translation: into a
     new temp file beside path, renamed over it once every chunk is written. The
@@ -336,52 +329,57 @@ def read_csv(path, kind: str, columns) -> Rows:
     return Rows(flat, size - 1)
 
 
-# rows per joined piece of a file: one piece per row costs more time, one piece
-# per file keeps the whole file's text in memory
+# rows per formatted piece of a file: one piece per row costs more time, one
+# piece per file keeps the whole file's text in memory
 _BLOCK = 256
-# the opening, separator and closing of a JSON array of numbers, and of rows
-_LAYOUTS = (("[\n    ", ",\n    ", "\n  ]"), ("[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"))
-_CELL_SEP = ",\n      "  # between the cells of a row
 
 
-def _blocks(rows, sep: str):
-    """Lists of the texts of up to _BLOCK rows at a time: each of rows, a sequence of
-    cell texts, joined by sep. An int or a float's text is its repr."""
-    texts = map(sep.join, rows)
-    return iter(lambda: list(islice(texts, _BLOCK)), [])
+def _table(rows: Rows, where, numbered: bool = False):
+    """(width, count, cells), the layout of rows: cells(start, stop) is a tuple of the
+    cells of rows start to stop, row-major, each row led by its 1-based number where
+    numbered. First a ValueError, led by where, refuses rows unless they hold only
+    finite Python ints and floats, whose repr is the text csv.writer and json.dumps
+    give (a numpy float's is not); the cells of an array are ints or floats by its type."""
+    flat, width = rows.flat, rows.width
+    if not isinstance(flat, array) and (other := set(map(type, flat)) - {int, float}):
+        raise ValueError(f"{where}: expected ints and floats, got {min(t.__name__ for t in other)}")
+    require_finite(rows, where)
+    if numbered:
+        return width + 1, len(rows), lambda start, stop: tuple(chain.from_iterable(
+            zip(range(start + 1, stop + 1), *[iter(flat[start * width:stop * width])] * width)))
+    return width, len(rows), lambda start, stop: tuple(flat[start * width:stop * width])
 
 
-def _csv_text(header, rows: Rows, where, numbered: bool):
-    """The text of a CSV: header, then a line per row of rows, its cells led by its
-    1-based number where numbered. _require_writable checks rows, led by where,
-    before any text is laid out."""
-    _require_writable(rows, where)
-    cells = [map(str, count(1))] * numbered + [map(repr, rows.flat)] * rows.width
-    return chain([",".join(header) + "\r\n"], ("\r\n".join(b) + "\r\n" for b in _blocks(zip(*cells), ",")))
+def _laid_out(row: str, table):
+    """The text of a table's rows, _BLOCK rows at a time: row, the %-format of one
+    row's cells, repeated for a block's rows and filled by one % with their cells.
+    %r of an int or a float is its repr, the text csv.writer and json.dumps give."""
+    _, count, cells = table
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        yield row * (stop - start) % cells(start, stop)
 
 
-def _json_text(meta: dict, arrays: dict, where, record=None):
+def _csv_text(header, table):
+    """The text of a CSV: header, then a line per row of table."""
+    return chain([",".join(header) + "\r\n"], _laid_out(",".join(["%r"] * table[0]) + "\r\n", table))
+
+
+def _json_text(meta: dict, arrays: dict):
     """The text of the document {"meta": meta, **arrays}, laid out as json.dumps(...,
-    indent=2) lays it out, and a newline. arrays maps each key to (nested, rows, at):
-    Rows laid out as an array of rows where nested, else as an array of their cells.
-    _check_meta checks meta with record's rules, led by where, and _require_writable
-    each rows, led by its at, before any text is laid out."""
-    _check_meta(meta, record, where)
-    for _, rows, at in arrays.values():
-        _require_writable(rows, at)
-    return chain([json.dumps({"meta": meta}, indent=2)[:-2]],
-                 *(_json_array(key, nested, rows) for key, (nested, rows, _) in arrays.items()), ["\n}\n"])
-
-
-def _json_array(key: str, nested: bool, rows: Rows):
-    """The text of one member of a document: its key, then rows in blocks."""
-    start, sep, end = _LAYOUTS[nested]
-    yield f",\n  {json.dumps(key)}: "
-    gap = start
-    for block in _blocks(zip(*[map(repr, rows.flat)] * rows.width), _CELL_SEP):
-        yield gap + sep.join(block)
-        gap = sep
-    yield end if gap == sep else "[]"
+    indent=2) lays it out, and a newline. arrays maps each key to (nested, table): the
+    table's rows laid out as an array of rows where nested, else as an array of numbers
+    (a table of width 1). Nothing is checked here: the caller checks meta with
+    _check_meta, and _table or the graph's table checks its cells."""
+    yield json.dumps({"meta": meta}, indent=2)[:-2]
+    for key, (nested, table) in arrays.items():
+        row = ",\n    " + ("[\n      " + ",\n      ".join(["%r"] * table[0]) + "\n    ]" if nested else "%r")
+        texts = _laid_out(row, table)  # each row led by its separator
+        # the first row's comma becomes the opening bracket; no row leaves "[]"
+        yield f",\n  {json.dumps(key)}: [" + next(texts, ",")[1:]
+        yield from texts
+        yield "\n  ]" if table[1] else "]"
+    yield "\n}\n"
 
 
 # a meta field's test of its JSON value, and what that value must be
@@ -423,7 +421,7 @@ def _check_meta(meta: dict, record, where) -> None:
     any other float in meta, passes its test, and is present unless the record has a
     default or it is a count; seed, a and c may instead all be null. A record of None
     has no fields: every float must be finite. read checks a JSON file's meta with
-    it, and _json_text the meta it is about to write."""
+    it, and write and graph_to_json the meta they are about to write."""
     fields = record.SCHEMA.meta if record else {}
     missing = [k for k in fields if k not in meta and k not in (*record._field_defaults, *_COUNTS)]
     if missing:
@@ -525,15 +523,15 @@ def write(record, path, fmt: str) -> None:
         raise ValueError(f"cannot write format {fmt!r}: expected 'csv' or 'json'")
     rows = _as_rows(getattr(record, schema.data),
                     f"{where}: {schema.data!r} must be a non-empty list of equal-width rows of numbers")
-    if fmt == "csv":
-        text = _csv_text(schema.columns(rows.width + 1), rows, where, numbered=True)
-    else:
+    if fmt == "json":
         meta = {k: getattr(record.params, k, None) if k in GeneratorParams._fields else getattr(record, k)
                 for k in schema.meta}
-        text = _json_text({"kind": schema.kind, **meta, "tool_version": __version__},
-                          {schema.data: (True, rows, where)}, where, record)
+        meta = {"kind": schema.kind, **meta, "tool_version": __version__}
+        _check_meta(meta, record, where)
+    table = _table(rows, where, numbered=fmt == "csv")
     _check_rows(rows, schema, [getattr(record, k) for k in schema.described], where)
-    write_text(path, text)
+    write_text(path, _csv_text(schema.columns(rows.width + 1), table) if fmt == "csv"
+               else _json_text(meta, {schema.data: (True, table)}))
 
 
 def derive_constants(seed: int, table: Sequence[float] = DEFAULT_TABLE) -> tuple[float, float]:

@@ -21,9 +21,9 @@ by (u, v), so they give the same graph. Either keeps the edges as
 generator.Rows of (u, v) pairs over one array('q'), not as one tuple per
 edge.
 
-The exports hand their rows (1-based ids, then the distance) to the codec's
-CSV and JSON writers as Rows over _Cells, which makes each cell as it is read,
-so an export keeps no list of its rows.
+The exports hand the codec's CSV and JSON writers a table whose rows (1-based
+ids, then the distance) are sliced from the edge and distance columns a block
+at a time, so an export keeps no list of its rows.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add
 from typing import NamedTuple
 
-from .generator import Rows, _as_rows, _csv_text, _float_arg, _json_text, _pairs, point_columns, write_text
+from .generator import (Rows, _as_rows, _check_meta, _csv_text, _float_arg, _json_text, _pairs, _table,
+                        point_columns, write_text)
 
 # Cells are wider than the reach by this factor, so a pair at exactly the
 # reach cannot round into cells two apart.
@@ -216,39 +217,33 @@ def isolated_count(graph: RadiusGraph) -> int:
     return graph.degrees.count(0)
 
 
-class _Cells(Sequence):
-    """The cells of a graph's export rows, row-major, made as they are read: each
-    edge's ids u + 1 and v + 1 (1-based), then its distance. No list of them is kept,
-    so an export's memory stays a block of rows whatever the edge count. `finite`
-    vouches for the cells of build_graph's edges: int ids by their array's type, and
-    float distances with a finite sum, which a nan or inf would make non-finite."""
-
-    __slots__ = ("ids", "distances", "finite")
-
-    def __init__(self, ids, distances):
-        self.ids, self.distances = ids, distances
-        self.finite = (isinstance(ids, array) and ids.typecode == "q"
-                       and set(map(type, distances)) <= {float} and math.isfinite(sum(distances)))
-
-    def __len__(self) -> int:
-        return 3 * min(len(self.ids) // 2, len(self.distances))
-
-    def __iter__(self):
-        ids = map(add, self.ids, repeat(1))
-        return chain.from_iterable(zip(ids, ids, self.distances))
-
-    def __getitem__(self, k: slice) -> list:  # Rows reads a row as a slice of its cells
-        return list(islice(self, *k.indices(len(self))))
-
-
-def _rows(graph: RadiusGraph, where: str) -> Rows:
-    """The rows of graph's exports, Rows over _Cells. Edges that are not (u, v) pairs
-    are refused, led by where."""
+def _edge_table(graph: RadiusGraph, where: str):
+    """(3, count, cells), the layout of graph's export rows [u + 1, v + 1, d] (1-based
+    ids), for the codec's writers: cells(start, stop) slices them from the edge and
+    distance columns. A ValueError, led by where, refuses edges that are not (u, v)
+    pairs, a graph whose columns disagree (a distance per edge, a degree per node)
+    and cells that are not finite ints and floats. build_graph's edges pass by their
+    array's type and its distances by their types and one finite sum; a hand-built
+    graph's rows are made whole once and checked cell by cell, as write checks a
+    record's."""
     refusal = f"{where}: 'edges' must be a list of (u, v) pairs"
     edges = _as_rows(graph.edges, refusal) if len(graph.edges) else Rows((), 2)  # a graph may have no edge
     if edges.width != 2:
         raise ValueError(refusal)
-    return Rows(_Cells(edges.flat, graph.distances), 3)
+    ids, distances = edges.flat, graph.distances
+    for have, what, want, of in ((len(distances), "distances", len(edges), "edges"),
+                                 (len(graph.degrees), "degrees", graph.node_count, "nodes")):
+        if have != want:
+            raise ValueError(f"{where}: {have} {what} for {want} {of}")
+
+    def cells(start: int, stop: int) -> tuple:
+        shifted = map(add, ids[2 * start:2 * stop], repeat(1))
+        return tuple(chain.from_iterable(zip(shifted, shifted, distances[start:stop])))
+
+    if not (isinstance(ids, array) and ids.typecode == "q" and set(map(type, distances)) <= {float}
+            and math.isfinite(sum(distances))):  # a nan or inf makes the sum non-finite
+        return _table(Rows(cells(0, len(distances)), 3), where)
+    return 3, len(distances), cells
 
 
 def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
@@ -257,8 +252,7 @@ def graph_to_csv(graph: RadiusGraph, deployment, path) -> None:
     The rows are the graph's stored edges and distances, checked as write checks
     a record's before the file is opened; ``deployment`` is not read.
     """
-    write_text(path, _csv_text(("u", "v", "distance"), _rows(graph, "cannot write CSV"), "cannot write CSV",
-                               numbered=False))
+    write_text(path, _csv_text(("u", "v", "distance"), _edge_table(graph, "cannot write CSV")))
 
 
 def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
@@ -275,9 +269,10 @@ def graph_to_json(graph: RadiusGraph, deployment, path) -> None:
         "edge_count": len(graph.edges),
         "isolated": isolated_count(graph),
     }
-    arrays = {"degrees": (False, Rows(graph.degrees, 1), "cannot write 'degrees'"),
-              "edges": (True, _rows(graph, "cannot write 'edges'"), "cannot write 'edges'")}
-    write_text(path, _json_text(meta, arrays, "cannot write JSON"))
+    _check_meta(meta, None, "cannot write JSON")
+    arrays = {"degrees": (False, _table(Rows(graph.degrees, 1), "cannot write 'degrees'")),
+              "edges": (True, _edge_table(graph, "cannot write 'edges'"))}
+    write_text(path, _json_text(meta, arrays))
 
 
 def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) -> dict[float, int]:

@@ -47,11 +47,14 @@ def check_rows(rows, data) -> None:
     """Assert that rows are Rows that behave as the tuple of their rows, with an
     index and a slice drawn from data: equal both ways, the same hash, len and
     repr, the same rows by index from either end and by slice, IndexError past
-    either end, and no item assignment."""
+    either end, and no item assignment. Its twin over a list of the same cells is
+    an equal value."""
     plain = tuple(rows)
     assert isinstance(rows, Rows)
     assert all(type(row) is tuple and len(row) == rows.width for row in plain)
     assert rows == plain and plain == rows and not rows != plain and hash(rows) == hash(plain)
+    twin = Rows(list(rows.flat), rows.width)  # the same cells over a list, as _as_rows keeps a hand-built table
+    assert rows == twin and twin == rows and hash(rows) == hash(twin)
     assert len(rows) == len(plain) and repr(rows) == repr(plain)
     if plain:
         k = data.draw(st.integers(0, len(plain) - 1))

@@ -23,7 +23,7 @@ import oracles
 from strategies import GENERATORS, check_rows, deployments, matrices
 from wsngen import __version__, generator
 from wsngen.deployment import DEPLOYERS, Deployment, deploy_nongrid
-from wsngen.generator import _BLOCK, GeneratorParams, Rows, _as_rows, _json_text, read, write, write_text
+from wsngen.generator import _BLOCK, GeneratorParams, Rows, _as_rows, _json_text, _table, read, write, write_text
 from wsngen.topology import RadiusGraph, build_graph, graph_to_csv, graph_to_json, isolated_by_range
 from wsngen.traffic import TrafficMatrix, traffic_uniform
 from wsngen.validation import run_suite
@@ -58,12 +58,12 @@ documents = st.dictionaries(st.sampled_from(["points", "values", "degrees", "edg
 
 def write_document(meta: dict, data: dict, path) -> None:
     """The layout write and graph_to_json give a JSON document: meta, then each array,
-    an array of rows as Rows, an array of numbers as Rows of width 1."""
+    an array of rows as the table of Rows, an array of numbers as that of Rows of width 1."""
     arrays = {}
     for key, rows in data.items():
         nested = bool(rows) and not isinstance(rows[0], (int, float))
-        arrays[key] = nested, _as_rows(rows, key) if nested else Rows(list(rows), 1), key
-    write_text(path, _json_text(meta, arrays, "meta"))
+        arrays[key] = nested, _table(_as_rows(rows, key) if nested else Rows(list(rows), 1), key)
+    write_text(path, _json_text(meta, arrays))
 
 
 _SETTINGS = settings(max_examples=200, deadline=None,
@@ -130,6 +130,22 @@ def test_arrays_longer_than_a_block_are_laid_out_as_json_dumps_does(tmp_path, co
             "values": Rows(array.array("d", [i / 3 for i in range(3 * count)]), 3)}
     _same_bytes(tmp_path, lambda p: write_document({"kind": "x"}, data, p),
                 lambda p: oracles.write_document({"kind": "x"}, {**data, "values": tuple(data["values"])}, p))
+    # a numbered record CSV, and both exports of a graph of count edges
+    matrix = TrafficMatrix(values=data["values"], p_min=2.0, p_max=10.0, distribution="uniform", params=PARAMS)
+    _same_bytes(tmp_path, lambda p: write(matrix, p, "csv"),
+                lambda p: oracles.write_csv(p, ("node_id", "t1", "t2", "t3"),
+                                            ([i, *map(repr, row)] for i, row in enumerate(matrix.values, start=1))))
+    star = array.array("q", [0]) * (2 * count)
+    star[1::2] = array.array("q", range(1, count + 1))
+    graph = RadiusGraph(node_count=count + 1, transmission_range=1.5, epsilon=0.0, edges=Rows(star, 2),
+                        distances=tuple(i / 7 for i in range(count)), degrees=(count,) + (1,) * count)
+    rows = [[1, v + 1, d] for (_, v), d in zip(graph.edges, graph.distances)]
+    meta = {"kind": "radius-graph", "node_count": count + 1, "transmission_range": 1.5, "epsilon": 0.0,
+            "edge_count": count, "isolated": 0}
+    _same_bytes(tmp_path, lambda p: graph_to_csv(graph, None, p),
+                lambda p: oracles.write_csv(p, ("u", "v", "distance"), ([u, v, repr(d)] for u, v, d in rows)))
+    _same_bytes(tmp_path, lambda p: graph_to_json(graph, None, p),
+                lambda p: oracles.write_document(meta, {"degrees": graph.degrees, "edges": rows}, p))
 
 
 # an int beyond the float range used to raise a bare OverflowError

@@ -363,6 +363,9 @@ def _hand_built(edges, distances):
     (((0, 1), (0, 2)), (0.5, math.nan), "row 2: non-finite value in [1, 3, nan]"),
     (((0, 1), (0, 2)), (math.inf, 1.5), "row 1: non-finite value in [1, 2, inf]"),
     (((0, 1), (0, 2)), (0.5, -math.inf), "row 2: non-finite value in [1, 3, -inf]"),
+    # columns that disagree wrote one CSV row, and a JSON edge_count of 2 over one row
+    (((0, 1), (0, 2)), (0.5,), "1 distances for 2 edges"),
+    (((0, 1),), (0.5, 1.5), "2 distances for 1 edges"),
 ])
 def test_exports_refuse_what_json_and_csv_cannot_hold(tmp_path, edges, distances, message):
     # repr(np.float64(1.5)) is "np.float64(1.5)"
@@ -370,6 +373,18 @@ def test_exports_refuse_what_json_and_csv_cannot_hold(tmp_path, edges, distances
     with pytest.raises(ValueError, match=f"^cannot write CSV: {re.escape(message)}$"):
         graph_to_csv(g, None, tmp_path / "edges.csv")
     with pytest.raises(ValueError, match=f"^cannot write 'edges': {re.escape(message)}$"):
+        graph_to_json(g, None, tmp_path / "graph.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("degrees", [(2, 1, 1, 0), (2, 1)])
+def test_exports_refuse_a_degree_count_other_than_the_node_count(tmp_path, degrees):
+    # a degrees tuple longer than node_count was written as it is
+    g = _hand_built(((0, 1), (0, 2)), (0.5, 1.5))._replace(degrees=degrees)
+    message = f"{len(degrees)} degrees for 3 nodes"
+    with pytest.raises(ValueError, match=f"^cannot write CSV: {message}$"):
+        graph_to_csv(g, None, tmp_path / "edges.csv")
+    with pytest.raises(ValueError, match=f"^cannot write 'edges': {message}$"):
         graph_to_json(g, None, tmp_path / "graph.json")
     assert list(tmp_path.iterdir()) == []
 
