@@ -21,9 +21,20 @@ by (u, v), so they give the same graph. Either keeps the edges as
 generator.Rows of (u, v) pairs over one array('q'), not as one tuple per
 edge.
 
+isolated_by_range needs only each node's nearest neighbour, and on the list
+path it keeps no pair list: each node scans its own cell, then the eight
+around it, and stops at its first neighbour within the smallest reach, as
+it is connected at every range (most nodes at the reference density). The
+exit is exact: a pair is accepted by its square alone only where that
+square and the smallest reach's limit are both normal, so its plain
+distance is within reach; every other pair gets the pair test of the
+neighbour pass, and so the distance build_graph would compare.
+
 The exports hand the codec's CSV and JSON writers a table whose rows (1-based
 ids, then the distance) are sliced from the edge and distance columns a block
-at a time, so an export keeps no list of its rows.
+at a time, so an export keeps no list of its rows. Edges that are not pairs of
+node ids u < v are refused first; build_graph's array is cleared by C-level
+passes (min, max and one map of u < v over the pairs), not a Python loop.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from itertools import chain, repeat
-from operator import add
+from operator import add, lt
 from typing import NamedTuple
 
 from .generator import (Rows, _as_rows, _check_meta, _csv_text, _float_arg, _json_text, _pairs, _table,
@@ -108,22 +119,28 @@ def _square_limit(reach: float) -> float:
     return lim
 
 
+def _cells(xs: list, ys: list, reach: float) -> tuple[dict, list]:
+    """The list path's cells for reach: each cell's key mapped to the ids of its
+    points in ascending order, and what a key adds to reach each of the eight
+    cells around it, the four of _FORWARD first."""
+    x0, y0 = min(xs), min(ys)
+    side, rows = _grid((x0, y0), (max(xs), max(ys)), reach)
+    cells: dict = {}
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        key = 0 if side == math.inf else (math.floor((x - x0) / side) + 1) * rows + math.floor((y - y0) / side) + 1
+        cells.setdefault(key, []).append(i)
+    return cells, [sign * (dx * rows + dy) for sign in (1, -1) for dx, dy in _FORWARD]
+
+
 def _near_pairs(xs: list, ys: list, reach: float) -> list:
     """The list path of the neighbour pass: (u, v, d) with u < v for every
     pair within reach, in no set order, each distance as _candidates has it."""
-    x0, y0 = min(xs), min(ys)
-    side, per_column = _grid((x0, y0), (max(xs), max(ys)), reach)
-    cells: dict = {}
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        key = 0 if side == math.inf else (
-            (math.floor((x - x0) / side) + 1) * per_column + math.floor((y - y0) / side) + 1)
-        cells.setdefault(key, []).append(i)
-    forward = [dx * per_column + dy for dx, dy in _FORWARD]
+    cells, around = _cells(xs, ys, reach)
     lim = _square_limit(reach)
     out = []
     sqrt, inf = math.sqrt, math.inf  # locals: this loop is the list path's cost
     for key, members in cells.items():
-        others = [v for f in forward for v in cells.get(key + f, ())]
+        others = [v for f in around[:4] for v in cells.get(key + f, ())]
         for k, u in enumerate(members):
             x, y = xs[u], ys[u]
             for v in members[k + 1:] + others:
@@ -138,6 +155,39 @@ def _near_pairs(xs: list, ys: list, reach: float) -> list:
                 if d <= reach:
                     out.append((u, v, d) if u < v else (v, u, d))
     return out
+
+
+def _far_nearest(xs: list, ys: list, near: float, reach: float):
+    """The list path of isolated_by_range: yields the least distance within reach
+    (inf if none) of each node that has no neighbour within near <= reach. A node's
+    scan of its own cell, then the eight around it, stops at its first neighbour
+    within near, for such a node is connected at every range. Each pair gets
+    _near_pairs' test, so each distance is the one _candidates gives."""
+    cells, around = _cells(xs, ys, reach)
+    lim, accept = _square_limit(reach), _square_limit(near)
+    sqrt, inf = math.sqrt, math.inf  # locals: this loop is isolated_by_range's cost
+    for key, members in cells.items():
+        others = members + [v for f in around for v in cells.get(key + f, ())]
+        for u in members:
+            x, y, best = xs[u], ys[u], inf
+            for v in others:
+                dx, dy = x - xs[v], y - ys[v]
+                s = dx * dx + dy * dy
+                # a normal square within a finite accept has sqrt(s) <= near; where near's
+                # square leaves the normal range, accept is inf and each pair takes the test below
+                if 2.0 ** -1020 <= s <= accept < inf:
+                    break
+                if lim < s < inf or v == u:  # u meets itself at s = 0, never accepted above
+                    continue
+                d = sqrt(s)
+                if not 2.0 ** -510 <= d < inf:
+                    d = _rescaled(dx, dy, d)
+                if d <= near:
+                    break
+                if d <= reach and d < best:
+                    best = d
+            else:
+                yield best
 
 
 def _candidates(cols, reach: float):
@@ -221,16 +271,22 @@ def _edge_table(graph: RadiusGraph, where: str):
     """(3, count, cells), the layout of graph's export rows [u + 1, v + 1, d] (1-based
     ids), for the codec's writers: cells(start, stop) slices them from the edge and
     distance columns. A ValueError, led by where, refuses edges that are not (u, v)
-    pairs, a graph whose columns disagree (a distance per edge, a degree per node)
+    pairs of node ids 0 <= u < v < node_count (a pair holding a bool is not held to
+    u < v), a graph whose columns disagree (a distance per edge, a degree per node)
     and cells that are not finite ints and floats. build_graph's edges pass by their
     array's type and its distances by their types and one finite sum; a hand-built
     graph's rows are made whole once and checked cell by cell, as write checks a
     record's."""
-    refusal = f"{where}: 'edges' must be a list of (u, v) pairs"
+    refusal = f"{where}: 'edges' must be a list of (u, v) pairs of node ids 0 <= u < v < {graph.node_count}"
     edges = _as_rows(graph.edges, refusal) if len(graph.edges) else Rows((), 2)  # a graph may have no edge
-    if edges.width != 2:
+    ids, distances, n = edges.flat, graph.distances, graph.node_count
+    try:  # C-level passes that copy nothing clear an array's ids; an id that is not a number does not compare
+        ok = edges.width == 2 and (not ids or min(ids) >= 0 and max(ids) < n and (
+            all(map(lt, *[iter(ids)] * 2)) or all(u < v or bool in (type(u), type(v)) for u, v in edges)))
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(refusal)
-    ids, distances = edges.flat, graph.distances
     for have, what, want, of in ((len(distances), "distances", len(edges), "edges"),
                                  (len(graph.degrees), "degrees", graph.node_count, "nodes")):
         if have != want:
@@ -280,20 +336,18 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
 
     One neighbour pass at the largest reach gives each node's nearest
     neighbour distance; a node is isolated at tr iff that distance exceeds
-    tr + epsilon, the same test build_graph applies to each pair.
+    tr + epsilon, the same test build_graph applies to each pair. Below
+    generator._NUMPY_FROM points a node's pass stops at its first neighbour
+    within the smallest reach: that node is isolated at no range, so only
+    the other nodes' nearest distances are kept. The counts are those of
+    build_graph at each range, as the exit tests each pair as build_graph does.
     """
     reaches = dict(_reach(tr, epsilon) for tr in trs)
     if not reaches:
         return {}
     cols = point_columns(deployment)
     if isinstance(cols, list):
-        # pairs beyond the largest reach would leave every count as it is
-        nearest = [math.inf] * len(cols[0])
-        for u, v, d in _near_pairs(*cols, max(reaches.values())):
-            if d < nearest[u]:
-                nearest[u] = d
-            if d < nearest[v]:
-                nearest[v] = d
+        nearest = [*_far_nearest(*cols, min(reaches.values()), max(reaches.values()))]
     else:
         import numpy as np
 

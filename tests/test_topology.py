@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from array import array
 from decimal import Decimal
 
 import numpy as np
@@ -262,6 +263,39 @@ def test_isolated_by_range_over_a_huge_area():
     assert build_graph(dep, 1e199).edges == tuple(sorted(_brute_force_edges(scaled, 1e199 / 2.0 ** 600)))
 
 
+# Points about a unit apart, a pair 1e-301 apart (its square underflows to 0) and
+# two equal points: the reaches mix a square that underflows or overflows with
+# normal ones, unsorted and repeated, with and without epsilon
+_BASE = (*deploy_nongrid(40, 8.0, 3).points, (0.0, 0.0), (1e-301, 0.0), (4.0, 4.0), (4.0, 4.0))
+_MIXED_REACHES = [
+    (_BASE, (1e-300, 2.0), 0.0),
+    (_BASE + ((1e180, 0.0), (-1e180, 5.0)), (1.0, 1e200), 0.0),
+    (_BASE + ((1e300, 0.0),), (1e200, 1e301), 0.0),
+    (_BASE + ((1e300, 0.0),), [2.0, math.inf], 0.0),
+    (_BASE, [3.0, 1.0, 3.0, 0.5, 1.0], 0.0),
+    (_BASE, (2.0, 1e-300, 1.0), 1e-300),
+    (_BASE, [1.5, 0.5, 0.5], 0.25),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts, trs, epsilon", _MIXED_REACHES)
+def test_isolated_by_range_over_mixed_reaches(pts, trs, epsilon):
+    # a node's scan stops at its first neighbour within the smallest reach, by
+    # its square only where that reach's square is normal
+    expect = {float(tr): isolated_count(build_graph(pts, tr, epsilon)) for tr in trs}
+    assert isolated_by_range(pts, trs, epsilon) == expect
+
+
+@pytest.mark.parametrize("mode", DEPLOYERS)
+def test_isolated_by_range_on_the_benchmark_inputs(mode):
+    # seed_sweep's deployments: n = 100 over area 100 at ranges 10, 15 and 20
+    trs = (10.0, 15.0, 20.0)
+    for seed in range(300):
+        dep = DEPLOYERS[mode](100, 100.0, seed)
+        assert isolated_by_range(dep, trs) == {tr: isolated_count(build_graph(dep, tr)) for tr in trs}, seed
+
+
 def _assert_distance(p, q, got):
     """got keeps the row-wise expression's bits where each coordinate
     difference is zero or has a normal square and the squares sum to a
@@ -389,6 +423,28 @@ def test_exports_refuse_a_degree_count_other_than_the_node_count(tmp_path, degre
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("edges", [
+    ((0, 5),),  # an id past node_count wrote the row 1,6,0.5
+    ((-1, 1),),  # and a negative one 0,2,0.5
+    ((0, math.nan),),
+    (("a", 1),),  # an id that is not a number raised a bare TypeError from u + 1
+    ((0, None),),
+    ((1, 0),),  # u > v wrote the row 2,1,0.5
+    ((1, 1),),
+    ((0, 1, 2),),  # not a pair
+    generator.Rows(array("q", [0, 3]), 2),  # build_graph's form of the edges
+    generator.Rows(array("q", [2, 1]), 2),
+])
+def test_exports_refuse_edges_that_are_not_ordered_node_id_pairs(tmp_path, edges):
+    g = _hand_built(edges, (0.5,))
+    message = "'edges' must be a list of (u, v) pairs of node ids 0 <= u < v < 3"
+    with pytest.raises(ValueError, match=f"^cannot write CSV: {re.escape(message)}$"):
+        graph_to_csv(g, None, tmp_path / "edges.csv")
+    with pytest.raises(ValueError, match=f"^cannot write 'edges': {re.escape(message)}$"):
+        graph_to_json(g, None, tmp_path / "graph.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("edges, distances", [
     (((0.0, 1), (0, 2)), (0.5, 1.5)),  # a float id is written as one: 1.0
     (((True, 1), (0, 2)), (0.5, 1.5)),  # True + 1 is the int 2
@@ -444,6 +500,7 @@ _ON_NUMPY = {
     "tiny_reach": lambda tmp_path: test_tiny_reach_over_huge_extent(),
     "infinite_reach": lambda tmp_path: test_infinite_reach_joins_every_pair(),
     "beyond_square_range": lambda tmp_path: test_distance_beyond_square_range(),
+    "mixed_reaches": lambda tmp_path: [test_isolated_by_range_over_mixed_reaches(*case) for case in _MIXED_REACHES],
 }
 
 
