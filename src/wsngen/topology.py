@@ -21,14 +21,16 @@ by (u, v), so they give the same graph. Either keeps the edges as
 generator.Rows of (u, v) pairs over one array('q'), not as one tuple per
 edge.
 
-isolated_by_range needs only each node's nearest neighbour, and on the list
-path it keeps no pair list: each node scans its own cell, then the eight
-around it, and stops at its first neighbour within the smallest reach, as
-it is connected at every range (most nodes at the reference density). The
-exit is exact: a pair is accepted by its square alone only where that
-square and the smallest reach's limit are both normal, so its plain
-distance is within reach; every other pair gets the pair test of the
-neighbour pass, and so the distance build_graph would compare.
+The list path has one scan, _scan, for build_graph and isolated_by_range:
+each node scans its own cell, then the eight around it, and keeps its
+neighbours within reach, so build_graph sees each pair from both ends and
+takes a node's degree from its own count. isolated_by_range needs only each
+node's nearest neighbour, and its scan keeps no pair list: a node stops at
+its first neighbour within the smallest reach, as it is connected at every
+range (most nodes at the reference density). The exit is exact: a pair is
+accepted by its square alone only where that square and the smallest
+reach's limit are both normal, so its plain distance is within reach; every
+other pair gets the full pair test, and so the distance build_graph compares.
 
 The exports hand the codec's CSV and JSON writers a table whose rows (1-based
 ids, then the distance) are sliced from the edge and distance columns a block
@@ -121,55 +123,30 @@ def _square_limit(reach: float) -> float:
 
 def _cells(xs: list, ys: list, reach: float) -> tuple[dict, list]:
     """The list path's cells for reach: each cell's key mapped to the ids of its
-    points in ascending order, and what a key adds to reach each of the eight
-    cells around it, the four of _FORWARD first."""
+    points in ascending order, and what a key adds to reach itself, then each of
+    the eight cells around it."""
     x0, y0 = min(xs), min(ys)
     side, rows = _grid((x0, y0), (max(xs), max(ys)), reach)
     cells: dict = {}
     for i, (x, y) in enumerate(zip(xs, ys)):
         key = 0 if side == math.inf else (math.floor((x - x0) / side) + 1) * rows + math.floor((y - y0) / side) + 1
         cells.setdefault(key, []).append(i)
-    return cells, [sign * (dx * rows + dy) for sign in (1, -1) for dx, dy in _FORWARD]
+    return cells, [dx * rows + dy for dx in (0, 1, -1) for dy in (0, 1, -1)]
 
 
-def _near_pairs(xs: list, ys: list, reach: float) -> list:
-    """The list path of the neighbour pass: (u, v, d) with u < v for every
-    pair within reach, in no set order, each distance as _candidates has it."""
-    cells, around = _cells(xs, ys, reach)
-    lim = _square_limit(reach)
-    out = []
-    sqrt, inf = math.sqrt, math.inf  # locals: this loop is the list path's cost
-    for key, members in cells.items():
-        others = [v for f in around[:4] for v in cells.get(key + f, ())]
-        for k, u in enumerate(members):
-            x, y = xs[u], ys[u]
-            for v in members[k + 1:] + others:
-                dx = x - xs[v]
-                dy = y - ys[v]
-                s = dx * dx + dy * dy
-                if lim < s < inf:  # most candidates: no square root needed
-                    continue
-                d = sqrt(s)
-                if not 2.0 ** -510 <= d < inf:
-                    d = _rescaled(dx, dy, d)
-                if d <= reach:
-                    out.append((u, v, d) if u < v else (v, u, d))
-    return out
-
-
-def _far_nearest(xs: list, ys: list, near: float, reach: float):
-    """The list path of isolated_by_range: yields the least distance within reach
-    (inf if none) of each node that has no neighbour within near <= reach. A node's
-    scan of its own cell, then the eight around it, stops at its first neighbour
-    within near, for such a node is connected at every range. Each pair gets
-    _near_pairs' test, so each distance is the one _candidates gives."""
+def _scan(xs: list, ys: list, near: float, reach: float):
+    """The list path's neighbour pass: yields (u, hits) for each node u with no
+    neighbour within near <= reach, hits mapping each node v != u within reach to
+    its distance. A node's scan of its own cell, then the eight around it, stops
+    at its first neighbour within near; near = -inf stops none. Each distance is
+    the one _candidates gives, so both paths compare the same floats."""
     cells, around = _cells(xs, ys, reach)
     lim, accept = _square_limit(reach), _square_limit(near)
-    sqrt, inf = math.sqrt, math.inf  # locals: this loop is isolated_by_range's cost
+    sqrt, inf = math.sqrt, math.inf  # locals: this loop is the list path's cost
     for key, members in cells.items():
-        others = members + [v for f in around for v in cells.get(key + f, ())]
+        others = [v for f in around for v in cells.get(key + f, ())]
         for u in members:
-            x, y, best = xs[u], ys[u], inf
+            x, y, hits = xs[u], ys[u], {}
             for v in others:
                 dx, dy = x - xs[v], y - ys[v]
                 s = dx * dx + dy * dy
@@ -184,10 +161,10 @@ def _far_nearest(xs: list, ys: list, near: float, reach: float):
                     d = _rescaled(dx, dy, d)
                 if d <= near:
                     break
-                if d <= reach and d < best:
-                    best = d
+                if d <= reach:
+                    hits[v] = d
             else:
-                yield best
+                yield u, hits
 
 
 def _candidates(cols, reach: float):
@@ -238,11 +215,10 @@ def build_graph(deployment, tr: float, epsilon: float = 0.0) -> RadiusGraph:
     cols = point_columns(deployment)
     n = len(cols[0])
     if isinstance(cols, list):
-        near = sorted(_near_pairs(*cols, reach))
+        hits = dict(_scan(*cols, -math.inf, reach))  # no node stops early, so each is yielded
+        near = sorted((u, v, d) for u in hits for v, d in hits[u].items() if u < v)
         us, vs, distances = zip(*near) if near else ((), (), ())
-        degrees = [0] * n
-        for u in us + vs:
-            degrees[u] += 1
+        degrees = [len(hits[u]) for u in range(n)]
         edges = _pairs("q", us, vs)
     else:
         import numpy as np
@@ -335,25 +311,28 @@ def isolated_by_range(deployment, trs: Sequence[float], epsilon: float = 0.0) ->
     """Isolated-node counts for several transmission ranges at once.
 
     One neighbour pass at the largest reach gives each node's nearest
-    neighbour distance; a node is isolated at tr iff that distance exceeds
-    tr + epsilon, the same test build_graph applies to each pair. Below
-    generator._NUMPY_FROM points a node's pass stops at its first neighbour
-    within the smallest reach: that node is isolated at no range, so only
-    the other nodes' nearest distances are kept. The counts are those of
-    build_graph at each range, as the exit tests each pair as build_graph does.
+    neighbour distance; a node is isolated at tr iff it has no neighbour
+    within tr + epsilon, the same test build_graph applies to each pair, so
+    a node with no neighbour at all is isolated even at tr = inf. Below
+    generator._NUMPY_FROM points the pass is build_graph's scan, and a
+    node's scan stops at its first neighbour within the smallest reach: that
+    node is isolated at no range, so only the other nodes' nearest distances
+    are kept. The counts are those of build_graph at each range, as the
+    exit tests each pair as build_graph does.
     """
     reaches = dict(_reach(tr, epsilon) for tr in trs)
     if not reaches:
         return {}
     cols = point_columns(deployment)
-    if isinstance(cols, list):
-        nearest = [*_far_nearest(*cols, min(reaches.values()), max(reaches.values()))]
+    if isinstance(cols, list):  # nan: no neighbour within the largest reach
+        nearest = [min(hits.values(), default=math.nan)
+                   for _, hits in _scan(*cols, min(reaches.values()), max(reaches.values()))]
     else:
         import numpy as np
 
         u, v, d = _candidates(cols, max(reaches.values()))
-        nearest = np.full(len(cols[0]), np.inf)
-        np.minimum.at(nearest, u, d)
-        np.minimum.at(nearest, v, d)
+        nearest = np.full(len(cols[0]), np.nan)
+        np.fmin.at(nearest, u, d)  # fmin keeps the distance where minimum would spread nan
+        np.fmin.at(nearest, v, d)
         nearest = nearest.tolist()
-    return {tr: sum(x > reach for x in nearest) for tr, reach in reaches.items()}
+    return {tr: sum(not x <= reach for x in nearest) for tr, reach in reaches.items()}

@@ -275,7 +275,17 @@ _MIXED_REACHES = [
     (_BASE, [3.0, 1.0, 3.0, 0.5, 1.0], 0.0),
     (_BASE, (2.0, 1e-300, 1.0), 1e-300),
     (_BASE, [1.5, 0.5, 0.5], 0.25),
+    # a node with no neighbour at all is isolated at every range, tr = inf too
+    (((0.0, 0.0),), [1.0, math.inf], 0.0),
 ]
+
+
+def _numpy_graph_counts(pts, trs, epsilon):
+    """isolated_count of build_graph at each tr on the numpy path: a count that
+    does not come from the list path's scan, which isolated_by_range shares."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "_NUMPY_FROM", 0)
+        return {float(tr): isolated_count(build_graph(pts, tr, epsilon)) for tr in trs}
 
 
 @pytest.mark.filterwarnings("error")
@@ -285,6 +295,7 @@ def test_isolated_by_range_over_mixed_reaches(pts, trs, epsilon):
     # its square only where that reach's square is normal
     expect = {float(tr): isolated_count(build_graph(pts, tr, epsilon)) for tr in trs}
     assert isolated_by_range(pts, trs, epsilon) == expect
+    assert expect == _numpy_graph_counts(pts, trs, epsilon)
 
 
 @pytest.mark.parametrize("mode", DEPLOYERS)
@@ -293,7 +304,11 @@ def test_isolated_by_range_on_the_benchmark_inputs(mode):
     trs = (10.0, 15.0, 20.0)
     for seed in range(300):
         dep = DEPLOYERS[mode](100, 100.0, seed)
-        assert isolated_by_range(dep, trs) == {tr: isolated_count(build_graph(dep, tr)) for tr in trs}, seed
+        expect = {tr: isolated_count(build_graph(dep, tr)) for tr in trs}
+        assert isolated_by_range(dep, trs) == expect, seed
+        # the nodes of the row-wise edges: these squares are all normal, so the distances agree
+        brute = _brute_force_edges(dep.points, max(trs))
+        assert expect == {tr: 100 - len({w for e, d in brute.items() if d <= tr for w in e}) for tr in trs}, seed
 
 
 def _assert_distance(p, q, got):
@@ -512,9 +527,15 @@ def test_properties_hold_on_the_numpy_path(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", DEPLOYERS)
 def test_list_path_matches_numpy_at_the_benchmark_size(mode, monkeypatch):
-    # the large_topology benchmark's graphs, which take the numpy path
-    dep = DEPLOYERS[mode](1000, 10.0 * math.sqrt(1000), 11)
+    # the benchmark's density at seed_sweep's n = 100, at 300 and 511 below the switch to
+    # numpy and at large_topology's n = 1000: each graph, built on both paths, matches
+    # whole, degrees and edge order included
     trs = (10.0, 15.0, 20.0)
-    on_numpy = [build_graph(dep, tr) for tr in trs], isolated_by_range(dep, trs)
-    monkeypatch.setattr(generator, "_NUMPY_FROM", 10**6)
-    assert ([build_graph(dep, tr) for tr in trs], isolated_by_range(dep, trs)) == on_numpy
+    for n in (100, 300, 511, 1000):
+        dep = DEPLOYERS[mode](n, 10.0 * math.sqrt(n), 11)
+        for epsilon in (0.0, 0.5):
+            monkeypatch.setattr(generator, "_NUMPY_FROM", 0)
+            on_numpy = [build_graph(dep, tr, epsilon) for tr in trs], isolated_by_range(dep, trs, epsilon)
+            monkeypatch.setattr(generator, "_NUMPY_FROM", 10**6)
+            on_lists = [build_graph(dep, tr, epsilon) for tr in trs], isolated_by_range(dep, trs, epsilon)
+            assert on_lists == on_numpy, (n, epsilon)
